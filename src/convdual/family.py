@@ -38,6 +38,7 @@ from .series import (
     evaluate,
     from_rational,
     is_normalized,
+    series_distance,
 )
 
 __all__ = [

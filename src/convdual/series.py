@@ -321,12 +321,16 @@ def dilate(f: TruncSeries, x: complex) -> TruncSeries:
     return TruncSeries(coeffs, tail)
 
 
+_RATIONAL_RHO_CAP = 1e300  # keeps the tail of a tiny pole parameter finite
+
+
 def from_rational(x: complex, y: complex, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Expansion of ``(1 + x z) / (1 + y z)`` about the origin, ``|y| < 1``.
 
     Coefficients are ``c_0 = 1`` and ``c_k = (x - y)(-y)^{k-1}`` for
     ``k >= 1``; the tail ``(|x-y|/|y|, 1/|y|)`` is tight.  ``y = 0`` and
-    ``x = y`` degenerate to exact polynomials.
+    ``x = y`` degenerate to exact polynomials.  For ``|y| < 1e-300`` the
+    radius is capped at ``1e300`` so the tail stays finite.
     """
     x = complex(x)
     y = complex(y)
@@ -344,7 +348,12 @@ def from_rational(x: complex, y: complex, order: int = DEFAULT_ORDER) -> TruncSe
         return TruncSeries(coeffs, Tail(0.0, math.inf))
     ks = np.arange(0, order, dtype=float)
     coeffs[1:] = (x - y) * (-y) ** ks
-    return TruncSeries(coeffs, Tail(abs(x - y) / abs(y), 1.0 / abs(y)))
+    rho = 1.0 / abs(y)
+    if rho > _RATIONAL_RHO_CAP:
+        # tiny |y| (1/|y| overflows once |y| is subnormal): any radius
+        # rho' <= 1/|y| still bounds |a_k| = |x-y| |y|^(k-1) by (|x-y| rho') rho'^-k
+        return TruncSeries(coeffs, Tail(abs(x - y) * _RATIONAL_RHO_CAP, _RATIONAL_RHO_CAP))
+    return TruncSeries(coeffs, Tail(abs(x - y) / abs(y), rho))
 
 
 def ones(order: int = DEFAULT_ORDER) -> TruncSeries:

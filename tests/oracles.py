@@ -90,3 +90,41 @@ def brute_force_decompose(member_coeffs, border_params_grid, x_grid, instantiate
             if res < best[2]:
                 best = (params, x, res)
     return best
+
+
+def brute_nearest_distance(queries, ref) -> np.ndarray:
+    """Distance from each query to its nearest reference point, all pairs.
+
+    ``inf`` for every query when ``ref`` is empty.
+    """
+    queries = np.asarray(queries, dtype=complex)
+    ref = np.asarray(ref, dtype=complex)
+    if len(ref) == 0:
+        return np.full(len(queries), np.inf)
+    return np.array([np.min(np.abs(q - ref)) for q in queries], dtype=float)
+
+
+def brute_median_spacing(points) -> float:
+    """Median nearest-neighbour distance of the distinct points (rounded to
+    12 decimals), over every ``len // 4096 + 1``-th one when there are more
+    than 4096; 1.0 for fewer than two distinct points."""
+    ref = np.unique(np.round(np.asarray(points, dtype=complex), 12))
+    if len(ref) < 2:
+        return 1.0
+    if len(ref) > 4096:
+        ref = ref[:: len(ref) // 4096 + 1]
+    nn = [np.min(np.abs(q - np.delete(ref, i))) for i, q in enumerate(ref)]
+    return float(np.median(nn))
+
+
+def brute_coverage_flags(points, spacing: float, directions: int = 16,
+                         probe: float = 2.0, cover: float = 1.3) -> np.ndarray:
+    """A point is flagged when some probe at ``probe * spacing`` in one of
+    ``directions`` equally spaced directions has no distinct (rounded) cloud
+    point within ``cover * spacing``."""
+    points = np.asarray(points, dtype=complex)
+    ref = np.unique(np.round(points, 12))
+    flags = np.zeros(len(points), dtype=bool)
+    for a in np.exp(2j * np.pi * np.arange(directions) / directions):
+        flags |= brute_nearest_distance(points + probe * spacing * a, ref) > cover * spacing
+    return flags

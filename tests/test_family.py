@@ -23,6 +23,7 @@ from convdual.family import (
     complete_hull,
     counterexample_family,
     default_kernel_family,
+    nearest_member_distance,
     pairing_interval,
     pairing_zero_weights,
     pencil_family,
@@ -132,6 +133,12 @@ def test_sample_member_cap():
     tight = ParamGrid(disk_radial=3, disk_angular=6, max_members=5)
     with pytest.raises(ValueError, match="more than 5 members"):
         sample(pencil_family(), tight)
+
+
+def test_nearest_member_distance_finds_pencil_member():
+    d, tag = nearest_member_distance(TruncSeries.polynomial([1.0, 0.5]), pencil_family())
+    assert d == 0.0
+    assert tag.kind == "pencil" and tag.params == (0.5,)
 
 
 def test_complete_hull_idempotent():
