@@ -61,15 +61,18 @@ from .family import (
     pencil_family,
     pencil_term_radii,
     sample,
+    sample_generator,
     sigma_search,
 )
 from .series import (
     EvalResult,
     TruncSeries,
     convolve,
+    convolve_rows_at_one,
     dilate,
     evaluate,
     evaluate_many,
+    exact_product,
     is_normalized,
 )
 
@@ -901,6 +904,9 @@ class RegionCloud:
     spacing is backed by a nearby cloud point), for the border route they
     are the images of the outermost evaluation radius.
 
+    Direct-route points of pencil generators are evaluated in one batched
+    pass per generator; rational, fixed and dilated members, and pencils a
+    non-exact kernel truncates, are evaluated member by member.
     ``mesh_spacing`` (unless given) and the probe run on a uniform cell
     grid over the cloud: about ``O(n log n)`` time for ``n`` points spread
     without dense clusters, with temporaries of about 5 MB whatever ``n``
@@ -1154,29 +1160,49 @@ def functional_image(
     candidates, which carries the region boundary whenever the border
     representation does.
 
-    Cost: one functional evaluation per sampled member (direct route) or
-    one vectorised mesh evaluation per border element.  The geometry on
-    top (median nearest-neighbour spacing, and the 16-direction coverage
-    probe of the direct route) is grid-indexed: about ``O(n log n)`` for
-    ``n`` evenly spread cloud points rather than quadratic, with bounded
+    Cost: on the direct route the members of a pencil generator are
+    evaluated together, one array product and one Horner pass over all of
+    them, bitwise equal to evaluating each member on its own.  Members still
+    go one by one (a series built and convolved per member) for rational
+    and fixed generators, for dilation-slot families, and for pencils whose
+    products with a non-exact kernel are not exact (the kernel is truncated
+    below the pencil's top exponent).  The border route makes one
+    vectorised mesh evaluation per border element.  The geometry on top
+    (median nearest-neighbour spacing, and the 16-direction coverage probe
+    of the direct route) is grid-indexed: about ``O(n log n)`` for ``n``
+    evenly spread cloud points rather than quadratic, with bounded
     temporaries.
     """
     grid = grid or ParamGrid()
     if not via_border:
-        pts: list[complex] = []
-        errs: list[float] = []
+        values: list[np.ndarray] = []
+        bounds: list[np.ndarray] = []
         labels: list[str] = []
-        for f, tag in sample(V, grid):
-            v = apply(lam, f)
-            if not math.isfinite(v.error_bound):
-                raise ValueError(
-                    f"functional bound unusable on member {tag.label()} "
-                    "(combined tail radius does not exceed one)"
-                )
-            pts.append(v.value)
-            errs.append(v.error_bound)
-            labels.append(tag.label())
-        points = np.asarray(pts, dtype=complex)
+        for gi, gen in enumerate(V.generators):
+            sampled = len(labels)
+            if (isinstance(gen, Pencil) and not V.dilation_slot
+                    and exact_product(lam.kernel, max(gen.exponents))):
+                rows = gen.member_rows(grid, gi, sampled_before=sampled)
+                vals, errs = convolve_rows_at_one(rows.coeffs, lam.kernel)
+                values.append(vals)
+                bounds.append(errs)
+                labels.extend(rows.labels)
+                continue
+            members = sample_generator(V, gi, grid, sampled_before=sampled)
+            vals = np.empty(len(members), dtype=complex)
+            errs = np.empty(len(members))
+            for i, (f, tag) in enumerate(members):
+                v = apply(lam, f)
+                if not math.isfinite(v.error_bound):
+                    raise ValueError(
+                        f"functional bound unusable on member {tag.label()} "
+                        "(combined tail radius does not exceed one)"
+                    )
+                vals[i], errs[i] = v
+                labels.append(tag.label())
+            values.append(vals)
+            bounds.append(errs)
+        points = np.concatenate(values)
         spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points)
         if boundary:
             flags = _coverage_boundary_flags(points, spacing)
@@ -1184,7 +1210,7 @@ def functional_image(
             flags = np.zeros(len(points), dtype=bool)
         return RegionCloud(
             points=points,
-            errors=np.asarray(errs),
+            errors=np.concatenate(bounds),
             labels=tuple(labels),
             eval_points=np.full(len(points), 1.0 + 0.0j),
             boundary_flags=flags,
@@ -1194,36 +1220,33 @@ def functional_image(
     border = border_elements(V)
     radii = [r for r in radius_schedule(mesh_depth)] + [1.0]
     angles = np.exp(2j * np.pi * np.arange(mesh_angles) / mesh_angles)
-    pts = []
-    errs = []
-    labels = []
-    zs_all: list[complex] = []
-    flags_list: list[bool] = []
     mesh = np.concatenate(
         [np.zeros(1, dtype=complex), np.asarray([r * a for r in radii for a in angles])]
     )
     mesh_flags = np.abs(mesh) >= 1.0 - 1e-15
-    for f, tag in sample(border, grid):
+    values = []
+    bounds = []
+    labels = []
+    members = sample(border, grid)
+    for f, tag in members:
         hconv = convolve(f, lam.kernel)
-        vals, bounds = evaluate_many(hconv, mesh)
-        if not np.all(np.isfinite(bounds)):
+        vals, errs = evaluate_many(hconv, mesh)
+        if not np.all(np.isfinite(errs)):
             raise ValueError(
                 f"border-route bound unusable on member {tag.label()} "
                 "(convolution tail radius does not exceed one)"
             )
-        pts.extend(vals.tolist())
-        errs.extend(bounds.tolist())
+        values.append(vals)
+        bounds.append(errs)
         labels.extend([tag.label()] * len(mesh))
-        zs_all.extend(mesh.tolist())
-        flags_list.extend(mesh_flags.tolist())
-    points = np.asarray(pts, dtype=complex)
+    points = np.concatenate(values)
     spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points)
     return RegionCloud(
         points=points,
-        errors=np.asarray(errs),
+        errors=np.concatenate(bounds),
         labels=tuple(labels),
-        eval_points=np.asarray(zs_all, dtype=complex),
-        boundary_flags=np.asarray(flags_list, dtype=bool),
+        eval_points=np.tile(mesh, len(members)),
+        boundary_flags=np.tile(mesh_flags, len(members)),
         mesh_spacing=spacing,
         route="border",
     )

@@ -25,7 +25,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +53,9 @@ __all__ = [
     "Generator",
     "FamilySpec",
     "MemberTag",
+    "MemberRows",
     "sample",
+    "sample_generator",
     "complete_hull",
     "border_elements",
     "border_decompose",
@@ -185,6 +187,14 @@ class ParamGrid:
 # -- generators ---------------------------------------------------------------
 
 
+class MemberRows(NamedTuple):
+    """Sampled pencil members as arrays: one row per member, in sample order."""
+
+    params: np.ndarray  # (members, exponents)
+    coeffs: np.ndarray  # (members, max exponent + 1)
+    labels: list[str]
+
+
 @dataclass(frozen=True)
 class Pencil:
     """``1 + sum_j x_j z^{k_j}`` with independent parameter domains."""
@@ -216,6 +226,32 @@ class Pencil:
 
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return [d.points(grid) for d in self.domains]
+
+    def member_rows(self, grid: ParamGrid, gen_index: int = 0, sampled_before: int = 0) -> MemberRows:
+        """Every sampled member as one row of parameters and coefficients.
+
+        Rows follow :func:`sample`'s order (the last domain varies fastest);
+        coefficient row ``i`` equals ``instantiate(params[i]).coeffs`` and
+        label ``i`` the member's tag label under ``gen_index``.
+        ``sampled_before`` members of earlier generators count against
+        ``grid.max_members`` as they do in :func:`sample`.
+        """
+        lists = self.param_lists(grid)
+        shape = tuple(len(ps) for ps in lists)
+        m = math.prod(shape)
+        _check_member_budget(sampled_before + m, grid)
+        index = np.indices(shape).reshape(len(shape), m)
+        params = np.stack(
+            [np.asarray(ps, dtype=complex)[i] for ps, i in zip(lists, index)], axis=1
+        )
+        coeffs = np.zeros((m, max(self.exponents) + 1), dtype=complex)
+        coeffs[:, 0] = 1.0
+        coeffs[:, list(self.exponents)] = params
+        if not np.all(np.isfinite(params.view(float))):
+            raise ValueError("coefficients must be finite")
+        texts = [[_cfmt(p) for p in ps] for ps in lists]
+        labels = [f"g{gen_index}:{self.kind}({','.join(t)})" for t in itertools.product(*texts)]
+        return MemberRows(params, coeffs, labels)
 
 
 @dataclass(frozen=True)
@@ -296,6 +332,14 @@ def _cfmt(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
 
 
+def _check_member_budget(total: int, grid: ParamGrid) -> None:
+    if total > grid.max_members:
+        raise ValueError(
+            f"grid would produce more than {grid.max_members} members; "
+            "coarsen the grid or raise max_members"
+        )
+
+
 def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncSeries, MemberTag]]:
     """Deterministic finite sample of the family over the grid.
 
@@ -304,28 +348,38 @@ def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncS
     """
     grid = grid or ParamGrid()
     out: list[tuple[TruncSeries, MemberTag]] = []
+    for gi in range(len(V.generators)):
+        out.extend(sample_generator(V, gi, grid, sampled_before=len(out)))
+    return out
+
+
+def sample_generator(
+    V: FamilySpec, gen_index: int, grid: ParamGrid, sampled_before: int = 0
+) -> list[tuple[TruncSeries, MemberTag]]:
+    """The members :func:`sample` draws from one generator of ``V``.
+
+    ``sampled_before`` members of earlier generators count against
+    ``grid.max_members``.
+    """
+    gen = V.generators[gen_index]
+    out: list[tuple[TruncSeries, MemberTag]] = []
     dil_points = Disk(1.0).points(grid) if V.dilation_slot else [None]
-    total = 0
-    for gi, gen in enumerate(V.generators):
-        lists = gen.param_lists(grid)
-        combos = itertools.product(*lists) if lists else iter([()])
-        for params in combos:
-            member = gen.instantiate(params)
-            for w in dil_points:
-                total += 1
-                if total > grid.max_members:
-                    raise ValueError(
-                        f"grid would produce more than {grid.max_members} members; "
-                        "coarsen the grid or raise max_members"
-                    )
-                if w is None:
-                    out.append((member, MemberTag(gi, gen.kind, tuple(params))))
-                else:
-                    if abs(w) > 1.0:  # grid boundary points can overshoot by an ulp
-                        w = w / abs(w)
-                    out.append(
-                        (dilate(member, w), MemberTag(gi, gen.kind, tuple(params), dilation=w))
-                    )
+    total = sampled_before
+    lists = gen.param_lists(grid)
+    combos = itertools.product(*lists) if lists else iter([()])
+    for params in combos:
+        member = gen.instantiate(params)
+        for w in dil_points:
+            total += 1
+            _check_member_budget(total, grid)
+            if w is None:
+                out.append((member, MemberTag(gen_index, gen.kind, tuple(params))))
+            else:
+                if abs(w) > 1.0:  # grid boundary points can overshoot by an ulp
+                    w = w / abs(w)
+                out.append(
+                    (dilate(member, w), MemberTag(gen_index, gen.kind, tuple(params), dilation=w))
+                )
     return out
 
 

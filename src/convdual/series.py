@@ -33,6 +33,8 @@ __all__ = [
     "EvalResult",
     "TruncSeries",
     "convolve",
+    "exact_product",
+    "convolve_rows_at_one",
     "evaluate",
     "evaluate_many",
     "dilate",
@@ -166,6 +168,9 @@ def _tail_eval_bound(tail: Optional[Tail], order: int, absz: np.ndarray) -> np.n
     M, rho = tail
     if M == 0.0:
         return np.zeros_like(absz)
+    if math.isinf(M):
+        # every tail term vanishes at the origin; anywhere else nothing is bounded
+        return np.where(absz == 0.0, 0.0, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = absz / rho
         bound = np.where(t < 1.0, M * t ** (order + 1) / (1.0 - t), math.inf)
@@ -290,6 +295,41 @@ def convolve(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     else:
         tail = None
     return TruncSeries(coeffs, tail)
+
+
+def exact_product(g: TruncSeries, order: int) -> bool:
+    """True when ``convolve(p, g)`` is exact for every exact polynomial ``p``
+    of the given order: ``g`` is exact, or stores every coefficient ``p`` can
+    pair with."""
+    return g.is_exact or g.order >= order
+
+
+def convolve_rows_at_one(rows: np.ndarray, g: TruncSeries) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate(convolve(p_i, g), 1)`` for many exact polynomials at once.
+
+    Row ``i`` of ``rows`` holds the coefficients of ``p_i``.  The rows are
+    multiplied by ``g``'s coefficients and summed by Horner's scheme at
+    ``z = 1`` in ``np.polyval``'s operation order, so every value is bitwise
+    equal to the one-polynomial route; the error bounds are zero, as every
+    product is an exact polynomial.  Raises ValueError unless
+    ``exact_product(g, order)`` holds, and, as :class:`TruncSeries` does,
+    when a product coefficient is not finite.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError("rows must be a two-dimensional array with at least one column")
+    order = rows.shape[1] - 1
+    if not exact_product(g, order):
+        raise ValueError("products with a non-exact kernel shorter than the rows are not exact")
+    n = min(order, g.order)
+    products = rows[:, : n + 1] * g.coeffs[: n + 1]
+    if not np.all(np.isfinite(products.view(float))):
+        raise ValueError("coefficients must be finite")
+    z = np.ones(1, dtype=complex)  # multiplying by it keeps polyval's inf/nan results
+    values = np.zeros(len(rows), dtype=complex)
+    for column in np.ascontiguousarray(products.T[::-1]):  # highest degree first
+        values = values * z + column
+    return values, np.zeros(len(rows))
 
 
 def dilate(f: TruncSeries, x: complex) -> TruncSeries:

@@ -128,3 +128,41 @@ def brute_coverage_flags(points, spacing: float, directions: int = 16,
     for a in np.exp(2j * np.pi * np.arange(directions) / directions):
         flags |= brute_nearest_distance(points + probe * spacing * a, ref) > cover * spacing
     return flags
+
+
+def per_member_image(lam, V, grid, mesh_spacing=None, boundary: bool = True) -> dict:
+    """Direct-route ``functional_image`` fields by the member-by-member loop.
+
+    Every sampled member is built as a series and the functional applied to
+    it on its own (``sample`` + ``apply``), the route the batched pencil
+    evaluation replaces; spacing and boundary flags come from the all-pairs
+    oracles above.  Raises ValueError where that loop does.
+    """
+    import math
+
+    from convdual.duality import apply
+    from convdual.family import sample
+
+    pts, errs, labels = [], [], []
+    for f, tag in sample(V, grid):
+        v = apply(lam, f)
+        if not math.isfinite(v.error_bound):
+            raise ValueError(f"functional bound unusable on member {tag.label()}")
+        pts.append(v.value)
+        errs.append(v.error_bound)
+        labels.append(tag.label())
+    points = np.asarray(pts, dtype=complex)
+    spacing = brute_median_spacing(points) if mesh_spacing is None else mesh_spacing
+    if boundary:
+        flags = brute_coverage_flags(points, spacing)
+    else:
+        flags = np.zeros(len(points), dtype=bool)
+    return {
+        "points": points,
+        "errors": np.asarray(errs, dtype=float),
+        "labels": tuple(labels),
+        "eval_points": np.full(len(points), 1.0 + 0.0j),
+        "boundary_flags": flags,
+        "mesh_spacing": spacing,
+        "route": "direct",
+    }

@@ -129,6 +129,21 @@ def test_evaluate_outside_tail_radius_is_infinite():
     assert evaluate(g, 0.0).error_bound == 0.0
 
 
+def test_infinite_tail_bound_is_zero_at_origin_and_infinite_elsewhere():
+    f = from_rational(1e307, 1e-3)  # |x - y| / |y| overflows: M = inf
+    assert math.isinf(f.tail.M)
+    assert evaluate(f, 0.0) == (1.0, 0.0)
+    assert math.isinf(evaluate(f, 0.5).error_bound)
+    assert math.isinf(evaluate(f, 1e-300).error_bound)  # t**(N+1) underflows to 0 here
+    # convolve's unusable branch stores the same kind of tail
+    h = convolve(f, TruncSeries([1.0], Tail(1e308, 1.5)))
+    assert h.tail == (math.inf, 1.0)
+    vals, errs = evaluate_many(h, np.array([0.0, 0.5, 2.0]))
+    assert vals[0] == 1.0
+    assert errs[0] == 0.0
+    assert np.all(np.isinf(errs[1:]))
+
+
 def test_evaluate_many_matches_scalar():
     f = from_rational(0.7, -0.3, order=40)
     zs = 0.8 * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
