@@ -37,9 +37,9 @@ from .duality import (
     in_perp,
     verify_theorem,
 )
-from .family import ParamGrid, border_decompose, border_elements, sample
+from .family import COARSE_GRID, ParamGrid, border_decompose, border_elements, sample
 from .series import TruncSeries, convolve, dilate, evaluate, series_distance
-from .specfile import SpecFileError, family_to_dict, load_family, parse_series
+from .specfile import SpecFileError, family_to_dict, load_family, parse_series, tail_to_json
 
 __all__ = ["main", "console_main", "build_parser"]
 
@@ -143,14 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="functional image cloud of a family")
     p.add_argument("--kernel", default="z", help="functional kernel expression")
-    p.add_argument("--family", required=True, help="family spec file (JSON)")
     p.add_argument("--via-border", action="store_true", help="use the border-element route")
     p.add_argument("--mesh-depth", type=_depth_arg, default=8, help="radius schedule depth")
-    p.add_argument("--grid", type=_grid_arg, help="parameter grid, e.g. 8x16")
-    p.add_argument("--trunc", type=_trunc_arg, default=64)
-    p.add_argument("--tol", type=_tol_arg)
-    p.add_argument("--out", help="output path (required for csv format)")
-    p.add_argument("--format", choices=("structured-record", "csv"), default="structured-record")
+    add_common(p, family=True)
 
     p = sub.add_parser("border", help="border elements and decomposition round trip")
     add_common(p, family=True)
@@ -158,13 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a structural verifier suite")
     p.add_argument("--theorem", required=True, help="one of " + ", ".join(THEOREM_NAMES))
     p.add_argument("--family", help="family spec file (defaults per suite)")
-    p.add_argument("--kernels", help="kernel family spec file")
     p.add_argument("--mesh-depth", type=_depth_arg, default=8)
-    p.add_argument("--grid", type=_grid_arg)
-    p.add_argument("--trunc", type=_trunc_arg, default=64)
-    p.add_argument("--tol", type=_tol_arg)
-    p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--format", choices=("structured-record", "csv"), default="structured-record")
+    add_common(p, kernels=True)
 
     return parser
 
@@ -182,17 +172,10 @@ def _cert_exit(cert: Certificate) -> int:
 
 
 def _series_summary(f: TruncSeries) -> dict:
-    tail: object
-    if f.is_exact:
-        tail = "exact"
-    elif f.tail is None:
-        tail = None
-    else:
-        tail = {"M": f.tail.M, "rho": f.tail.rho}
     return {
         "order": f.order,
         "coeffs": [[complex(c).real, complex(c).imag] for c in f.coeffs],
-        "tail": tail,
+        "tail": tail_to_json(f),
     }
 
 
@@ -278,7 +261,7 @@ def _run_image(ns) -> tuple[dict, int]:
 def _run_border(ns) -> tuple[dict, int]:
     V = load_family(ns.family)
     B = border_elements(V)
-    grid = ns.grid or ParamGrid(disk_radial=4, disk_angular=8, circle=16, segment=8)
+    grid = ns.grid or COARSE_GRID
     worst = 0.0
     count = 0
     for f, tag in sample(V, grid):

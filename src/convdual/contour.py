@@ -15,7 +15,7 @@ achieved radius is recorded in ``params["r_certified"]``.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -156,8 +156,16 @@ Evaluable = Union[TruncSeries, Callable]
 # -- sampling helpers --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_ring(n: int) -> np.ndarray:
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    ring.flags.writeable = False
+    return ring
+
+
 def _circle_points(r: float, n: int) -> np.ndarray:
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
+    """``n`` equally spaced points on ``|z| = r``, starting at ``z = r``."""
+    return r * _unit_ring(n)
 
 
 def _derivative_evaluator(f: Evaluable):

@@ -17,6 +17,9 @@ sampled family; Verified certificates carry that scope in their params so
 reports never over-claim, while Falsified certificates are always conclusive
 (the witness is an actual member, kernel, or point, and its pairing value is
 re-checked against the witness bar before the certificate is emitted).
+The procedures, and ``is_complete_T``, collect their margins and undecidable
+cases in one accumulator, so the Verified and Inconclusive forms are the
+same everywhere; sampled members are tagged with their own generator index.
 
 ``verify_theorem`` reduces the structural identities between these sets
 (dual = closure of hull-transpose, duality principle, double-dual as perp,
@@ -26,11 +29,10 @@ to finite suites of certificate checks with per-check PASS/FAIL records.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .contour import (
     radius_schedule,
 )
 from .family import (
+    COARSE_GRID,
     Circle,
     Disk,
     FamilySpec,
@@ -51,12 +54,13 @@ from .family import (
     ParamGrid,
     Pencil,
     Rational,
-    Segment,
     border_elements,
     complete_hull,
     counterexample_family,
     default_kernel_family,
+    dilation_points,
     pairing_interval,
+    pairing_margin,
     pairing_zero_weights,
     pencil_family,
     pencil_term_radii,
@@ -130,8 +134,43 @@ def apply(lam: Functional, f: TruncSeries) -> EvalResult:
     return evaluate(convolve(f, lam.kernel), 1.0)
 
 
-def _pairing_value(kernel: TruncSeries, f: TruncSeries, t: complex = 1.0) -> EvalResult:
-    return evaluate(convolve(f, kernel), t)
+def _pairing_value(kernel: TruncSeries, f: TruncSeries) -> EvalResult:
+    return evaluate(convolve(f, kernel), 1.0)
+
+
+class _Verdict:
+    """Worst certified margin and gray entries of one decision.
+
+    Every decision procedure feeds its conclusive margins and its
+    undecidable cases here and returns :meth:`certificate`: Inconclusive
+    when anything was gray (the first three reasons, then a count), else
+    Verified with the worst margin (1.0 when nothing had a finite one) and
+    the caller's scope params.  Falsified certificates are returned by the
+    callers directly, since they end the decision.
+    """
+
+    def __init__(self) -> None:
+        self.worst = math.inf
+        self.gray: list[str] = []
+
+    def margin(self, m: float) -> None:
+        self.worst = min(self.worst, m)
+
+    def certificate(self, params: dict) -> Certificate:
+        if self.gray:
+            more = f" (+{len(self.gray) - 3} more)" if len(self.gray) > 3 else ""
+            return Certificate(
+                status=CertStatus.INCONCLUSIVE,
+                reason="; ".join(self.gray[:3]) + more,
+                params={"gray_members": len(self.gray)},
+            )
+        worst = self.worst
+        return Certificate(
+            status=CertStatus.VERIFIED,
+            min_modulus=worst if math.isfinite(worst) else 1.0,
+            winding=0,
+            params=params,
+        )
 
 
 # -- exact pencil engine ---------------------------------------------------------
@@ -197,8 +236,7 @@ def _pencil_pairing_at_one(
     radii = pencil_term_radii(gen, kernel, 1.0)
     if radii is None:
         return None
-    lo, hi = pairing_interval(radii)
-    dist = max(0.0, 1.0 - hi) if slot else max(0.0, 1.0 - hi, lo - 1.0)
+    dist = pairing_margin(radii, slot)
     if dist > 0.0:
         return _PencilOutcome(dist)
     u = _inner_edge_crossing(radii, gen.exponents) if slot else 1.0
@@ -296,10 +334,9 @@ def _pairing_certificate(
 ) -> Certificate:
     """Shared engine: certify ``1 + sum a_k(f) a_k(kernel) != 0`` over the family."""
     grid = grid or ParamGrid()
-    worst = math.inf
+    verdict = _Verdict()
     all_exact = True
     members_checked = 0
-    gray: list[str] = []
     for gi, gen in enumerate(family.generators):
         if isinstance(gen, Pencil):
             outcome = _pencil_pairing_at_one(gen, kernel, family.dilation_slot)
@@ -309,16 +346,16 @@ def _pairing_certificate(
                         return _falsified_pairing(
                             gi, gen, outcome.params, outcome.value, outcome.dilation
                         )
-                    gray.append(
+                    verdict.gray.append(
                         f"generator {gi}: constructed witness residual "
                         f"{abs(outcome.value):.3e} exceeds the witness bar"
                     )
                     all_exact = False
                     continue
                 if outcome.margin > tol.margin_floor:
-                    worst = min(worst, outcome.margin)
+                    verdict.margin(outcome.margin)
                     continue
-                gray.append(
+                verdict.gray.append(
                     f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
                     "below the decision floor"
                 )
@@ -326,16 +363,13 @@ def _pairing_certificate(
                 continue
         all_exact = False
         if isinstance(gen, Rational):
-            if family.dilation_slot:
-                us = [u / abs(u) if abs(u) > 1.0 else u for u in Disk(1.0).points(grid)]
-            else:
-                us = [1.0 + 0.0j]
+            us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
             for y in gen.y_domain.points(grid):
                 for u in us:
                     members_checked += 1
                     margin, root = _rational_slice(gen, kernel, y, u)
                     if margin > tol.margin_floor:
-                        worst = min(worst, margin)
+                        verdict.margin(margin)
                         continue
                     if root is not None:
                         xstar, value, residual = root
@@ -344,41 +378,26 @@ def _pairing_certificate(
                                 gi, gen, (xstar, y), value,
                                 u if family.dilation_slot else None,
                             )
-                    gray.append(
+                    verdict.gray.append(
                         f"generator {gi} at y = {y:.6g}: x-slice margin "
                         f"{margin:.3e} not decidable"
                     )
             continue
-        sub = FamilySpec((gen,), dilation_slot=family.dilation_slot)
-        for f, tag in sample(sub, grid):
+        for f, tag in sample_generator(family, gi, grid):
             members_checked += 1
             v = _pairing_value(kernel, f)
             if not math.isfinite(v.error_bound):
-                gray.append(f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
+                verdict.gray.append(f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
                 continue
             if abs(v.value) + v.error_bound < tol.witness_bar:
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
             margin = abs(v.value) - v.error_bound
             if margin <= tol.margin_floor:
-                gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+                verdict.gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
                 continue
-            worst = min(worst, margin)
-    if gray:
-        head = "; ".join(gray[:3])
-        more = f" (+{len(gray) - 3} more)" if len(gray) > 3 else ""
-        return Certificate(
-            status=CertStatus.INCONCLUSIVE,
-            reason=head + more,
-            params={"gray_members": len(gray)},
-        )
-    return Certificate(
-        status=CertStatus.VERIFIED,
-        min_modulus=worst if math.isfinite(worst) else 1.0,
-        winding=0,
-        params={
-            "scope": "exact" if all_exact else "sampled",
-            "members_checked": members_checked,
-        },
+            verdict.margin(margin)
+    return verdict.certificate(
+        {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
     )
 
 
@@ -519,10 +538,13 @@ def in_dual(
     if not is_normalized(g):
         raise ValueError("dual membership requires a normalized kernel (c_0 = 1)")
     grid = grid or ParamGrid()
-    worst = math.inf
+    # a dilated member only rescales the argument of the convolution, so the
+    # open-disk decision on the base member covers every |u| <= 1; sampling
+    # the base family keeps certificates identical for V and its hull
+    base = replace(V, dilation_slot=False) if V.dilation_slot else V
+    verdict = _Verdict()
     all_exact = True
     members_checked = 0
-    gray: list[str] = []
     for gi, gen in enumerate(V.generators):
         if isinstance(gen, Pencil):
             cert = _pencil_dual_certificate(gi, gen, g, tol)
@@ -530,23 +552,19 @@ def in_dual(
                 if cert.falsified:
                     return cert
                 if cert.status is CertStatus.INCONCLUSIVE:
-                    gray.append(cert.reason or f"generator {gi} inconclusive")
+                    verdict.gray.append(cert.reason or f"generator {gi} inconclusive")
                     all_exact = False
                     continue
                 if cert.min_modulus <= tol.margin_floor:
-                    gray.append(
+                    verdict.gray.append(
                         f"generator {gi}: dual margin {cert.min_modulus:.3e} below the floor"
                     )
                     all_exact = False
                     continue
-                worst = min(worst, cert.min_modulus)
+                verdict.margin(cert.min_modulus)
                 continue
         all_exact = False
-        # a dilated member only rescales the argument of the convolution, so
-        # the open-disk decision on the base member covers every |u| <= 1;
-        # dropping the slot keeps certificates identical for V and its hull
-        sub = FamilySpec((gen,), dilation_slot=False)
-        for f, tag in sample(sub, grid):
+        for f, tag in sample_generator(base, gi, grid):
             members_checked += 1
             inner = nonvanishing_in_disk(convolve(f, g), r_max=r_max, schedule=schedule, tol=tol)
             if inner.falsified:
@@ -562,25 +580,11 @@ def in_dual(
                     },
                 )
             if inner.status is CertStatus.INCONCLUSIVE:
-                gray.append(f"{tag.label()}: {inner.reason}")
+                verdict.gray.append(f"{tag.label()}: {inner.reason}")
                 continue
-            worst = min(worst, inner.min_modulus)
-    if gray:
-        head = "; ".join(gray[:3])
-        more = f" (+{len(gray) - 3} more)" if len(gray) > 3 else ""
-        return Certificate(
-            status=CertStatus.INCONCLUSIVE,
-            reason=head + more,
-            params={"gray_members": len(gray)},
-        )
-    return Certificate(
-        status=CertStatus.VERIFIED,
-        min_modulus=worst if math.isfinite(worst) else 1.0,
-        winding=0,
-        params={
-            "scope": "exact" if all_exact else "sampled",
-            "members_checked": members_checked,
-        },
+            verdict.margin(inner.min_modulus)
+    return verdict.certificate(
+        {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
     )
 
 
@@ -685,17 +689,23 @@ class KernelPool:
     skipped: int = 0
 
 
+_POOL_KMAX = 16  # leading kernel coefficients stored for the matrix fast path
+
+
 def build_transpose_pool(
     V: FamilySpec,
     kernels: Optional[FamilySpec] = None,
     kernel_grid: Optional[ParamGrid] = None,
     grid: Optional[ParamGrid] = None,
     tol: Tolerances = DEFAULT_TOL,
-    kmax: int = 16,
 ) -> KernelPool:
-    """Sample a kernel family and keep the members certified in ``V^T``."""
+    """Sample a kernel family and keep the members certified in ``V^T``.
+
+    Kernels whose transpose decision raises or is not Verified are counted
+    in ``skipped``; the kept ones stay in sample order.
+    """
     kernels = kernels or default_kernel_family()
-    kernel_grid = kernel_grid or ParamGrid(disk_radial=4, disk_angular=8, circle=16, segment=8)
+    kernel_grid = kernel_grid or COARSE_GRID
     kept: list[tuple[TruncSeries, MemberTag]] = []
     rows: list[np.ndarray] = []
     skipped = 0
@@ -709,15 +719,28 @@ def build_transpose_pool(
             skipped += 1
             continue
         kept.append((g, tag))
-        row = np.full(kmax + 1, np.nan, dtype=complex)
-        for k in range(min(kmax, g.order) + 1):
+        row = np.full(_POOL_KMAX + 1, np.nan, dtype=complex)
+        for k in range(min(_POOL_KMAX, g.order) + 1):
             row[k] = g.coeffs[k]
         if g.is_exact:
             row[g.order + 1 :] = 0.0
         rows.append(row)
-    coeffs = np.vstack(rows) if rows else np.zeros((0, kmax + 1), dtype=complex)
+    coeffs = np.vstack(rows) if rows else np.zeros((0, _POOL_KMAX + 1), dtype=complex)
     return KernelPool(
-        spec=kernels, members=tuple(kept), coeffs=coeffs, kmax=kmax, skipped=skipped
+        spec=kernels, members=tuple(kept), coeffs=coeffs, kmax=_POOL_KMAX, skipped=skipped
+    )
+
+
+def _pool_kernel_annihilates(tag: MemberTag, value: complex) -> Certificate:
+    return Certificate(
+        status=CertStatus.FALSIFIED,
+        witness=1.0 + 0.0j,
+        reason="pool transpose kernel annihilates the series",
+        params={
+            "kernel": tag.label(),
+            "kernel_params": _clist(tag.params),
+            "pairing_value": [value.real, value.imag],
+        },
     )
 
 
@@ -756,10 +779,15 @@ def in_dual_hull(
                 reason="constructed transpose kernel annihilates the series",
                 params=info,
             )
-    worst = math.inf
-    gray: list[str] = []
+    if not pool.members:
+        return Certificate(
+            status=CertStatus.INCONCLUSIVE,
+            reason="no sampled kernel certified in the transpose set",
+            params={"kernels_skipped": pool.skipped},
+        )
+    verdict = _Verdict()
     slow: list[int] = []
-    if h.is_exact and h.order <= pool.kmax and len(pool.members):
+    if h.is_exact and h.order <= pool.kmax:
         cols = pool.coeffs[:, 1 : h.order + 1]
         ok_rows = ~np.any(np.isnan(cols), axis=1)
         vals = 1.0 + cols[ok_rows] @ h.coeffs[1:]
@@ -767,23 +795,13 @@ def in_dual_hull(
         idx_ok = np.nonzero(ok_rows)[0]
         j = int(np.argmin(margins)) if len(margins) else 0
         if len(margins) and margins[j] < tol.witness_bar:
-            g, tag = pool.members[idx_ok[j]]
-            return Certificate(
-                status=CertStatus.FALSIFIED,
-                witness=1.0 + 0.0j,
-                reason="pool transpose kernel annihilates the series",
-                params={
-                    "kernel": tag.label(),
-                    "kernel_params": _clist(tag.params),
-                    "pairing_value": [vals[j].real, vals[j].imag],
-                },
-            )
+            return _pool_kernel_annihilates(pool.members[idx_ok[j]][1], vals[j])
         low = margins <= tol.margin_floor
         for i in np.nonzero(low)[0]:
             _, tag = pool.members[idx_ok[i]]
-            gray.append(f"{tag.label()}: pairing margin {margins[i]:.3e} below the floor")
+            verdict.gray.append(f"{tag.label()}: pairing margin {margins[i]:.3e} below the floor")
         if np.any(~low):
-            worst = float(np.min(margins[~low]))
+            verdict.margin(float(np.min(margins[~low])))
         slow = [i for i in range(len(pool.members)) if not ok_rows[i]]
     else:
         slow = list(range(len(pool.members)))
@@ -791,45 +809,21 @@ def in_dual_hull(
         g, tag = pool.members[i]
         v = _pairing_value(g, h)
         if not math.isfinite(v.error_bound):
-            gray.append(f"{tag.label()}: unusable pairing bound")
+            verdict.gray.append(f"{tag.label()}: unusable pairing bound")
             continue
         if abs(v.value) + v.error_bound < tol.witness_bar:
-            return Certificate(
-                status=CertStatus.FALSIFIED,
-                witness=1.0 + 0.0j,
-                reason="pool transpose kernel annihilates the series",
-                params={
-                    "kernel": tag.label(),
-                    "kernel_params": _clist(tag.params),
-                    "pairing_value": [v.value.real, v.value.imag],
-                },
-            )
+            return _pool_kernel_annihilates(tag, v.value)
         margin = abs(v.value) - v.error_bound
         if margin <= tol.margin_floor:
-            gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+            verdict.gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
             continue
-        worst = min(worst, margin)
-    if not pool.members:
-        return Certificate(
-            status=CertStatus.INCONCLUSIVE,
-            reason="no sampled kernel certified in the transpose set",
-            params={"kernels_skipped": pool.skipped},
-        )
-    if gray:
-        head = "; ".join(gray[:3])
-        more = f" (+{len(gray) - 3} more)" if len(gray) > 3 else ""
-        return Certificate(
-            status=CertStatus.INCONCLUSIVE, reason=head + more, params={"gray_members": len(gray)}
-        )
-    return Certificate(
-        status=CertStatus.VERIFIED,
-        min_modulus=worst if math.isfinite(worst) else 1.0,
-        winding=0,
-        params={
+        verdict.margin(margin)
+    return verdict.certificate(
+        {
             "scope": "relative to the sampled kernel family",
             "kernels_in_transpose": len(pool.members),
             "kernels_skipped": pool.skipped,
-        },
+        }
     )
 
 
@@ -844,23 +838,14 @@ def is_complete_T(
 
     Equivalent formulation used here: every sampled kernel certified in
     ``V^T`` must also certify in ``(cm V)^T`` (the pairing with ``P_x f``
-    at one equals the pairing with ``f`` at ``x``).  First failure is
+    at one equals the pairing with ``f`` at ``x``).  The kernels are those
+    :func:`build_transpose_pool` keeps; the first failure, in pool order, is
     reported as Falsified with both the kernel and the offending member.
     """
-    kernels = kernels or default_kernel_family()
-    kernel_grid = kernel_grid or ParamGrid(disk_radial=4, disk_angular=8, circle=16, segment=8)
+    pool = build_transpose_pool(V, kernels, kernel_grid, grid, tol)
     hull = complete_hull(V)
-    checked = 0
-    worst = math.inf
-    gray: list[str] = []
-    for g, tag in sample(kernels, kernel_grid):
-        try:
-            base = in_T(g, V, grid, tol)
-        except ValueError:
-            continue
-        if not base.verified:
-            continue
-        checked += 1
+    verdict = _Verdict()
+    for g, tag in pool.members:
         cert = in_T(g, hull, grid, tol)
         if cert.falsified:
             params = dict(cert.params)
@@ -873,21 +858,10 @@ def is_complete_T(
                 params=params,
             )
         if cert.status is CertStatus.INCONCLUSIVE:
-            gray.append(f"{tag.label()}: {cert.reason}")
+            verdict.gray.append(f"{tag.label()}: {cert.reason}")
             continue
-        worst = min(worst, cert.min_modulus)
-    if gray:
-        head = "; ".join(gray[:3])
-        more = f" (+{len(gray) - 3} more)" if len(gray) > 3 else ""
-        return Certificate(
-            status=CertStatus.INCONCLUSIVE, reason=head + more, params={"gray_members": len(gray)}
-        )
-    return Certificate(
-        status=CertStatus.VERIFIED,
-        min_modulus=worst if math.isfinite(worst) else 1.0,
-        winding=0,
-        params={"kernels_in_transpose": checked},
-    )
+        verdict.margin(cert.min_modulus)
+    return verdict.certificate({"kernels_in_transpose": len(pool.members)})
 
 
 # -- functional images ------------------------------------------------------------
@@ -1040,11 +1014,11 @@ def _extent(ref: np.ndarray) -> tuple[float, float]:
 
 
 def _brute_nearest(
-    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None, chunk: int = 2048
+    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """All-pairs nearest distance, in blocks of at most ``_PAIR_BUDGET`` pairs."""
     out = np.empty(len(queries))
-    step = max(1, min(chunk, _PAIR_BUDGET // max(len(ref), 1)))
+    step = max(1, _PAIR_BUDGET // max(len(ref), 1))
     for i in range(0, len(queries), step):
         d = np.abs(queries[i : i + step, None] - ref[None, :])
         if skip is not None:
@@ -1054,7 +1028,7 @@ def _brute_nearest(
 
 
 def _grid_nearest(
-    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None, chunk: int = 2048
+    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Exact nearest distance through cell indexes of growing side.
 
@@ -1081,13 +1055,11 @@ def _grid_nearest(
             pending = pending[~settled]
             cell *= 4.0
     if len(pending):
-        out[pending] = _brute_nearest(
-            queries[pending], ref, None if skip is None else skip[pending], chunk
-        )
+        out[pending] = _brute_nearest(queries[pending], ref, None if skip is None else skip[pending])
     return out
 
 
-def _nearest_in_set(queries: np.ndarray, ref: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def _nearest_in_set(queries: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Distance from each query to the nearest reference point.
 
     Exact: equal, bitwise, to the minimum of ``np.abs(q - ref)`` over all of
@@ -1095,12 +1067,12 @@ def _nearest_in_set(queries: np.ndarray, ref: np.ndarray, chunk: int = 2048) -> 
     bucketed into a uniform cell grid, so queries near the cloud cost about
     ``O(len(ref) log len(ref) + len(queries))`` instead of
     ``O(len(queries) * len(ref))``; queries far outside it fall back to the
-    all-pairs pass in blocks of at most ``chunk`` rows.  Temporaries stay
-    below ``_PAIR_BUDGET`` query-candidate pairs (about 5 MB).
+    all-pairs pass.  Temporaries stay below ``_PAIR_BUDGET`` query-candidate
+    pairs (about 5 MB).
     """
     queries = np.asarray(queries, dtype=complex)
     ref = np.unique(np.asarray(ref, dtype=complex))
-    return _grid_nearest(queries, ref, chunk=chunk)
+    return _grid_nearest(queries, ref)
 
 
 def _coverage_boundary_flags(
@@ -1391,12 +1363,11 @@ def _verify_T1(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
             continue
         if tcert.verified:
             reverse += 1
-            dcert2 = in_dual(g, V, cfg.grid, tol=cfg.tol)
             checks.append(
                 CheckRecord(
                     f"hull-transpose-inside-dual[{tag.label()}]",
-                    _status_cert(dcert2),
-                    detail=dcert2.reason or "",
+                    _status_cert(dcert),
+                    detail=dcert.reason or "",
                 )
             )
     if forward == 0 or reverse == 0:

@@ -32,7 +32,6 @@ import numpy as np
 from .series import (
     DEFAULT_ORDER,
     TruncSeries,
-    const_one,
     convolve,
     dilate,
     evaluate,
@@ -47,6 +46,7 @@ __all__ = [
     "Segment",
     "Domain",
     "ParamGrid",
+    "COARSE_GRID",
     "Pencil",
     "Rational",
     "Fixed",
@@ -184,6 +184,20 @@ class ParamGrid:
         )
 
 
+# coarse grid of kernel sampling: transpose pools, completeness checks,
+# sigma search and border round trips
+COARSE_GRID = ParamGrid(disk_radial=4, disk_angular=8, circle=16, segment=8)
+
+
+def dilation_points(grid: ParamGrid) -> list[complex]:
+    """Dilation parameters ``x`` of the unit-disk grid, clamped to ``|x| <= 1``.
+
+    Boundary points of the grid can overshoot the unit circle by an ulp;
+    those are projected back onto it.
+    """
+    return [w / abs(w) if abs(w) > 1.0 else w for w in Disk(1.0).points(grid)]
+
+
 # -- generators ---------------------------------------------------------------
 
 
@@ -250,7 +264,7 @@ class Pencil:
         if not np.all(np.isfinite(params.view(float))):
             raise ValueError("coefficients must be finite")
         texts = [[_cfmt(p) for p in ps] for ps in lists]
-        labels = [f"g{gen_index}:{self.kind}({','.join(t)})" for t in itertools.product(*texts)]
+        labels = [_label(gen_index, self.kind, t) for t in itertools.product(*texts)]
         return MemberRows(params, coeffs, labels)
 
 
@@ -321,8 +335,7 @@ class MemberTag:
     dilation: Optional[complex] = None
 
     def label(self) -> str:
-        ps = ",".join(_cfmt(p) for p in self.params)
-        base = f"g{self.gen_index}:{self.kind}({ps})"
+        base = _label(self.gen_index, self.kind, [_cfmt(p) for p in self.params])
         if self.dilation is not None:
             base += f"@P[{_cfmt(self.dilation)}]"
         return base
@@ -330,6 +343,10 @@ class MemberTag:
 
 def _cfmt(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
+
+
+def _label(gen_index: int, kind: str, param_texts: Sequence[str]) -> str:
+    return f"g{gen_index}:{kind}({','.join(param_texts)})"
 
 
 def _check_member_budget(total: int, grid: ParamGrid) -> None:
@@ -363,7 +380,7 @@ def sample_generator(
     """
     gen = V.generators[gen_index]
     out: list[tuple[TruncSeries, MemberTag]] = []
-    dil_points = Disk(1.0).points(grid) if V.dilation_slot else [None]
+    dil_points = dilation_points(grid) if V.dilation_slot else [None]
     total = sampled_before
     lists = gen.param_lists(grid)
     combos = itertools.product(*lists) if lists else iter([()])
@@ -375,8 +392,6 @@ def sample_generator(
             if w is None:
                 out.append((member, MemberTag(gen_index, gen.kind, tuple(params))))
             else:
-                if abs(w) > 1.0:  # grid boundary points can overshoot by an ulp
-                    w = w / abs(w)
                 out.append(
                     (dilate(member, w), MemberTag(gen_index, gen.kind, tuple(params), dilation=w))
                 )
@@ -567,6 +582,17 @@ def pairing_interval(radii: Sequence[tuple[float, str]]) -> tuple[float, float]:
     return lo, hi
 
 
+def pairing_margin(radii: Sequence[tuple[float, str]], slot: bool) -> float:
+    """Distance from modulus one to the annulus of reachable pairing values.
+
+    With the dilation ``slot`` only the outer edge protects: dilating sweeps
+    the inner edge continuously through one whenever the outer edge is at
+    least one.  Zero when the annulus reaches modulus one.
+    """
+    lo, hi = pairing_interval(radii)
+    return max(0.0, 1.0 - hi) if slot else max(0.0, 1.0 - hi, lo - 1.0)
+
+
 def _fold_weights(target: complex, radii: list[float]) -> list[complex]:
     """Constructive phases: weights ``|w_j| = radii[j]`` with ``sum w_j = target``.
 
@@ -668,16 +694,9 @@ def _pairing_margin_at(
         else:
             radii = None
         if radii is not None:
-            lo, hi = pairing_interval(radii)
-            if V.dilation_slot:
-                # dilating sweeps the annulus inner edge continuously through
-                # one whenever hi >= 1, so only the outer edge protects a hull
-                worst = min(worst, max(0.0, 1.0 - hi))
-            else:
-                worst = min(worst, max(0.0, 1.0 - hi, lo - 1.0))
+            worst = min(worst, pairing_margin(radii, V.dilation_slot))
             continue
-        sub = FamilySpec((gen,), dilation_slot=V.dilation_slot)
-        for member, _tag in sample(sub, grid):
+        for member, _tag in sample_generator(V, gi, grid):
             h = convolve(member, g)
             if h.tail_radius <= t and not h.is_exact:
                 return None
@@ -715,7 +734,7 @@ def sigma_search(
         raise ValueError("kernel needs tail data certifying regularity beyond the closed disk")
     if not g.is_exact and g.tail.rho <= 1.0:
         raise ValueError("kernel tail radius must exceed one")
-    grid = grid or ParamGrid(disk_radial=4, disk_angular=8, circle=16, segment=8)
+    grid = grid or COARSE_GRID
 
     cap = math.inf if g.is_exact else g.tail.rho
     base = _pairing_margin_at(V, g, 1.0, grid)

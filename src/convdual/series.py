@@ -22,7 +22,7 @@ truncation of ``(1-z)**-1``) and the constant function is :func:`const_one`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -249,7 +249,9 @@ def _effective_tail(s: TruncSeries, order: int) -> Optional[Tail]:
         return Tail(float(np.max(hi)), 1.0)
     if hi.size:
         ks = np.arange(order + 1, s.order + 1, dtype=float)
-        with np.errstate(over="ignore"):
+        # an underflowed coefficient at an overflowing power gives 0 * inf =
+        # NaN, which is not finite and takes the overflow fallback below
+        with np.errstate(over="ignore", invalid="ignore"):
             inflated = hi * rho**ks
         if np.all(np.isfinite(inflated)):
             M = max(M, float(np.max(inflated)))

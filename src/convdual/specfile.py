@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "parse_family",
     "load_family",
     "family_to_dict",
+    "tail_to_json",
     "dump_family",
     "parse_series",
 ]
@@ -201,6 +202,15 @@ def _domain_to_dict(d) -> dict:
     return {"shape": "segment", "from": _num_out(d.start), "to": _num_out(d.end)}
 
 
+def tail_to_json(s: TruncSeries) -> Any:
+    """The tail of ``s`` as spec files write it: ``"exact"``, null, or ``{M, rho}``."""
+    if s.is_exact:
+        return "exact"
+    if s.tail is None:
+        return None
+    return {"M": s.tail.M, "rho": s.tail.rho}
+
+
 def family_to_dict(V: FamilySpec) -> dict:
     gens = []
     for gen in V.generators:
@@ -222,18 +232,11 @@ def family_to_dict(V: FamilySpec) -> dict:
                 }
             )
         elif isinstance(gen, Fixed):
-            s = gen.series
-            if s.is_exact:
-                tail: Any = "exact"
-            elif s.tail is None:
-                tail = None
-            else:
-                tail = {"M": s.tail.M, "rho": s.tail.rho}
             gens.append(
                 {
                     "kind": "fixed",
-                    "coeffs": [_num_out(complex(c)) for c in s.coeffs],
-                    "tail": tail,
+                    "coeffs": [_num_out(complex(c)) for c in gen.series.coeffs],
+                    "tail": tail_to_json(gen.series),
                 }
             )
         else:

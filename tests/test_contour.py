@@ -9,6 +9,7 @@ import pytest
 
 from convdual.contour import (
     CertStatus,
+    _circle_points,
     Certificate,
     InconclusiveError,
     Tolerances,
@@ -72,6 +73,16 @@ def test_min_modulus_linear():
     lb, argmin = min_modulus_on_circle(f, 0.5)
     assert 0.47 <= lb <= 0.5
     assert abs(argmin - (-0.5)) < 0.01
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 4096])
+def test_circle_points_match_direct_formula_bitwise(n):
+    for r in (1.0, 0.999755859375, 0.3):
+        want = r * np.exp(2j * np.pi * np.arange(n) / n)
+        got = _circle_points(r, n)
+        assert got.tobytes() == want.tobytes()
+        got[:] = 0.0  # callers own the returned array; the cached ring is untouched
+        assert _circle_points(r, n).tobytes() == want.tobytes()
 
 
 def test_min_modulus_constant():

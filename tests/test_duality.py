@@ -33,7 +33,15 @@ from convdual.family import (
     counterexample_family,
     pencil_family,
 )
-from convdual.series import TruncSeries, const_one, convolve, dilate, evaluate, ones
+from convdual.series import (
+    TruncSeries,
+    const_one,
+    convolve,
+    dilate,
+    evaluate,
+    from_rational,
+    ones,
+)
 
 from oracles import direct_pairing
 
@@ -215,6 +223,21 @@ def test_in_dual_sampled_path_contour_witness():
     cert = in_dual(ones(32), V)
     assert cert.falsified
     assert abs(cert.witness - (-0.5)) < 1e-6
+
+
+def test_sampled_members_are_labelled_by_their_own_generator():
+    V = FamilySpec(
+        (Pencil((1,), (Disk(1.0),)), Fixed(P([1.0, 0.3])), Fixed(P([1.0, 3.0])))
+    )
+    cert = in_dual(P([1.0, 0.4]), V)
+    assert cert.falsified
+    assert cert.params["generator"] == 2
+    assert cert.params["member"] == "g2:fixed()"
+    tailless = TruncSeries([1.0, 0.3], tail=None)
+    W = FamilySpec((Fixed(P([1.0, 0.3])), Fixed(tailless)))
+    gray = in_T(from_rational(0.5, 0.2), W)
+    assert gray.status.value == "Inconclusive"
+    assert gray.reason.startswith("g1:fixed()")
 
 
 def test_in_dual_requires_normalized():

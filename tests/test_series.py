@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_evaluate_outside_tail_radius_is_infinite():
     g = TruncSeries([1, 2, 3])  # no tail information
     assert math.isinf(evaluate(g, 0.5).error_bound)
     assert evaluate(g, 0.0).error_bound == 0.0
+
+
+def test_underflowed_coefficient_at_overflowing_power_raises_no_warning():
+    # a subnormal pole stores a zero coefficient with a tail radius whose
+    # powers overflow; folding that block computes 0 * inf
+    f = TruncSeries.polynomial([1, 0.5])
+    g = from_rational(0, 1.1125369292536007e-308j, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = convolve(f, g)
+    assert h.is_exact
+    np.testing.assert_array_equal(h.coeffs, [1.0, 0.5 * g.coeffs[1]])
 
 
 def test_infinite_tail_bound_is_zero_at_origin_and_infinite_elsewhere():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from convdual.cli import main
+from convdual.cli import build_parser, main
 from convdual.family import (
     Circle,
     Disk,
@@ -19,7 +19,7 @@ from convdual.family import (
     default_kernel_family,
     pencil_family,
 )
-from convdual.series import TruncSeries, from_rational, series_distance
+from convdual.series import TruncSeries, convolve, from_rational, series_distance
 from convdual.specfile import (
     SpecFileError,
     dump_family,
@@ -27,6 +27,7 @@ from convdual.specfile import (
     load_family,
     parse_family,
     parse_series,
+    tail_to_json,
 )
 
 PENCIL_DOC = json.dumps(
@@ -90,6 +91,31 @@ def test_roundtrip_all_generator_kinds():
     assert family_to_dict(W) == family_to_dict(V)
     fixed = [g for g in W.generators if isinstance(g, Fixed)][0]
     assert series_distance(fixed.series, V.generators[2].series) == 0.0
+
+
+@pytest.mark.parametrize(
+    "series, want",
+    [
+        (TruncSeries.polynomial([1, 0.5]), "exact"),
+        (TruncSeries([1, 0.5], tail=None), None),
+        (TruncSeries([1, 0.5], tail=(2.0, 1.5)), {"M": 2.0, "rho": 1.5}),
+    ],
+)
+def test_tail_encoding_shared_by_spec_files_and_reports(series, want):
+    assert tail_to_json(series) == want
+    fam = family_to_dict(FamilySpec((Fixed(series),)))
+    assert fam["generators"][0]["tail"] == want
+    W = parse_family(json.dumps(fam))
+    assert tail_to_json(W.generators[0].series) == want
+
+
+def test_cli_convolve_reports_inexact_tail(capsys):
+    code, rep = _run(capsys, "convolve", "--f", "rat(0.5, 0.2)", "--g", "rat(0.1, 0.3)")
+    assert code == 0
+    assert rep["result"]["tail"] == tail_to_json(
+        convolve(parse_series("rat(0.5, 0.2)"), parse_series("rat(0.1, 0.3)"))
+    )
+    assert set(rep["result"]["tail"]) == {"M", "rho"}
 
 
 @pytest.mark.parametrize(
@@ -360,6 +386,21 @@ def test_cli_usage_errors_exit_three(capsys, pencil_path):
         code = main(argv)
         capsys.readouterr()
         assert code == 3, argv
+
+
+@pytest.mark.parametrize("command", ["image", "verify"])
+def test_image_and_verify_take_the_common_options(command):
+    parser = build_parser()
+    extra = ["--family", "f.json"] if command == "image" else ["--theorem", "T1"]
+    ns = parser.parse_args(
+        [command, *extra, "--grid", "3x5", "--trunc", "32", "--tol", "1e-8",
+         "--out", "r.json", "--format", "csv"]
+    )
+    assert (ns.grid.disk_radial, ns.grid.disk_angular) == (3, 5)
+    assert (ns.trunc, ns.tol, ns.out, ns.format) == (32, 1e-8, "r.json", "csv")
+    defaults = parser.parse_args([command, *extra])
+    assert (defaults.grid, defaults.trunc, defaults.tol, defaults.out) == (None, 64, None, None)
+    assert defaults.format == "structured-record"
 
 
 def test_cli_help_exits_zero(capsys):
