@@ -13,6 +13,7 @@ usage or spec-file errors (with a diagnostic, never a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -97,6 +98,7 @@ def _complex_arg(text: str) -> complex:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the command line (:func:`main` reuses one per process)."""
     parser = argparse.ArgumentParser(
         prog="convdual",
         description="certified convolution-duality computations on the unit disk",
@@ -316,8 +318,14 @@ def _emit(report: dict, ns) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

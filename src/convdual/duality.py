@@ -29,10 +29,11 @@ to finite suites of certificate checks with per-check PASS/FAIL records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .family import (
     Disk,
     FamilySpec,
     Fixed,
+    LeadingRows,
     MemberTag,
     ParamGrid,
     Pencil,
@@ -59,10 +61,12 @@ from .family import (
     counterexample_family,
     default_kernel_family,
     dilation_points,
+    leading_rows,
     pairing_interval,
     pairing_margin,
     pairing_zero_weights,
     pencil_family,
+    pencil_margin_rows,
     pencil_term_radii,
     sample,
     sample_generator,
@@ -78,6 +82,7 @@ from .series import (
     evaluate_many,
     exact_product,
     is_normalized,
+    regular_beyond_disk,
 )
 
 __all__ = [
@@ -116,8 +121,7 @@ class Functional:
     label: str = ""
 
     def __post_init__(self) -> None:
-        k = self.kernel
-        if k.tail is None or (not k.is_exact and k.tail.rho <= 1.0):
+        if not regular_beyond_disk(self.kernel):
             raise ValueError("functional kernel must be regular beyond the closed unit disk")
 
     def __call__(self, f: TruncSeries) -> EvalResult:
@@ -146,23 +150,33 @@ class _Verdict:
     when anything was gray (the first three reasons, then a count), else
     Verified with the worst margin (1.0 when nothing had a finite one) and
     the caller's scope params.  Falsified certificates are returned by the
-    callers directly, since they end the decision.
+    callers directly, since they end the decision.  Reasons come as
+    callables and only the shown ones are formatted.
     """
+
+    SHOWN = 3  # gray reasons a certificate prints
 
     def __init__(self) -> None:
         self.worst = math.inf
-        self.gray: list[str] = []
+        self.gray_count = 0
+        self.reasons: list[str] = []
 
     def margin(self, m: float) -> None:
         self.worst = min(self.worst, m)
 
+    def gray(self, reason: Callable[[], str]) -> None:
+        self.gray_count += 1
+        if len(self.reasons) < self.SHOWN:
+            self.reasons.append(reason())
+
     def certificate(self, params: dict) -> Certificate:
-        if self.gray:
-            more = f" (+{len(self.gray) - 3} more)" if len(self.gray) > 3 else ""
+        if self.gray_count:
+            hidden = self.gray_count - len(self.reasons)
+            more = f" (+{hidden} more)" if hidden else ""
             return Certificate(
                 status=CertStatus.INCONCLUSIVE,
-                reason="; ".join(self.gray[:3]) + more,
-                params={"gray_members": len(self.gray)},
+                reason="; ".join(self.reasons) + more,
+                params={"gray_members": self.gray_count},
             )
         worst = self.worst
         return Certificate(
@@ -280,10 +294,6 @@ def _falsified_pairing(
     )
 
 
-def _member_regular_beyond_disk(f: TruncSeries) -> bool:
-    return f.tail is not None and (f.is_exact or f.tail.rho > 1.0)
-
-
 def _rational_slice(
     gen: Rational, kernel: TruncSeries, y: complex, u: complex
 ) -> tuple[float, Optional[tuple[complex, complex, float]]]:
@@ -346,8 +356,8 @@ def _pairing_certificate(
                         return _falsified_pairing(
                             gi, gen, outcome.params, outcome.value, outcome.dilation
                         )
-                    verdict.gray.append(
-                        f"generator {gi}: constructed witness residual "
+                    verdict.gray(
+                        lambda: f"generator {gi}: constructed witness residual "
                         f"{abs(outcome.value):.3e} exceeds the witness bar"
                     )
                     all_exact = False
@@ -355,8 +365,8 @@ def _pairing_certificate(
                 if outcome.margin > tol.margin_floor:
                     verdict.margin(outcome.margin)
                     continue
-                verdict.gray.append(
-                    f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
+                verdict.gray(
+                    lambda: f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
                     "below the decision floor"
                 )
                 all_exact = False
@@ -378,8 +388,8 @@ def _pairing_certificate(
                                 gi, gen, (xstar, y), value,
                                 u if family.dilation_slot else None,
                             )
-                    verdict.gray.append(
-                        f"generator {gi} at y = {y:.6g}: x-slice margin "
+                    verdict.gray(
+                        lambda: f"generator {gi} at y = {y:.6g}: x-slice margin "
                         f"{margin:.3e} not decidable"
                     )
             continue
@@ -387,13 +397,13 @@ def _pairing_certificate(
             members_checked += 1
             v = _pairing_value(kernel, f)
             if not math.isfinite(v.error_bound):
-                verdict.gray.append(f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
+                verdict.gray(lambda: f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
                 continue
             if abs(v.value) + v.error_bound < tol.witness_bar:
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
             margin = abs(v.value) - v.error_bound
             if margin <= tol.margin_floor:
-                verdict.gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+                verdict.gray(lambda: f"{tag.label()}: pairing margin {margin:.3e} below the floor")
                 continue
             verdict.margin(margin)
     return verdict.certificate(
@@ -418,7 +428,7 @@ def in_T(
     """
     if not is_normalized(g):
         raise ValueError("transpose membership requires a normalized kernel (c_0 = 1)")
-    if not _member_regular_beyond_disk(g):
+    if not regular_beyond_disk(g):
         raise ValueError("transpose kernel must be regular beyond the closed disk")
     return _pairing_certificate(g, V, grid, tol)
 
@@ -437,7 +447,7 @@ def in_perp(
     if not is_normalized(h):
         raise ValueError("perp membership requires a normalized series (c_0 = 1)")
     for gen in U.generators:
-        if isinstance(gen, Fixed) and not _member_regular_beyond_disk(gen.series):
+        if isinstance(gen, Fixed) and not regular_beyond_disk(gen.series):
             raise ValueError(
                 "perp family members must be regular beyond the closed disk "
                 f"(fixed generator has tail {gen.series.tail})"
@@ -552,12 +562,12 @@ def in_dual(
                 if cert.falsified:
                     return cert
                 if cert.status is CertStatus.INCONCLUSIVE:
-                    verdict.gray.append(cert.reason or f"generator {gi} inconclusive")
+                    verdict.gray(lambda: cert.reason or f"generator {gi} inconclusive")
                     all_exact = False
                     continue
                 if cert.min_modulus <= tol.margin_floor:
-                    verdict.gray.append(
-                        f"generator {gi}: dual margin {cert.min_modulus:.3e} below the floor"
+                    verdict.gray(
+                        lambda: f"generator {gi}: dual margin {cert.min_modulus:.3e} below the floor"
                     )
                     all_exact = False
                     continue
@@ -580,7 +590,7 @@ def in_dual(
                     },
                 )
             if inner.status is CertStatus.INCONCLUSIVE:
-                verdict.gray.append(f"{tag.label()}: {inner.reason}")
+                verdict.gray(lambda: f"{tag.label()}: {inner.reason}")
                 continue
             verdict.margin(inner.min_modulus)
     return verdict.certificate(
@@ -679,17 +689,60 @@ class KernelPool:
     rather than once per candidate.  ``coeffs[i, k]`` is ``a_k`` of kernel
     ``i`` for ``k <= kmax``; rows are NaN where the coefficient is not
     determined by the stored block, which routes those kernels through the
-    per-kernel pairing instead of the matrix fast path.
+    per-kernel pairing instead of the matrix fast path.  The pool keeps
+    only these rows with each kernel's generator index and parameters in
+    ``spec`` (``rows``); a kernel's series and tag are built only when
+    asked (:meth:`kernel`, :meth:`tag`, :attr:`members`).
     """
 
     spec: FamilySpec
-    members: tuple[tuple[TruncSeries, MemberTag], ...]
-    coeffs: np.ndarray
+    rows: LeadingRows
     kmax: int
     skipped: int = 0
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.rows.coeffs
+
+    def kernel(self, i: int) -> TruncSeries:
+        """The series of kernel ``i``, as :func:`sample` builds it."""
+        return self.rows.member(self.spec, i)
+
+    def tag(self, i: int) -> MemberTag:
+        return self.rows.tag(self.spec, i)
+
+    @functools.cached_property
+    def members(self) -> tuple[tuple[TruncSeries, MemberTag], ...]:
+        """Every kernel with its tag, in sample order; built on first access."""
+        return tuple((self.kernel(i), self.tag(i)) for i in range(len(self.coeffs)))
+
 
 _POOL_KMAX = 16  # leading kernel coefficients stored for the matrix fast path
+
+
+def _transpose_margins(V: FamilySpec, coeffs: np.ndarray) -> Optional[np.ndarray]:
+    """Worst exact ``in_T`` margin over V's generators for each kernel row.
+
+    ``coeffs`` holds leading kernel coefficients, one row per kernel.  None
+    unless every generator of V is a pencil over disks and circles with
+    exponents below ``coeffs.shape[1]``; NaN for a kernel whose margin the
+    rows do not determine.
+    """
+    worst = np.full(len(coeffs), np.inf)
+    for gen in V.generators:
+        if not (
+            isinstance(gen, Pencil)
+            and max(gen.exponents) < coeffs.shape[1]
+            and all(isinstance(d, (Disk, Circle)) for d in gen.domains)
+        ):
+            return None
+        worst = np.minimum(worst, pencil_margin_rows(gen, coeffs, V.dilation_slot))
+    return worst
+
+
+def _clears_floor(margins: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Margins :func:`in_T` turns into Verified (NaN never does)."""
+    return (margins > tol.margin_floor) & (margins > 0.0)
 
 
 def build_transpose_pool(
@@ -701,33 +754,37 @@ def build_transpose_pool(
 ) -> KernelPool:
     """Sample a kernel family and keep the members certified in ``V^T``.
 
-    Kernels whose transpose decision raises or is not Verified are counted
-    in ``skipped``; the kept ones stay in sample order.
+    The kernels are taken as leading-coefficient rows
+    (:func:`~convdual.family.leading_rows`), and one array pass decides
+    every kernel whose transpose decision is closed form: when every
+    generator of V is a pencil over disks and circles with exponents up to
+    ``kmax``, a normalized kernel regular beyond the disk is kept when all
+    its annulus margins (bitwise the ones :func:`in_T` computes) exceed
+    ``tol.margin_floor``, and skipped otherwise, where :func:`in_T` would be
+    Falsified or Inconclusive.  Only the rest (other generators in V,
+    coefficients beyond a kernel's stored block, kernels not normalized or
+    not regular beyond the disk) is built and decided by :func:`in_T`; a
+    kernel whose decision raises ValueError or is not Verified is counted
+    in ``skipped``.  Kept kernels stay in sample order, and their series
+    are built only when asked.
     """
     kernels = kernels or default_kernel_family()
     kernel_grid = kernel_grid or COARSE_GRID
-    kept: list[tuple[TruncSeries, MemberTag]] = []
-    rows: list[np.ndarray] = []
-    skipped = 0
-    for g, tag in sample(kernels, kernel_grid):
+    rows = leading_rows(kernels, kernel_grid, _POOL_KMAX + 1)
+    margins = _transpose_margins(V, rows.coeffs)
+    if margins is None:
+        scalar = np.ones(len(rows.coeffs), dtype=bool)
+        keep = np.zeros(len(rows.coeffs), dtype=bool)
+    else:
+        scalar = ~(rows.regular & (rows.coeffs[:, 0] == 1.0) & ~np.isnan(margins))
+        keep = ~scalar & _clears_floor(margins, tol)
+    for i in np.flatnonzero(scalar):
         try:
-            cert = in_T(g, V, grid, tol)
+            keep[i] = in_T(rows.member(kernels, i), V, grid, tol).verified
         except ValueError:
-            skipped += 1
-            continue
-        if not cert.verified:
-            skipped += 1
-            continue
-        kept.append((g, tag))
-        row = np.full(_POOL_KMAX + 1, np.nan, dtype=complex)
-        for k in range(min(_POOL_KMAX, g.order) + 1):
-            row[k] = g.coeffs[k]
-        if g.is_exact:
-            row[g.order + 1 :] = 0.0
-        rows.append(row)
-    coeffs = np.vstack(rows) if rows else np.zeros((0, _POOL_KMAX + 1), dtype=complex)
+            pass
     return KernelPool(
-        spec=kernels, members=tuple(kept), coeffs=coeffs, kmax=_POOL_KMAX, skipped=skipped
+        spec=kernels, rows=rows.take(keep), kmax=_POOL_KMAX, skipped=int(np.count_nonzero(~keep))
     )
 
 
@@ -759,7 +816,13 @@ def in_dual_hull(
     all-disk pencil families, or a pool kernel whose transpose certificate
     and vanishing pairing were both verified) exhibits an actual member of
     ``V^T`` annihilating ``h``.  Verified is relative to the supplied
-    kernel family and grid; the certificate params say so.
+    kernel family and grid; the certificate params say so.  An exact ``h``
+    of order at most ``kmax`` is paired with the whole pool in one matrix
+    product over :attr:`KernelPool.coeffs`, which builds no kernel series;
+    other series, and kernels whose needed coefficients are not stored, are
+    paired kernel by kernel over :attr:`KernelPool.members`, built once per
+    pool.  Labels are formatted only for the certificate's kernel and the
+    gray reasons it shows.
     """
     if not is_normalized(h):
         raise ValueError("dual-hull membership requires a normalized series (c_0 = 1)")
@@ -779,14 +842,14 @@ def in_dual_hull(
                 reason="constructed transpose kernel annihilates the series",
                 params=info,
             )
-    if not pool.members:
+    n = len(pool.coeffs)
+    if n == 0:
         return Certificate(
             status=CertStatus.INCONCLUSIVE,
             reason="no sampled kernel certified in the transpose set",
             params={"kernels_skipped": pool.skipped},
         )
     verdict = _Verdict()
-    slow: list[int] = []
     if h.is_exact and h.order <= pool.kmax:
         cols = pool.coeffs[:, 1 : h.order + 1]
         ok_rows = ~np.any(np.isnan(cols), axis=1)
@@ -795,33 +858,34 @@ def in_dual_hull(
         idx_ok = np.nonzero(ok_rows)[0]
         j = int(np.argmin(margins)) if len(margins) else 0
         if len(margins) and margins[j] < tol.witness_bar:
-            return _pool_kernel_annihilates(pool.members[idx_ok[j]][1], vals[j])
+            return _pool_kernel_annihilates(pool.tag(idx_ok[j]), vals[j])
         low = margins <= tol.margin_floor
         for i in np.nonzero(low)[0]:
-            _, tag = pool.members[idx_ok[i]]
-            verdict.gray.append(f"{tag.label()}: pairing margin {margins[i]:.3e} below the floor")
+            verdict.gray(
+                lambda: f"{pool.tag(idx_ok[i]).label()}: pairing margin {margins[i]:.3e} below the floor"
+            )
         if np.any(~low):
             verdict.margin(float(np.min(margins[~low])))
-        slow = [i for i in range(len(pool.members)) if not ok_rows[i]]
+        slow = np.flatnonzero(~ok_rows)
     else:
-        slow = list(range(len(pool.members)))
+        slow = range(n)
     for i in slow:
         g, tag = pool.members[i]
         v = _pairing_value(g, h)
         if not math.isfinite(v.error_bound):
-            verdict.gray.append(f"{tag.label()}: unusable pairing bound")
+            verdict.gray(lambda: f"{tag.label()}: unusable pairing bound")
             continue
         if abs(v.value) + v.error_bound < tol.witness_bar:
             return _pool_kernel_annihilates(tag, v.value)
         margin = abs(v.value) - v.error_bound
         if margin <= tol.margin_floor:
-            verdict.gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+            verdict.gray(lambda: f"{tag.label()}: pairing margin {margin:.3e} below the floor")
             continue
         verdict.margin(margin)
     return verdict.certificate(
         {
             "scope": "relative to the sampled kernel family",
-            "kernels_in_transpose": len(pool.members),
+            "kernels_in_transpose": n,
             "kernels_skipped": pool.skipped,
         }
     )
@@ -839,15 +903,26 @@ def is_complete_T(
     Equivalent formulation used here: every sampled kernel certified in
     ``V^T`` must also certify in ``(cm V)^T`` (the pairing with ``P_x f``
     at one equals the pairing with ``f`` at ``x``).  The kernels are those
-    :func:`build_transpose_pool` keeps; the first failure, in pool order, is
+    :func:`build_transpose_pool` keeps.  The same array pass decides them
+    against the complete hull; :func:`in_T` runs only for kernels it leaves
+    undecided or below the floor, in pool order, and the first failure is
     reported as Falsified with both the kernel and the offending member.
     """
     pool = build_transpose_pool(V, kernels, kernel_grid, grid, tol)
     hull = complete_hull(V)
     verdict = _Verdict()
-    for g, tag in pool.members:
-        cert = in_T(g, hull, grid, tol)
+    margins = _transpose_margins(hull, pool.coeffs)
+    if margins is None:
+        scalar = range(len(pool.coeffs))
+    else:
+        ok = _clears_floor(margins, tol)
+        if np.any(ok):
+            verdict.margin(float(np.min(margins[ok])))
+        scalar = np.flatnonzero(~ok)
+    for i in scalar:
+        cert = in_T(pool.kernel(i), hull, grid, tol)
         if cert.falsified:
+            tag = pool.tag(i)
             params = dict(cert.params)
             params["kernel"] = tag.label()
             params["kernel_params"] = _clist(tag.params)
@@ -858,10 +933,10 @@ def is_complete_T(
                 params=params,
             )
         if cert.status is CertStatus.INCONCLUSIVE:
-            verdict.gray.append(f"{tag.label()}: {cert.reason}")
+            verdict.gray(lambda: f"{pool.tag(i).label()}: {cert.reason}")
             continue
         verdict.margin(cert.min_modulus)
-    return verdict.certificate({"kernels_in_transpose": len(pool.members)})
+    return verdict.certificate({"kernels_in_transpose": len(pool.coeffs)})
 
 
 # -- functional images ------------------------------------------------------------
@@ -1428,11 +1503,11 @@ def _verify_T3(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Double dual equals the perp of the transpose, on a candidate grid."""
     checks: list[CheckRecord] = []
     pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
-    if not pool.members:
+    if not len(pool.coeffs):
         checks.append(CheckRecord("coverage", "inconclusive", detail="empty transpose sample"))
         return _report("T3", checks, cfg)
-    step = max(1, len(pool.members) // cfg.max_kernels)
-    tfam = FamilySpec(tuple(Fixed(g) for g, _ in pool.members[::step]))
+    step = max(1, len(pool.coeffs) // cfg.max_kernels)
+    tfam = FamilySpec(tuple(Fixed(pool.kernel(i)) for i in range(0, len(pool.coeffs), step)))
     n = cfg.hull_steps
     xs = np.linspace(-cfg.hull_extent, cfg.hull_extent, n)
     mismatches = 0

@@ -22,6 +22,7 @@ a distance computation, with constructive witnesses when zero is attained.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -37,6 +38,9 @@ from .series import (
     evaluate,
     from_rational,
     is_normalized,
+    leading_block,
+    rational_leading_rows,
+    regular_beyond_disk,
     series_distance,
 )
 
@@ -54,8 +58,10 @@ __all__ = [
     "FamilySpec",
     "MemberTag",
     "MemberRows",
+    "LeadingRows",
     "sample",
     "sample_generator",
+    "leading_rows",
     "complete_hull",
     "border_elements",
     "border_decompose",
@@ -201,12 +207,22 @@ def dilation_points(grid: ParamGrid) -> list[complex]:
 # -- generators ---------------------------------------------------------------
 
 
-class MemberRows(NamedTuple):
-    """Sampled pencil members as arrays: one row per member, in sample order."""
+@dataclass(frozen=True)
+class MemberRows:
+    """Sampled pencil members as arrays: one row per member, in sample order.
+
+    ``labels`` are the members' tag labels, formatted on first access.
+    """
 
     params: np.ndarray  # (members, exponents)
     coeffs: np.ndarray  # (members, max exponent + 1)
-    labels: list[str]
+    gen_index: int
+    param_lists: list[list[complex]]  # sampled values of each domain
+
+    @functools.cached_property
+    def labels(self) -> list[str]:
+        texts = [[_cfmt(p) for p in ps] for ps in self.param_lists]
+        return [_label(self.gen_index, Pencil.kind, t) for t in itertools.product(*texts)]
 
 
 @dataclass(frozen=True)
@@ -263,9 +279,7 @@ class Pencil:
         coeffs[:, list(self.exponents)] = params
         if not np.all(np.isfinite(params.view(float))):
             raise ValueError("coefficients must be finite")
-        texts = [[_cfmt(p) for p in ps] for ps in lists]
-        labels = [_label(gen_index, self.kind, t) for t in itertools.product(*texts)]
-        return MemberRows(params, coeffs, labels)
+        return MemberRows(params, coeffs, gen_index, lists)
 
 
 @dataclass(frozen=True)
@@ -288,6 +302,29 @@ class Rational:
 
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return [self.x_domain.points(grid), self.y_domain.points(grid)]
+
+    def leading_rows(
+        self, grid: ParamGrid, width: int, sampled_before: int = 0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every sampled member's first ``width`` coefficients, in sample order.
+
+        Returns ``(params, rows, regular)``: row ``i`` is
+        :func:`~convdual.series.leading_block` of ``instantiate(params[i])``,
+        computed for all members at once
+        (:func:`~convdual.series.rational_leading_rows`), and ``regular[i]``
+        whether that member is regular beyond the closed disk.
+        ``sampled_before`` members of earlier generators count against
+        ``grid.max_members`` as they do in :func:`sample`.
+        """
+        xs, ys = self.param_lists(grid)
+        _check_member_budget(sampled_before + len(xs) * len(ys), grid)
+        params = np.stack(
+            [np.repeat(np.asarray(xs, dtype=complex), len(ys)),
+             np.tile(np.asarray(ys, dtype=complex), len(xs))],
+            axis=1,
+        )
+        rows, regular = rational_leading_rows(params[:, 0], params[:, 1], self.order, width)
+        return params, rows, regular
 
 
 @dataclass(frozen=True)
@@ -396,6 +433,92 @@ def sample_generator(
                     (dilate(member, w), MemberTag(gen_index, gen.kind, tuple(params), dilation=w))
                 )
     return out
+
+
+class LeadingRows(NamedTuple):
+    """Sampled members as leading-coefficient rows, in :func:`sample` order.
+
+    ``coeffs[i]`` is :func:`~convdual.series.leading_block` of member ``i``
+    and ``regular[i]`` says whether that member is regular beyond the
+    closed disk (exact, or tail radius above one).  Member ``i`` comes from
+    generator ``gen_index[i]`` with the parameters in ``params[i]``
+    (NaN-padded to the widest generator) and, in a family with a dilation
+    slot, the dilation ``dilations[i]``; :meth:`member` and :meth:`tag`
+    rebuild what :func:`sample` gives for it.
+    """
+
+    coeffs: np.ndarray  # (members, width)
+    regular: np.ndarray  # (members,) bool
+    gen_index: np.ndarray  # (members,) int
+    params: np.ndarray  # (members, widest parameter count)
+    dilations: Optional[np.ndarray]  # (members,), None without a dilation slot
+
+    def take(self, mask: np.ndarray) -> "LeadingRows":
+        """The rows selected by a boolean mask, in order."""
+        dil = None if self.dilations is None else self.dilations[mask]
+        return LeadingRows(
+            self.coeffs[mask], self.regular[mask], self.gen_index[mask], self.params[mask], dil
+        )
+
+    def tag(self, V: FamilySpec, i: int) -> MemberTag:
+        gi = int(self.gen_index[i])
+        p = self.params[i]
+        dil = None if self.dilations is None else complex(self.dilations[i])
+        return MemberTag(gi, V.generators[gi].kind, tuple(p[~np.isnan(p)].tolist()), dil)
+
+    def member(self, V: FamilySpec, i: int) -> TruncSeries:
+        tag = self.tag(V, i)
+        member = V.generators[tag.gen_index].instantiate(tag.params)
+        return member if tag.dilation is None else dilate(member, tag.dilation)
+
+
+def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
+    """The members :func:`sample` draws, as their first ``width`` coefficients.
+
+    Pencil generators come from :meth:`Pencil.member_rows`, rational ones
+    from :meth:`Rational.leading_rows`, a fixed one is its stored block; no
+    series is built for them.  A family with a dilation slot is sampled
+    member by member.  Raises the ``max_members`` error :func:`sample`
+    raises.
+    """
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (coeffs, regular, params)
+    dilations: list[complex] = []
+    total = 0
+    for gi, gen in enumerate(V.generators):
+        if V.dilation_slot:
+            members = sample_generator(V, gi, grid, sampled_before=total)
+            block = np.array([leading_block(f, width) for f, _ in members]).reshape(-1, width)
+            reg = np.array([regular_beyond_disk(f) for f, _ in members], dtype=bool)
+            params = np.array([tag.params for _, tag in members], dtype=complex)
+            dilations.extend(tag.dilation for _, tag in members)
+        elif isinstance(gen, Pencil):
+            rows = gen.member_rows(grid, gi, sampled_before=total)
+            params, block = rows.params, np.zeros((len(rows.params), width), dtype=complex)
+            n = min(width, rows.coeffs.shape[1])
+            block[:, :n] = rows.coeffs[:, :n]
+            reg = np.ones(len(params), dtype=bool)
+        elif isinstance(gen, Rational):
+            params, block, reg = gen.leading_rows(grid, width, sampled_before=total)
+        else:
+            _check_member_budget(total + 1, grid)
+            params = np.zeros((1, 0), dtype=complex)
+            block = leading_block(gen.series, width)[None, :]
+            reg = np.array([regular_beyond_disk(gen.series)])
+        blocks.append((block, reg, params))
+        total += len(block)
+    widest = max(p.shape[1] for _, _, p in blocks)
+    params = np.full((total, widest), np.nan, dtype=complex)
+    start = 0
+    for _, _, p in blocks:
+        params[start : start + len(p), : p.shape[1]] = p
+        start += len(p)
+    return LeadingRows(
+        np.concatenate([b for b, _, _ in blocks]),
+        np.concatenate([r for _, r, _ in blocks]),
+        np.repeat(np.arange(len(blocks)), [len(b) for b, _, _ in blocks]),
+        params,
+        np.array(dilations, dtype=complex) if V.dilation_slot else None,
+    )
 
 
 def complete_hull(V: FamilySpec) -> FamilySpec:
@@ -575,8 +698,14 @@ def pencil_term_radii(gen: Pencil, kernel: TruncSeries, t: complex) -> Optional[
 
 def pairing_interval(radii: Sequence[tuple[float, str]]) -> tuple[float, float]:
     """Reachable moduli ``[lo, hi]`` of ``sum_j w_j`` with ``|w_j|`` in the
-    given disk/circle radii (Minkowski sum of disks and circles is an annulus)."""
-    hi = sum(s for s, _ in radii)
+    given disk/circle radii (Minkowski sum of disks and circles is an annulus).
+
+    The outer edge is summed left to right, the order
+    :func:`pencil_margin_rows` repeats.
+    """
+    hi = 0.0
+    for s, _ in radii:
+        hi += s
     circ = [s for s, kind in radii if kind == "circle"]
     lo = max(0.0, 2.0 * max(circ) - hi) if circ else 0.0
     return lo, hi
@@ -591,6 +720,46 @@ def pairing_margin(radii: Sequence[tuple[float, str]], slot: bool) -> float:
     """
     lo, hi = pairing_interval(radii)
     return max(0.0, 1.0 - hi) if slot else max(0.0, 1.0 - hi, lo - 1.0)
+
+
+def _max_rows(a, b):
+    """Elementwise ``max(a, b)`` as Python's ``max`` picks: ``b`` only when ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def pencil_margin_rows(gen: Pencil, coeffs: np.ndarray, slot: bool) -> np.ndarray:
+    """:func:`pairing_margin` at ``t = 1`` for many kernels at once.
+
+    Row ``i`` of ``coeffs`` holds the leading coefficients of kernel ``i``
+    (NaN where not determined); the result is bitwise the margin
+    ``pairing_margin(pencil_term_radii(gen, kernel_i, 1.0), slot)``, as the
+    same operations run in the same order, and NaN where that route is not
+    available to the scalar code (a needed coefficient undetermined) or a
+    radius is not finite.  ``gen`` must have disk/circle domains and
+    exponents below ``coeffs.shape[1]``.
+    """
+    radii = []
+    # overflowing radii are not determined; the scalar code raises no warning either
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, d in zip(gen.exponents, gen.domains):
+            c = coeffs[:, k]
+            # abs(c) of a Python complex is hypot(re, im); np.abs may round differently
+            radii.append((d.max_abs * np.hypot(c.real, c.imag), d.kind))
+        hi = 0.0
+        for s, _ in radii:
+            hi = hi + s
+        circ = [s for s, kind in radii if kind == "circle"]
+        lo = 0.0
+        if circ:
+            top = circ[0]
+            for s in circ[1:]:
+                top = _max_rows(top, s)
+            lo = _max_rows(0.0, 2.0 * top - hi)
+        margin = _max_rows(0.0, 1.0 - hi)
+        if not slot:
+            margin = _max_rows(margin, lo - 1.0)
+    determined = np.all(np.isfinite([s for s, _ in radii]), axis=0)
+    return np.where(determined, margin, np.nan)
 
 
 def _fold_weights(target: complex, radii: list[float]) -> list[complex]:

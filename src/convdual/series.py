@@ -46,6 +46,9 @@ __all__ = [
     "modulus_derivative_bound",
     "series_distance",
     "is_normalized",
+    "regular_beyond_disk",
+    "leading_block",
+    "rational_leading_rows",
 ]
 
 # Default truncation degree; callers may override per construction.
@@ -138,6 +141,12 @@ class TruncSeries:
         head = np.array2string(self.coeffs[: min(5, self.coeffs.size)], precision=6)
         t = "exact" if self.is_exact else (None if self.tail is None else f"(M={self.tail.M:.6g}, rho={self.tail.rho:.6g})")
         return f"TruncSeries(order={self.order}, coeffs={head}..., tail={t})"
+
+
+def regular_beyond_disk(f: TruncSeries) -> bool:
+    """Whether ``f`` certifiably extends beyond the closed unit disk: exact,
+    or a tail radius above one."""
+    return f.tail is not None and (f.is_exact or f.tail.rho > 1.0)
 
 
 def is_normalized(f: TruncSeries) -> bool:
@@ -396,6 +405,63 @@ def from_rational(x: complex, y: complex, order: int = DEFAULT_ORDER) -> TruncSe
         # rho' <= 1/|y| still bounds |a_k| = |x-y| |y|^(k-1) by (|x-y| rho') rho'^-k
         return TruncSeries(coeffs, Tail(abs(x - y) * _RATIONAL_RHO_CAP, _RATIONAL_RHO_CAP))
     return TruncSeries(coeffs, Tail(abs(x - y) / abs(y), rho))
+
+
+def leading_block(f: TruncSeries, width: int) -> np.ndarray:
+    """The first ``width`` coefficients of ``f`` as one row.
+
+    Entries beyond the stored block are zero for an exact polynomial and NaN
+    otherwise (the coefficient is not determined).
+    """
+    row = np.full(width, np.nan, dtype=complex)
+    n = min(width, f.order + 1)
+    row[:n] = f.coeffs[:n]
+    if f.is_exact:
+        row[n:] = 0.0
+    return row
+
+
+def rational_leading_rows(
+    x: np.ndarray, y: np.ndarray, order: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`leading_block` rows of ``from_rational(x_i, y_i, order)`` at once.
+
+    Returns the ``(len(x), width)`` rows and whether each expansion is
+    regular beyond the closed disk (exact, or tail radius above one).  The
+    closed form runs :func:`from_rational`'s operations in its order, exact
+    cases ``x = y`` and ``y = 0`` included, so every row is bitwise equal to
+    the scalar expansion's.  Pairs whose coefficients it cannot vouch for
+    (``|y| >= 1``, a difference ``x - y`` near overflow or not finite) are
+    expanded by :func:`from_rational` itself, in order, which raises as it
+    does.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    d = x - y
+    ay = np.hypot(y.real, y.imag)  # abs(y) as Python's complex abs computes it
+    safe = (ay < 1.0) & (np.maximum(np.abs(d.real), np.abs(d.imag)) <= 1e307)
+    exact = (x == y) | (y == 0)
+    n = min(width, order + 1)
+    rows = np.full((len(x), width), np.nan, dtype=complex)
+    rows[:, :n] = 0.0
+    rows[:, 0] = 1.0
+    rows[exact, n:] = 0.0
+    pole = ~exact
+    if n > 1:
+        rows[(y == 0) & ~(x == y), 1] = x[(y == 0) & ~(x == y)]
+        ks = np.arange(0, order, dtype=float)[: n - 1]
+        # |(x - y) (-y)^k| <= |x - y| once |y| < 1, so a difference below
+        # 1e307 per component keeps every stored coefficient finite
+        rows[pole & safe, 1:n] = d[pole & safe, None] * (-y[pole & safe, None]) ** ks
+    with np.errstate(divide="ignore", over="ignore"):  # 1/|y| of a tiny y is inf: regular
+        regular = exact | (1.0 / ay > 1.0)
+    for i in np.flatnonzero(~safe):
+        f = from_rational(x[i], y[i], order=order)
+        rows[i] = leading_block(f, width)
+        regular[i] = regular_beyond_disk(f)
+    return rows, regular
 
 
 def ones(order: int = DEFAULT_ORDER) -> TruncSeries:

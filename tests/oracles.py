@@ -166,3 +166,185 @@ def per_member_image(lam, V, grid, mesh_spacing=None, boundary: bool = True) -> 
         "mesh_spacing": spacing,
         "route": "direct",
     }
+
+
+def _oracle_verdict(worst: float, gray: list, params: dict):
+    """The Verified/Inconclusive form of a decision with every gray reason kept."""
+    import math
+
+    from convdual.contour import Certificate, CertStatus
+
+    if gray:
+        more = f" (+{len(gray) - 3} more)" if len(gray) > 3 else ""
+        return Certificate(
+            status=CertStatus.INCONCLUSIVE,
+            reason="; ".join(gray[:3]) + more,
+            params={"gray_members": len(gray)},
+        )
+    return Certificate(
+        status=CertStatus.VERIFIED,
+        min_modulus=worst if math.isfinite(worst) else 1.0,
+        winding=0,
+        params=params,
+    )
+
+
+def _oracle_clist(zs) -> list:
+    return [[complex(z).real, complex(z).imag] for z in zs]
+
+
+def per_kernel_pool(V, kernels=None, kernel_grid=None, grid=None, tol=None) -> dict:
+    """``build_transpose_pool`` by the per-kernel loop the array pass replaces.
+
+    Every sampled kernel is built as a series and decided by ``in_T`` on
+    its own; kernels whose decision raises ValueError or is not Verified
+    are skipped.  Returns the kernel family ``spec``, the kept ``members``
+    (series, tag), their leading-coefficient rows ``coeffs``, ``kmax`` and
+    ``skipped``.
+    """
+    from convdual.contour import DEFAULT_TOL
+    from convdual.duality import _POOL_KMAX, in_T
+    from convdual.family import COARSE_GRID, default_kernel_family, sample
+
+    tol = tol or DEFAULT_TOL
+    kernels = kernels or default_kernel_family()
+    kernel_grid = kernel_grid or COARSE_GRID
+    kept = []
+    rows = []
+    skipped = 0
+    for g, tag in sample(kernels, kernel_grid):
+        try:
+            cert = in_T(g, V, grid, tol)
+        except ValueError:
+            skipped += 1
+            continue
+        if not cert.verified:
+            skipped += 1
+            continue
+        kept.append((g, tag))
+        row = np.full(_POOL_KMAX + 1, np.nan, dtype=complex)
+        for k in range(min(_POOL_KMAX, g.order) + 1):
+            row[k] = g.coeffs[k]
+        if g.is_exact:
+            row[g.order + 1 :] = 0.0
+        rows.append(row)
+    coeffs = np.vstack(rows) if rows else np.zeros((0, _POOL_KMAX + 1), dtype=complex)
+    return {"spec": kernels, "members": kept, "coeffs": coeffs, "kmax": _POOL_KMAX, "skipped": skipped}
+
+
+def per_kernel_hull(h, V, pool: dict, grid=None, tol=None):
+    """``in_dual_hull(h, V, pool=...)`` against a :func:`per_kernel_pool`
+    result: every kernel's tag and series at hand, every gray reason kept."""
+    import math
+
+    from convdual.contour import DEFAULT_TOL, Certificate, CertStatus
+    from convdual.duality import _knapsack_falsifier, _pairing_value, in_T
+
+    tol = tol or DEFAULT_TOL
+    members, coeffs = pool["members"], pool["coeffs"]
+
+    def annihilates(tag, value):
+        return Certificate(
+            status=CertStatus.FALSIFIED,
+            witness=1.0 + 0.0j,
+            reason="pool transpose kernel annihilates the series",
+            params={
+                "kernel": tag.label(),
+                "kernel_params": _oracle_clist(tag.params),
+                "pairing_value": [value.real, value.imag],
+            },
+        )
+
+    hit = _knapsack_falsifier(h, V, pool["spec"])
+    if hit is not None:
+        gstar, info = hit
+        tcert = in_T(gstar, V, grid, tol)
+        v = _pairing_value(gstar, h)
+        if tcert.verified and abs(v.value) + v.error_bound < tol.witness_bar:
+            info["pairing_value"] = [v.value.real, v.value.imag]
+            info["transpose_margin"] = tcert.min_modulus
+            return Certificate(
+                status=CertStatus.FALSIFIED,
+                witness=1.0 + 0.0j,
+                reason="constructed transpose kernel annihilates the series",
+                params=info,
+            )
+    if not members:
+        return Certificate(
+            status=CertStatus.INCONCLUSIVE,
+            reason="no sampled kernel certified in the transpose set",
+            params={"kernels_skipped": pool["skipped"]},
+        )
+    worst = math.inf
+    gray = []
+    if h.is_exact and h.order <= pool["kmax"]:
+        cols = coeffs[:, 1 : h.order + 1]
+        ok_rows = ~np.any(np.isnan(cols), axis=1)
+        vals = 1.0 + cols[ok_rows] @ h.coeffs[1:]
+        margins = np.abs(vals)
+        idx_ok = np.nonzero(ok_rows)[0]
+        j = int(np.argmin(margins)) if len(margins) else 0
+        if len(margins) and margins[j] < tol.witness_bar:
+            return annihilates(members[idx_ok[j]][1], vals[j])
+        low = margins <= tol.margin_floor
+        for i in np.nonzero(low)[0]:
+            gray.append(f"{members[idx_ok[i]][1].label()}: pairing margin {margins[i]:.3e} below the floor")
+        if np.any(~low):
+            worst = min(worst, float(np.min(margins[~low])))
+        slow = [i for i in range(len(members)) if not ok_rows[i]]
+    else:
+        slow = list(range(len(members)))
+    for i in slow:
+        g, tag = members[i]
+        v = _pairing_value(g, h)
+        if not math.isfinite(v.error_bound):
+            gray.append(f"{tag.label()}: unusable pairing bound")
+            continue
+        if abs(v.value) + v.error_bound < tol.witness_bar:
+            return annihilates(tag, v.value)
+        margin = abs(v.value) - v.error_bound
+        if margin <= tol.margin_floor:
+            gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+            continue
+        worst = min(worst, margin)
+    return _oracle_verdict(
+        worst,
+        gray,
+        {
+            "scope": "relative to the sampled kernel family",
+            "kernels_in_transpose": len(members),
+            "kernels_skipped": pool["skipped"],
+        },
+    )
+
+
+def per_kernel_complete(V, pool: dict, grid=None, tol=None):
+    """``is_complete_T`` over a :func:`per_kernel_pool` result: ``in_T``
+    against the complete hull for every kept kernel, in pool order."""
+    import math
+
+    from convdual.contour import DEFAULT_TOL, Certificate, CertStatus
+    from convdual.duality import in_T
+    from convdual.family import complete_hull
+
+    tol = tol or DEFAULT_TOL
+    hull = complete_hull(V)
+    worst = math.inf
+    gray = []
+    for g, tag in pool["members"]:
+        cert = in_T(g, hull, grid, tol)
+        if cert.falsified:
+            params = dict(cert.params)
+            params["kernel"] = tag.label()
+            params["kernel_params"] = _oracle_clist(tag.params)
+            return Certificate(
+                status=CertStatus.FALSIFIED,
+                witness=cert.witness,
+                reason="transpose kernel fails against a dilated member",
+                params=params,
+            )
+        if cert.status is CertStatus.INCONCLUSIVE:
+            gray.append(f"{tag.label()}: {cert.reason}")
+            continue
+        worst = min(worst, cert.min_modulus)
+    return _oracle_verdict(worst, gray, {"kernels_in_transpose": len(pool["members"])})

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from convdual import cli
 from convdual.cli import build_parser, main
+from convdual.duality import in_dual_hull
 from convdual.family import (
     Circle,
     Disk,
@@ -406,6 +412,68 @@ def test_image_and_verify_take_the_common_options(command):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cli_reused_parser_matches_a_fresh_parser(capsys, pencil_path):
+    argvs = [
+        ["hull-check", "--family", pencil_path, "--kernel", "1+0.5z", "--grid", "8by16"],
+        ["hull-check", "--family", pencil_path, "--kernel", "1+0.5z"],
+        ["--help"],
+        ["t-check", "--family", pencil_path, "--kernel", "1+2z"],
+        ["hull-check", "--help"],
+        ["hull-check", "--family", pencil_path, "--kernel", "1+1.05z"],
+    ]
+
+    def run(fresh: bool) -> list:
+        runs = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, out, err))
+        return runs
+
+    fresh = run(fresh=True)
+    assert [code for code, _, _ in fresh] == [3, 0, 0, 1, 0, 1]
+    assert "usage:" in fresh[0][2] and "usage:" in fresh[2][1]
+    assert run(fresh=False) == fresh
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+CIRCLE_DOC = json.dumps(
+    {
+        "generators": [
+            {"kind": "pencil", "exponents": [1], "domains": [{"shape": "circle", "radius": 0.5}]}
+        ],
+        "dilation_slot": False,
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "doc, kernel, code",
+    [
+        (PENCIL_DOC, "1+0.5z", 0),  # Verified against the pool matrix
+        (CIRCLE_DOC, "1+2z", 1),  # a pool kernel annihilates it
+        (PENCIL_DOC, "[1, 0.1, 0.2, 0.1, 0.05, 0.02, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, "
+                     "0.01, 0.01, 0.01, 0.01, 0.01]", 0),  # order above kmax: kernel by kernel
+    ],
+    ids=["verified", "pool-kernel", "per-kernel"],
+)
+def test_cli_module_hull_check_in_a_fresh_interpreter(tmp_path, doc, kernel, code):
+    spec = tmp_path / "family.json"
+    spec.write_text(doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "convdual.cli", "hull-check", "--family", str(spec), "--kernel", kernel],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    report = json.loads(proc.stdout)
+    want = in_dual_hull(parse_series(kernel), parse_family(doc)).to_dict()
+    assert report["certificate"] == json.loads(json.dumps(want))
 
 
 def test_cli_never_raises_on_fuzzed_argv(capsys):
