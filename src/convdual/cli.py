@@ -40,7 +40,7 @@ from .duality import (
 )
 from .family import COARSE_GRID, ParamGrid, border_decompose, border_elements, sample
 from .series import TruncSeries, convolve, dilate, evaluate, series_distance
-from .specfile import SpecFileError, family_to_dict, load_family, parse_series, tail_to_json
+from .specfile import MAX_ORDER, SpecFileError, family_to_dict, load_family, parse_series, tail_to_json
 
 __all__ = ["main", "console_main", "build_parser"]
 
@@ -62,8 +62,8 @@ def _trunc_arg(text: str) -> int:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"truncation order must be an integer, got {text!r}")
-    if not 8 <= n <= 4096:
-        raise argparse.ArgumentTypeError("truncation order must lie in 8..4096")
+    if not 8 <= n <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"truncation order must lie in 8..{MAX_ORDER}")
     return n
 
 
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kernels:
             p.add_argument("--kernels", help="kernel family spec file")
         p.add_argument("--grid", type=_grid_arg, help="parameter grid, e.g. 8x16")
-        p.add_argument("--trunc", type=_trunc_arg, default=64, help="truncation order (8..4096)")
+        p.add_argument("--trunc", type=_trunc_arg, default=64, help=f"truncation order (8..{MAX_ORDER})")
         p.add_argument("--tol", type=_tol_arg, help="witness bar override")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument(

@@ -16,10 +16,11 @@ achieved radius is recorded in ``params["r_certified"]``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "winding_number",
     "min_modulus_on_circle",
     "nonvanishing_in_disk",
+    "row_margins",
 ]
 
 
@@ -261,13 +263,16 @@ def winding_number(
 
 # -- minimum modulus -----------------------------------------------------------
 
+_FIRST_MESH = 512  # the row pass evaluates this mesh once; its even points are the scan ring
+_MAX_MESH = 2**17
+
 
 def min_modulus_on_circle(
     f: Evaluable,
     r: float,
     tol: Tolerances = DEFAULT_TOL,
-    initial_samples: int = 512,
-    max_samples: int = 2**17,
+    initial_samples: int = _FIRST_MESH,
+    max_samples: int = _MAX_MESH,
 ) -> tuple[float, complex]:
     """Certified lower bound for ``|f|`` on ``|z| = r`` plus the sampled argmin.
 
@@ -320,6 +325,14 @@ def _interior_candidate(f: Evaluable, r: float) -> complex:
     return complex(grid[int(np.argmin(np.abs(vals)))])
 
 
+def _schedule(r_max: Optional[float], schedule: Optional[Sequence[float]]) -> list[float]:
+    """The radii :func:`nonvanishing_in_disk` walks, sorted ascending."""
+    sched = list(schedule) if schedule is not None else radius_schedule(12, r_max)
+    if not sched:
+        raise ValueError("empty radius schedule")
+    return sorted(sched)
+
+
 def nonvanishing_in_disk(
     f: Evaluable,
     r_max: Optional[float] = None,
@@ -334,10 +347,7 @@ def nonvanishing_in_disk(
     margins below ``tol.margin_floor`` (but above the witness bar) yield
     Inconclusive rather than an unsound Verified.
     """
-    sched = list(schedule) if schedule is not None else radius_schedule(12, r_max)
-    if not sched:
-        raise ValueError("empty radius schedule")
-    sched = sorted(sched)
+    sched = _schedule(r_max, schedule)
     limit = r_max if r_max is not None else sched[-1]
     base_params = {"r_max": float(limit), "schedule_depth": len(sched)}
 
@@ -411,3 +421,134 @@ def nonvanishing_in_disk(
         reason="no certifiable circle in the radius schedule",
         params={**base_params, "skipped_radii": skipped},
     )
+
+
+# -- row pass over many exact polynomials ------------------------------------
+
+_ROW_BUDGET = 1 << 14  # values evaluated at once, ~256 KB of complex temporaries
+_FIRST_BLOCK = 4  # rows of the first block; blocks double up to the budget
+
+
+def _horner_rows(rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Every row polynomial at every point, in ``np.polyval``'s operation order."""
+    vals = np.zeros((len(rows), len(zs)), dtype=complex)
+    for column in rows.T[::-1]:  # highest degree first
+        vals = vals * zs + column[:, None]
+    return vals
+
+
+def _first_pass(
+    rows: np.ndarray, orders: np.ndarray, r: float, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One evaluation on ``|z| = r`` serving the scan, the first winding pass
+    and the first minimum-modulus mesh of :func:`nonvanishing_in_disk`.
+
+    Returns which rows pass the scan and the winding pass with winding zero,
+    each row's minimum modulus over the 512-point mesh, and its
+    :func:`~convdual.series.modulus_derivative_bound` on the circle.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = _horner_rows(rows, _circle_points(r, _FIRST_MESH))
+        mods = np.abs(vals)
+        ring = vals[:, ::2]  # bitwise the 256-point ring of the scan and winding pass
+        steps = np.angle(np.roll(ring, -1, axis=1) / ring)
+        total = np.sum(steps, axis=1) / (2.0 * math.pi)
+        L = np.zeros(len(rows))
+        for n in np.unique(orders):
+            if n >= 1:  # a constant has derivative bound 0
+                sel = orders == n
+                ks = np.arange(1, n + 1, dtype=float)
+                L[sel] = np.sum(ks * np.abs(rows[sel, 1 : n + 1]) * r ** (ks - 1), axis=1)
+    scan = mods[:, ::2].min(axis=1)
+    ok = (
+        np.all(np.isfinite(vals), axis=1)
+        & (scan >= 10 * tol.witness_bar)  # no near-zero for the scan to chase
+        & (scan > 0.0)  # the winding pass's modulus margin
+        & (np.max(np.abs(steps), axis=1) < tol.phase_step)
+        & (np.abs(total) <= 0.25)  # rounds to winding 0 within the pass's tolerance
+        & np.isfinite(L)
+    )
+    return ok, mods.min(axis=1), L
+
+
+def _refine_rows(
+    rows: np.ndarray, mesh: np.ndarray, L: np.ndarray, r: float, tol: Tolerances
+) -> np.ndarray:
+    """:func:`min_modulus_on_circle`'s lower bound for each row, from the
+    minimum ``mesh`` over its first 512 points; NaN where a new point is not
+    finite.
+
+    The mesh doubles as in the scalar loop, but each doubling evaluates only
+    the new odd points: the minimum over the union is exact, so every bound
+    is bitwise the scalar one.
+    """
+    mesh = mesh.copy()
+    lower = np.full(len(rows), math.nan)
+    active = np.arange(len(rows))
+    n = _FIRST_MESH
+    while True:
+        deflation = L[active] * (math.pi * r / n)
+        done = (deflation <= 0.005 * np.maximum(mesh[active], tol.witness_bar)) | (n >= _MAX_MESH)
+        lower[active[done]] = mesh[active[done]] - deflation[done]
+        active = active[~done]
+        if not len(active):
+            return lower
+        n *= 2
+        zs = _circle_points(r, n)[1::2]
+        step = max(1, _ROW_BUDGET // len(zs))
+        for s in range(0, len(active), step):
+            idx = active[s : s + step]
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = np.abs(_horner_rows(rows[idx], zs))
+            finite = np.all(np.isfinite(new), axis=1)
+            mesh[idx] = np.where(finite, np.minimum(mesh[idx], new.min(axis=1)), math.nan)
+        active = active[np.isfinite(mesh[active])]
+
+
+def row_margins(
+    rows: np.ndarray,
+    orders: np.ndarray,
+    r_max: Optional[float] = None,
+    schedule: Optional[Sequence[float]] = None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> Iterator[float]:
+    """Verified margins of :func:`nonvanishing_in_disk` for many exact
+    polynomials, one per row in order, NaN where the row pass leaves the
+    decision to it.
+
+    Row ``i`` holds the coefficients of an exact polynomial of order
+    ``orders[i]`` (later columns zero).  The pass follows the scalar
+    certification on the outermost schedule circle: one Horner pass over the
+    rows at 512 points gives the 256-point scan, the first winding pass, the
+    derivative bound and the first minimum-modulus mesh; the mesh then
+    doubles as in :func:`min_modulus_on_circle`.  A margin is yielded only
+    where :func:`nonvanishing_in_disk` returns Verified at that circle, and
+    it is bitwise its ``min_modulus``.  Near-zeros, winding passes that need
+    more samples, non-zero windings, thin margins (inner radii),
+    non-finite values and rows with a non-finite coefficient yield NaN.
+
+    Rows are taken in blocks of at most 32 (the first blocks smaller), and
+    a run of rows is refined only when the first of them is asked for, so a
+    caller that stops at a NaN row pays for little past it.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    orders = np.asarray(orders, dtype=int)
+    r = _schedule(r_max, schedule)[-1]
+    if r <= 0 or max(256, tol.initial_samples) != _FIRST_MESH // 2:
+        yield from itertools.repeat(math.nan, len(rows))
+        return
+    start, size = 0, _FIRST_BLOCK
+    while start < len(rows):
+        block = rows[start : start + size]
+        ok, mesh, L = _first_pass(block, orders[start : start + size], r, tol)
+        i = 0
+        for good, run in itertools.groupby(ok.tolist()):
+            k = i + len(list(run))
+            if good:
+                lb = _refine_rows(block[i:k], mesh[i:k], L[i:k], r, tol)
+                yield from np.where((lb > tol.margin_floor) & (lb > 0.0), lb, math.nan).tolist()
+            else:
+                yield from itertools.repeat(math.nan, k - i)
+            i = k
+        start += size
+        size = min(2 * size, _ROW_BUDGET // _FIRST_MESH)

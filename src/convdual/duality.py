@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .contour import (
     Tolerances,
     nonvanishing_in_disk,
     radius_schedule,
+    row_margins,
 )
 from .family import (
     COARSE_GRID,
@@ -51,6 +52,7 @@ from .family import (
     Disk,
     FamilySpec,
     Fixed,
+    Generator,
     LeadingRows,
     MemberTag,
     ParamGrid,
@@ -336,17 +338,85 @@ def _rational_slice(
     return margin, (complex(xstar), value, residual)
 
 
+def _member_order(gen: Generator) -> int:
+    """Order of every member a generator samples."""
+    if isinstance(gen, Pencil):
+        return max(gen.exponents)
+    if isinstance(gen, Rational):
+        return gen.order
+    return gen.series.order
+
+
+def _exact_products(gen: Generator, g: TruncSeries) -> bool:
+    """Whether :func:`convolve` makes every (dilated) member of ``gen`` with
+    ``g`` an exact polynomial.
+
+    It does when ``g`` is exact with no coefficient beyond the product
+    order, or when the member is an exact polynomial whose coefficients
+    ``g`` pairs with (:func:`~convdual.series.exact_product`).  Rational
+    members are counted as non-exact, so their products with a non-exact
+    kernel are left to the per-member path.
+    """
+    order = _member_order(gen)
+    member_exact = isinstance(gen, Pencil) or (isinstance(gen, Fixed) and gen.series.is_exact)
+    if member_exact and exact_product(g, order):
+        return True
+    return g.is_exact and not np.any(g.coeffs[min(order, g.order) + 1 :])
+
+
+def _sampled_table(
+    V: FamilySpec, gens: Sequence[int], g: TruncSeries, grid: ParamGrid
+) -> tuple[FamilySpec, LeadingRows, np.ndarray, np.ndarray, Iterator[range]]:
+    """The sampled members of V's generators ``gens``, as rows for ``g``.
+
+    Returns the sub-family of those generators, its :func:`leading_rows`
+    as wide as the longest product with ``g``, each member's product order
+    (the truncation :func:`convolve` applies), whether that product is
+    exact (:func:`_exact_products`), and each generator's row range, in
+    order.  Past a member's stored block a row is zero for an exact
+    member and NaN otherwise, so such a product is left to the per-member
+    path.  ``grid.max_members`` counts the members of all ``gens``
+    together, as :func:`sample` does.
+    """
+    sub = FamilySpec(tuple(V.generators[i] for i in gens), V.dilation_slot)
+    gen_orders = np.array([min(_member_order(gen), g.order) for gen in sub.generators])
+    table = leading_rows(sub, grid, int(gen_orders.max()) + 1)
+    orders = gen_orders[table.gen_index]
+    exact = np.array([_exact_products(gen, g) for gen in sub.generators])[table.gen_index]
+    bounds = np.searchsorted(table.gen_index, np.arange(len(gens) + 1)).tolist()
+    return sub, table, orders, exact, map(range, bounds[:-1], bounds[1:])
+
+
+def _tag_of(table: LeadingRows, sub: FamilySpec, i: int, gi: int) -> MemberTag:
+    """Tag of row ``i`` of a :func:`_sampled_table`, under generator ``gi``
+    of the whole family."""
+    return replace(table.tag(sub, i), gen_index=gi)
+
+
 def _pairing_certificate(
     kernel: TruncSeries,
     family: FamilySpec,
     grid: Optional[ParamGrid],
     tol: Tolerances,
 ) -> Certificate:
-    """Shared engine: certify ``1 + sum a_k(f) a_k(kernel) != 0`` over the family."""
+    """Shared engine: certify ``1 + sum a_k(f) a_k(kernel) != 0`` over the family.
+
+    Pencils over disks and circles are decided in closed form, rational
+    generators by exact x-slices.  The members of the other generators
+    (segment pencils, pencils needing undetermined kernel coefficients,
+    fixed members, all dilated in a slot family) are sampled as one
+    :func:`_sampled_table`; every member whose product with the kernel is
+    an exact polynomial with finite coefficients is paired in one
+    :func:`~convdual.series.convolve_rows_at_one` pass, bitwise the
+    per-member value, and only the others build their series.  Members are
+    then judged in sample order, so the first Falsified member, the gray
+    reasons and ``members_checked`` are those of the per-member loop.
+    """
     grid = grid or ParamGrid()
     verdict = _Verdict()
     all_exact = True
     members_checked = 0
+    table = None
     for gi, gen in enumerate(family.generators):
         if isinstance(gen, Pencil):
             outcome = _pencil_pairing_at_one(gen, kernel, family.dilation_slot)
@@ -393,17 +463,41 @@ def _pairing_certificate(
                         f"{margin:.3e} not decidable"
                     )
             continue
-        for f, tag in sample_generator(family, gi, grid):
+        if table is None:
+            # this generator and every later one the closed forms leave to sampling
+            sampled = [gi] + [
+                j for j, h in enumerate(family.generators) if j > gi and (
+                    isinstance(h, Fixed)
+                    or (isinstance(h, Pencil) and pencil_term_radii(h, kernel, 1.0) is None)
+                )
+            ]
+            sub, table, _, exact, ranges = _sampled_table(family, sampled, kernel, grid)
+            width = table.coeffs.shape[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.all(np.isfinite(table.coeffs * kernel.coeffs[:width]), axis=1)
+            batched = exact & finite
+            values, _ = convolve_rows_at_one(np.where(batched[:, None], table.coeffs, 0.0), kernel)
+        for i in next(ranges):
             members_checked += 1
-            v = _pairing_value(kernel, f)
+            if batched[i]:
+                v = EvalResult(complex(values[i]), 0.0)
+            else:
+                v = _pairing_value(kernel, table.member(sub, i))
             if not math.isfinite(v.error_bound):
-                verdict.gray(lambda: f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
+                verdict.gray(
+                    lambda: f"{_tag_of(table, sub, i, gi).label()}: "
+                    "pairing bound unusable (tail radius <= 1)"
+                )
                 continue
             if abs(v.value) + v.error_bound < tol.witness_bar:
+                tag = _tag_of(table, sub, i, gi)
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
             margin = abs(v.value) - v.error_bound
             if margin <= tol.margin_floor:
-                verdict.gray(lambda: f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+                verdict.gray(
+                    lambda: f"{_tag_of(table, sub, i, gi).label()}: "
+                    f"pairing margin {margin:.3e} below the floor"
+                )
                 continue
             verdict.margin(margin)
     return verdict.certificate(
@@ -542,8 +636,14 @@ def in_dual(
 
     Pencil generators are decided exactly (dilation slots are absorbed by
     the radius sweep, so a family and its complete hull get the same
-    verdict); other generators run the contour certification per sampled
-    member.
+    verdict).  The members of the other generators are sampled as one
+    :func:`_sampled_table`; the products with ``g`` that are exact
+    polynomials go through :func:`~convdual.contour.row_margins`, which
+    gives a member its margin only where :func:`nonvanishing_in_disk` would
+    be Verified on the outermost circle, bitwise the same margin.  Every
+    other member is built as a series and certified on its own, in sample
+    order, so the first Falsified member, the gray reasons and
+    ``members_checked`` are those of the per-member loop.
     """
     if not is_normalized(g):
         raise ValueError("dual membership requires a normalized kernel (c_0 = 1)")
@@ -555,6 +655,7 @@ def in_dual(
     verdict = _Verdict()
     all_exact = True
     members_checked = 0
+    table = None
     for gi, gen in enumerate(V.generators):
         if isinstance(gen, Pencil):
             cert = _pencil_dual_certificate(gi, gen, g, tol)
@@ -574,10 +675,28 @@ def in_dual(
                 verdict.margin(cert.min_modulus)
                 continue
         all_exact = False
-        for f, tag in sample_generator(base, gi, grid):
+        if table is None:
+            # this generator and every later one the closed form leaves to sampling
+            sampled = [gi] + [
+                j for j, h in enumerate(V.generators) if j > gi and (
+                    not isinstance(h, Pencil) or pencil_term_radii(h, g, 1.0) is None
+                )
+            ]
+            sub, table, orders, exact, ranges = _sampled_table(base, sampled, g, grid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = table.coeffs * g.coeffs[: table.coeffs.shape[1]]
+            products[~exact] = np.nan
+            margins = row_margins(products, orders, r_max=r_max, schedule=schedule, tol=tol)
+        for i in next(ranges):
             members_checked += 1
+            margin = next(margins)
+            if not math.isnan(margin):
+                verdict.margin(margin)
+                continue
+            f = table.member(sub, i)
             inner = nonvanishing_in_disk(convolve(f, g), r_max=r_max, schedule=schedule, tol=tol)
             if inner.falsified:
+                tag = _tag_of(table, sub, i, gi)
                 return Certificate(
                     status=CertStatus.FALSIFIED,
                     witness=inner.witness,
@@ -590,7 +709,7 @@ def in_dual(
                     },
                 )
             if inner.status is CertStatus.INCONCLUSIVE:
-                verdict.gray(lambda: f"{tag.label()}: {inner.reason}")
+                verdict.gray(lambda: f"{_tag_of(table, sub, i, gi).label()}: {inner.reason}")
                 continue
             verdict.margin(inner.min_modulus)
     return verdict.certificate(
@@ -745,6 +864,21 @@ def _clears_floor(margins: np.ndarray, tol: Tolerances) -> np.ndarray:
     return (margins > tol.margin_floor) & (margins > 0.0)
 
 
+@functools.cache
+def _stock_kernel_rows() -> tuple[FamilySpec, LeadingRows]:
+    """The stock kernel family and its rows on the coarse grid, read-only.
+
+    They do not depend on V, so every default pool build reads them; about
+    0.7 MB, kept for the life of the process.
+    """
+    kernels = default_kernel_family()
+    rows = leading_rows(kernels, COARSE_GRID, _POOL_KMAX + 1)
+    for a in rows:
+        if a is not None:
+            a.flags.writeable = False
+    return kernels, rows
+
+
 def build_transpose_pool(
     V: FamilySpec,
     kernels: Optional[FamilySpec] = None,
@@ -766,11 +900,15 @@ def build_transpose_pool(
     not regular beyond the disk) is built and decided by :func:`in_T`; a
     kernel whose decision raises ValueError or is not Verified is counted
     in ``skipped``.  Kept kernels stay in sample order, and their series
-    are built only when asked.
+    are built only when asked.  With neither ``kernels`` nor
+    ``kernel_grid`` given, the stock kernel rows are computed once per
+    process and shared.
     """
-    kernels = kernels or default_kernel_family()
-    kernel_grid = kernel_grid or COARSE_GRID
-    rows = leading_rows(kernels, kernel_grid, _POOL_KMAX + 1)
+    if kernels is None and kernel_grid is None:
+        kernels, rows = _stock_kernel_rows()
+    else:
+        kernels = kernels or default_kernel_family()
+        rows = leading_rows(kernels, kernel_grid or COARSE_GRID, _POOL_KMAX + 1)
     margins = _transpose_margins(V, rows.coeffs)
     if margins is None:
         scalar = np.ones(len(rows.coeffs), dtype=bool)

@@ -11,6 +11,9 @@ Generator kinds: ``pencil {exponents, domains}``, ``rational {x_domain,
 y_domain, order?}``, ``fixed {coeffs, tail?}``.  Complex numbers are written
 as a plain number (real) or a two-element ``[re, im]`` list; ``tail`` is
 ``{"M": m, "rho": r}``, the string ``"exact"``, or null for no tail data.
+A rational ``order`` and a pencil exponent may not exceed :data:`MAX_ORDER`,
+the largest truncation order the command line accepts, so a short spec
+cannot ask for multi-GiB coefficient blocks.
 
 Command-line series expressions accept polynomial literals such as
 ``1+0.5z-0.25z^2`` (complex coefficients in parentheses, ``(0.3+0.4j)z``),
@@ -31,6 +34,7 @@ from .family import Circle, Disk, FamilySpec, Fixed, Pencil, Rational, Segment
 from .series import DEFAULT_ORDER, Tail, TruncSeries, from_rational
 
 __all__ = [
+    "MAX_ORDER",
     "SpecFileError",
     "parse_family",
     "load_family",
@@ -39,6 +43,9 @@ __all__ = [
     "dump_family",
     "parse_series",
 ]
+
+
+MAX_ORDER = 4096  # largest series order a spec or a --trunc value may ask for
 
 
 class SpecFileError(ValueError):
@@ -126,6 +133,10 @@ def _generator(obj: Any, path: str):
             for i, e in enumerate(exps):
                 if isinstance(e, bool) or not isinstance(e, int):
                     raise SpecFileError("exponent must be an integer", f"{path}.exponents[{i}]")
+                if e > MAX_ORDER:
+                    raise SpecFileError(
+                        f"exponent exceeds the limit MAX_ORDER = {MAX_ORDER}", f"{path}.exponents[{i}]"
+                    )
             doms = _expect_list(_get(d, "domains", path), path + ".domains")
             return Pencil(
                 tuple(exps),
@@ -135,6 +146,8 @@ def _generator(obj: Any, path: str):
             order = d.get("order", DEFAULT_ORDER)
             if isinstance(order, bool) or not isinstance(order, int) or order < 1:
                 raise SpecFileError("order must be a positive integer", path + ".order")
+            if order > MAX_ORDER:
+                raise SpecFileError(f"order exceeds the limit MAX_ORDER = {MAX_ORDER}", path + ".order")
             return Rational(
                 _domain(_get(d, "x_domain", path), path + ".x_domain"),
                 _domain(_get(d, "y_domain", path), path + ".y_domain"),

@@ -348,3 +348,150 @@ def per_kernel_complete(V, pool: dict, grid=None, tol=None):
             continue
         worst = min(worst, cert.min_modulus)
     return _oracle_verdict(worst, gray, {"kernels_in_transpose": len(pool["members"])})
+
+
+def per_member_dual(g, V, grid=None, r_max=None, schedule=None, tol=None):
+    """``in_dual`` by the member-by-member loop the row pass replaces.
+
+    Pencils the closed form decides are decided by it; every other sampled
+    member is built as a series, convolved with ``g`` and certified by
+    ``nonvanishing_in_disk`` on its own, in sample order, every gray reason
+    kept.  Raises where that loop raises.
+    """
+    import math
+    from dataclasses import replace
+
+    from convdual.contour import DEFAULT_TOL, Certificate, CertStatus, nonvanishing_in_disk
+    from convdual.duality import _pencil_dual_certificate
+    from convdual.family import ParamGrid, Pencil, sample_generator
+    from convdual.series import convolve
+
+    tol = tol or DEFAULT_TOL
+    grid = grid or ParamGrid()
+    base = replace(V, dilation_slot=False) if V.dilation_slot else V
+    worst = math.inf
+    gray = []
+    all_exact = True
+    members_checked = 0
+    for gi, gen in enumerate(V.generators):
+        if isinstance(gen, Pencil):
+            cert = _pencil_dual_certificate(gi, gen, g, tol)
+            if cert is not None:
+                if cert.falsified:
+                    return cert
+                if cert.status is CertStatus.INCONCLUSIVE:
+                    gray.append(cert.reason or f"generator {gi} inconclusive")
+                    all_exact = False
+                    continue
+                if cert.min_modulus <= tol.margin_floor:
+                    gray.append(f"generator {gi}: dual margin {cert.min_modulus:.3e} below the floor")
+                    all_exact = False
+                    continue
+                worst = min(worst, cert.min_modulus)
+                continue
+        all_exact = False
+        for f, tag in sample_generator(base, gi, grid):
+            members_checked += 1
+            inner = nonvanishing_in_disk(convolve(f, g), r_max=r_max, schedule=schedule, tol=tol)
+            if inner.falsified:
+                return Certificate(
+                    status=CertStatus.FALSIFIED,
+                    witness=inner.witness,
+                    reason="convolution with a sampled member vanishes inside the disk",
+                    params={
+                        "generator": gi,
+                        "kind": gen.kind,
+                        "member_params": _oracle_clist(tag.params),
+                        "member": tag.label(),
+                    },
+                )
+            if inner.status is CertStatus.INCONCLUSIVE:
+                gray.append(f"{tag.label()}: {inner.reason}")
+                continue
+            worst = min(worst, inner.min_modulus)
+    return _oracle_verdict(
+        worst, gray, {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
+    )
+
+
+def per_member_pairing(kernel, family, grid=None, tol=None):
+    """``in_T``/``in_perp``'s shared pairing decision by the member loop the
+    table pass replaces: every sampled member outside the closed forms is
+    built as a series and paired with the kernel on its own, in sample
+    order, every gray reason kept.  Raises where that loop raises."""
+    import math
+
+    from convdual.contour import DEFAULT_TOL
+    from convdual.duality import (
+        _falsified_pairing,
+        _pairing_value,
+        _pencil_pairing_at_one,
+        _rational_slice,
+    )
+    from convdual.family import ParamGrid, Pencil, Rational, dilation_points, sample_generator
+
+    tol = tol or DEFAULT_TOL
+    grid = grid or ParamGrid()
+    worst = math.inf
+    gray = []
+    all_exact = True
+    members_checked = 0
+    for gi, gen in enumerate(family.generators):
+        if isinstance(gen, Pencil):
+            outcome = _pencil_pairing_at_one(gen, kernel, family.dilation_slot)
+            if outcome is not None:
+                if outcome.params is not None:
+                    if abs(outcome.value) < tol.witness_bar:
+                        return _falsified_pairing(
+                            gi, gen, outcome.params, outcome.value, outcome.dilation
+                        )
+                    gray.append(
+                        f"generator {gi}: constructed witness residual "
+                        f"{abs(outcome.value):.3e} exceeds the witness bar"
+                    )
+                    all_exact = False
+                    continue
+                if outcome.margin > tol.margin_floor:
+                    worst = min(worst, outcome.margin)
+                    continue
+                gray.append(
+                    f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
+                    "below the decision floor"
+                )
+                all_exact = False
+                continue
+        all_exact = False
+        if isinstance(gen, Rational):
+            us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
+            for y in gen.y_domain.points(grid):
+                for u in us:
+                    members_checked += 1
+                    margin, root = _rational_slice(gen, kernel, y, u)
+                    if margin > tol.margin_floor:
+                        worst = min(worst, margin)
+                        continue
+                    if root is not None:
+                        xstar, value, residual = root
+                        if abs(value) + residual < tol.witness_bar:
+                            return _falsified_pairing(
+                                gi, gen, (xstar, y), value,
+                                u if family.dilation_slot else None,
+                            )
+                    gray.append(f"generator {gi} at y = {y:.6g}: x-slice margin {margin:.3e} not decidable")
+            continue
+        for f, tag in sample_generator(family, gi, grid):
+            members_checked += 1
+            v = _pairing_value(kernel, f)
+            if not math.isfinite(v.error_bound):
+                gray.append(f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
+                continue
+            if abs(v.value) + v.error_bound < tol.witness_bar:
+                return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
+            margin = abs(v.value) - v.error_bound
+            if margin <= tol.margin_floor:
+                gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+                continue
+            worst = min(worst, margin)
+    return _oracle_verdict(
+        worst, gray, {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
+    )

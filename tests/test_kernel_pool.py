@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from convdual import duality
 from convdual.duality import build_transpose_pool, in_dual_hull, is_complete_T
 from convdual.family import (
+    COARSE_GRID,
     Circle,
     Disk,
     FamilySpec,
@@ -200,6 +201,26 @@ def test_rational_kernels_of_low_order_and_degenerate_parameters():
     ))
     for V in (pencil_family(), FamilySpec((Pencil((2, 5), (Circle(0.4), Disk(0.3))),))):
         _assert_pool_matches(V, kernels, ParamGrid(2, 4, 4, 2), HS + (from_rational(0.4, -0.3),))
+
+
+def test_stock_kernel_rows_are_built_once_and_shared_read_only():
+    duality._stock_kernel_rows.cache_clear()
+    with mock.patch.object(duality, "leading_rows", wraps=leading_rows) as spy:
+        pool = build_transpose_pool(pencil_family())
+        build_transpose_pool(counterexample_family())
+        assert spy.call_count == 1
+        # a custom kernel family or kernel grid, even an equal one, builds its own rows
+        custom = build_transpose_pool(pencil_family(), kernel_grid=COARSE_GRID)
+        build_transpose_pool(pencil_family(), kernels=default_kernel_family())
+        assert spy.call_count == 3
+    _, rows = duality._stock_kernel_rows()
+    for a in (rows.coeffs, rows.regular, rows.gen_index, rows.params):
+        assert not a.flags.writeable
+    assert pool.coeffs.flags.writeable and not np.shares_memory(pool.coeffs, rows.coeffs)
+    assert pool.coeffs.tobytes() == custom.coeffs.tobytes() and pool.skipped == custom.skipped
+    assert [pool.tag(i) for i in range(len(pool.coeffs))] == [
+        custom.tag(i) for i in range(len(custom.coeffs))
+    ]
 
 
 def test_max_members_error_matches_sample():

@@ -1,0 +1,374 @@
+"""Row passes of the sampled decisions against the per-member loops: bitwise equality.
+
+``contour.row_margins`` certifies many exact polynomials on the outermost
+schedule circle at once; ``in_dual`` feeds it the products of a family's
+sampled members with the kernel, and ``in_T``/``in_perp`` pair the same
+table at ``z = 1``.  Every certificate must equal the one the old
+member-by-member loop gives (``per_member_dual``, ``per_member_pairing``).
+"""
+
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from convdual import contour, duality
+from convdual.contour import (
+    DEFAULT_TOL,
+    Tolerances,
+    _circle_points,
+    nonvanishing_in_disk,
+    radius_schedule,
+    row_margins,
+)
+from convdual.duality import in_dual, in_perp, in_T
+from convdual.family import (
+    Circle,
+    Disk,
+    FamilySpec,
+    Fixed,
+    ParamGrid,
+    Pencil,
+    Rational,
+    Segment,
+)
+from convdual.series import Tail, TruncSeries, from_rational
+
+from oracles import per_member_dual, per_member_pairing, planted_polynomial
+
+SET = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+coord = st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(
+    min_value=-1.2, max_value=1.2, allow_nan=False, allow_infinity=False
+)
+cpoint = st.builds(complex, coord, coord)
+radius = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(min_value=0.0, max_value=1.2)
+domain = st.one_of(
+    st.builds(Disk, radius),
+    st.builds(Circle, radius),
+    st.builds(Segment, cpoint, cpoint),
+)
+pole = st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6))
+schedules = st.sampled_from([
+    {},
+    {"r_max": 0.9},
+    {"r_max": 0.5},
+    {"schedule": [0.3, 0.75, 0.999]},
+    {"schedule": [0.6]},
+])
+MORE = settings(SET, max_examples=150)
+# the last has a floor below ten bars, where the scan's near-zero check decides
+tols = st.sampled_from([
+    DEFAULT_TOL,
+    DEFAULT_TOL.with_bar(1e-4),
+    DEFAULT_TOL.with_bar(1e-12),
+    Tolerances(witness_bar=0.05, margin_floor=1e-7),
+])
+
+
+@st.composite
+def pencils(draw):
+    exps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True))
+    return Pencil(tuple(exps), tuple(draw(domain) for _ in exps))
+
+
+def _fixed(coeffs, tail):
+    return Fixed(TruncSeries([1.0] + list(coeffs), tail))
+
+
+fixed_tail = st.one_of(
+    st.just(Tail(0.0, math.inf)),
+    st.none(),
+    st.builds(Tail, st.floats(0.01, 1.0), st.floats(1.1, 3.0)),
+)
+generators = st.one_of(
+    pencils(),
+    st.builds(Rational, st.builds(Disk, radius), st.builds(Disk, st.floats(0.0, 0.6)),
+              st.integers(1, 6)),
+    st.builds(Rational, st.builds(Circle, radius), st.builds(Circle, st.floats(0.0, 0.6)),
+              st.integers(1, 6)),
+    st.builds(_fixed, st.lists(cpoint, max_size=5), fixed_tail),
+    st.builds(Fixed, st.builds(from_rational, cpoint, pole, st.integers(0, 6))),
+)
+# kernels of orders on both sides of the members' orders, exact and not
+kernels = st.one_of(
+    st.lists(cpoint, min_size=0, max_size=6).map(lambda c: TruncSeries.polynomial([1.0] + c)),
+    st.builds(from_rational, cpoint, pole, st.integers(0, 8)),
+)
+grids = st.builds(
+    ParamGrid,
+    disk_radial=st.integers(1, 2),
+    disk_angular=st.integers(1, 4),
+    circle=st.integers(1, 5),
+    segment=st.integers(1, 4),
+)
+
+
+def _text(cert) -> str:
+    return json.dumps(cert.to_dict(), sort_keys=True)
+
+
+def _same_outcome(got, want):
+    """Both calls return equal certificates (JSON text, so -0.0 and every
+    float bit count), or both raise the same ValueError."""
+    try:
+        expected = want()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            got()
+        assert str(info.value) == str(exc)
+        return
+    assert _text(got()) == _text(expected)
+
+
+# -- contour.row_margins ------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.999755859375, 1.0])
+def test_doubled_ring_nests_bitwise(r):
+    n = 8
+    while n <= 2**17:
+        assert _circle_points(r, 2 * n)[::2].tobytes() == _circle_points(r, n).tobytes()
+        n *= 2
+
+
+def _scalar_agrees(rows, orders, margins, r_max=None, schedule=None, tol=DEFAULT_TOL):
+    outer = max(schedule) if schedule is not None else radius_schedule(12, r_max)[-1]
+    verified = 0
+    for row, n, m in zip(rows, orders, margins):
+        if math.isnan(m):
+            continue
+        f = TruncSeries.polynomial(row[: n + 1])
+        cert = nonvanishing_in_disk(f, r_max=r_max, schedule=schedule, tol=tol)
+        assert cert.verified and cert.params["r_certified"] == outer
+        assert np.float64(cert.min_modulus).tobytes() == np.float64(m).tobytes()
+        verified += 1
+    return verified
+
+
+@st.composite
+def polynomial_rows(draw):
+    """Rows with a near-circle root, a thin margin or a planted zero now and then."""
+    count = draw(st.integers(1, 40))
+    orders = draw(st.lists(st.integers(0, 6), min_size=count, max_size=count))
+    rows = np.zeros((count, max(orders) + 1), dtype=complex)
+    for i, n in enumerate(orders):
+        kind = draw(st.sampled_from(["random", "random", "near-root", "thin"]))
+        if kind == "random" or n == 0:
+            rows[i, 0] = 1.0
+            rows[i, 1 : n + 1] = [draw(cpoint) * draw(st.floats(0.0, 0.4)) for _ in range(n)]
+        else:
+            # one root just outside, on or just inside the circle, the rest far out
+            rho = draw(st.sampled_from([0.999, 0.99976, 0.9998, 1.0, 1.001, 1.3]))
+            roots = [rho * np.exp(1j * draw(st.floats(0.0, 6.3)))]
+            roots += [3.0 + draw(cpoint)] * (n - 1)
+            lead = 1e-8 if kind == "thin" else 1.0
+            rows[i, : n + 1] = planted_polynomial(roots, lead)
+    return rows, np.asarray(orders)
+
+
+@SET
+@given(polynomial_rows(), schedules, tols)
+def test_row_margins_are_scalar_verified_margins(rows_orders, sched, tol):
+    rows, orders = rows_orders
+    margins = list(row_margins(rows, orders, tol=tol, **sched))
+    assert len(margins) == len(rows)
+    _scalar_agrees(rows, orders, margins, tol=tol, **sched)
+
+
+def test_row_margins_verify_most_clear_rows():
+    rng = np.random.default_rng(7)
+    orders = rng.integers(0, 5, 300)
+    rows = np.zeros((300, 5), dtype=complex)
+    rows[:, 0] = 1.0
+    for i, n in enumerate(orders):
+        rows[i, 1 : n + 1] = 0.7 / max(n, 1) * np.exp(2j * np.pi * rng.random(n))
+    margins = list(row_margins(rows, orders))
+    assert _scalar_agrees(rows, orders, margins) == 300
+
+
+def test_row_margins_leave_undecidable_rows_to_the_scalar_path():
+    rows = np.array([
+        [1.0, 0.5, 0.0],
+        [1.0, 1.0 / (1.0 - 2.0**-12), 0.0],  # a root on the outermost circle
+        [1.0, -2.5, 1.0],  # root 0.5 inside
+        [1.0, np.inf, 0.0],  # non-finite coefficient
+        [np.nan, 0.0, 0.0],  # a product left to the per-member path
+        [1.0, 0.0, 0.25],
+    ], dtype=complex)
+    orders = np.array([1, 1, 2, 1, 1, 2])
+    margins = list(row_margins(rows, orders))
+    assert [math.isnan(m) for m in margins] == [False, True, True, True, True, False]
+    assert _scalar_agrees(rows, orders, margins) == 2
+
+
+def test_row_margins_leave_a_scan_near_zero_to_the_scalar_path():
+    # |f| < 10 bars near z = -r although the margin clears the floor: the
+    # scalar scan refines that point into a witness under the wide bar
+    tol = Tolerances(witness_bar=0.05, margin_floor=1e-7)
+    rows = np.array([[1.0, 1.0 / 1.02]], dtype=complex)
+    assert math.isnan(next(row_margins(rows, [1], tol=tol)))
+    assert nonvanishing_in_disk(TruncSeries.polynomial(rows[0]), tol=tol).falsified
+    assert not math.isnan(next(row_margins(rows, [1])))
+
+
+def test_row_margins_cases_outside_the_pass():
+    rows = np.array([[1.0, 0.5]], dtype=complex)
+    assert math.isnan(next(row_margins(rows, [1], tol=Tolerances(initial_samples=512))))
+    assert math.isnan(next(row_margins(rows, [1], schedule=[-0.5, 0.0])))
+    with pytest.raises(ValueError, match="empty radius schedule"):
+        next(row_margins(rows, [1], schedule=[]))
+
+
+def test_rows_after_an_undecided_row_are_refined_only_when_asked():
+    on_circle = 1.0 / (1.0 - 2.0**-12)
+    rows = np.array([[1.0, 0.5], [1.0, on_circle], [1.0, 0.5], [1.0, 0.25]], dtype=complex)
+    with mock.patch.object(contour, "_refine_rows", wraps=contour._refine_rows) as spy:
+        margins = row_margins(rows, [1, 1, 1, 1])
+        assert not math.isnan(next(margins))
+        assert math.isnan(next(margins))
+        assert spy.call_count == 1
+        assert not math.isnan(next(margins))
+        assert spy.call_count == 2 and len(spy.call_args[0][0]) == 2
+
+
+def test_row_blocks_stay_within_the_budget():
+    rows = np.tile(np.array([[1.0, 0.5, 0.1]], dtype=complex), (200, 1))
+    with mock.patch.object(contour, "_first_pass", wraps=contour._first_pass) as spy:
+        assert not any(math.isnan(m) for m in row_margins(rows, np.full(200, 2)))
+    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    assert sizes[:4] == [4, 8, 16, 32] and sum(sizes) == 200
+    assert max(sizes) * 512 <= contour._ROW_BUDGET
+
+
+# -- in_dual ------------------------------------------------------------------
+
+
+@MORE
+@given(
+    st.lists(generators, min_size=1, max_size=3),
+    st.booleans(),
+    kernels,
+    grids,
+    schedules,
+    tols,
+)
+def test_in_dual_bitwise_equal_to_per_member_loop(gens, slot, g, grid, sched, tol):
+    V = FamilySpec(tuple(gens), dilation_slot=slot)
+    _same_outcome(
+        lambda: in_dual(g, V, grid=grid, tol=tol, **sched),
+        lambda: per_member_dual(g, V, grid=grid, tol=tol, **sched),
+    )
+
+
+def _seg_family(ends, second=None):
+    gens = [Pencil((1,), (Segment(*ends),))]
+    if second is not None:
+        gens.append(second)
+    return FamilySpec(tuple(gens))
+
+
+@pytest.mark.parametrize(
+    "V, g",
+    [
+        # members 1 + x z with x running into the zero at x = -1
+        (_seg_family((0.2, -1.5)), TruncSeries.polynomial([1.0, 1.0])),
+        # thin margin: the product's zero sits just outside the outermost circle
+        (_seg_family((0.0, -0.99985)), TruncSeries.polynomial([1.0, 1.0])),
+        # a falsifying member ahead of a member whose product overflows
+        (_seg_family((0.0, -1.5), _fixed([1e300], Tail(0.0, math.inf))),
+         TruncSeries.polynomial([1.0, 1e300])),
+        # the overflowing member first: both loops raise there
+        (FamilySpec((_fixed([1e300], Tail(0.0, math.inf)), Pencil((1,), (Segment(0, -1.5),)))),
+         TruncSeries.polynomial([1.0, 1e300])),
+        # tail-less fixed members with an exact kernel of lower and higher order
+        (FamilySpec((_fixed([0.3, 0.2, 0.1], None), _fixed([0.5], None))),
+         TruncSeries.polynomial([1.0, 0.5])),
+        (FamilySpec((_fixed([0.3, 0.2, 0.1], None), _fixed([0.5], None))),
+         TruncSeries.polynomial([1.0, 0.5, 0.4, 0.1, 0.2, 0.3])),
+        # a rational kernel: exact members only are batched
+        (FamilySpec((Rational(Disk(0.4), Disk(0.3), order=8), _fixed([0.2], None))),
+         from_rational(0.5, 0.2, order=8)),
+        # a pencil whose coefficient the kernel does not determine is sampled
+        (FamilySpec((Pencil((3,), (Disk(0.5),)),)), from_rational(0.5, 0.2, order=2)),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_in_dual_pinned_cases(V, g):
+    grid = ParamGrid(2, 4, 4, 12)
+    for slot in (False, True):
+        W = FamilySpec(V.generators, dilation_slot=slot)
+        _same_outcome(lambda: in_dual(g, W, grid), lambda: per_member_dual(g, W, grid))
+
+
+def test_in_dual_builds_series_only_for_scalar_members():
+    V = FamilySpec((Rational(Disk(0.4), Disk(0.3)), _fixed([0.1, 0.1], Tail(0.2, 2.0))))
+    g = TruncSeries.polynomial([1.0, 0.6])
+    grid = ParamGrid(2, 8)
+    with mock.patch.object(duality, "nonvanishing_in_disk", wraps=nonvanishing_in_disk) as spy:
+        cert = in_dual(g, V, grid)
+    assert cert.verified and cert.params["members_checked"] == 17**2 + 1
+    assert spy.call_count == 0
+    assert _text(cert) == _text(per_member_dual(g, V, grid))
+
+
+def test_in_dual_counts_max_members_over_the_sampled_generators():
+    gen = Rational(Disk(0.4), Disk(0.3))
+    V = FamilySpec((gen, gen))
+    grid = ParamGrid(1, 2, max_members=10)  # 9 members per generator, 18 together
+    with pytest.raises(ValueError, match="more than 10 members"):
+        in_dual(TruncSeries.polynomial([1.0, 0.5]), V, grid=grid)
+
+
+# -- in_T / in_perp --------------------------------------------------------------
+
+
+pairing_generators = st.one_of(
+    pencils(),
+    st.builds(_fixed, st.lists(cpoint, max_size=5), fixed_tail),
+    st.builds(Fixed, st.builds(from_rational, cpoint, pole, st.integers(0, 6))),
+    st.builds(Rational, st.builds(Disk, radius), st.builds(Disk, st.floats(0.0, 0.6)),
+              st.integers(1, 6)),
+)
+
+
+@MORE
+@given(st.lists(pairing_generators, min_size=1, max_size=3), st.booleans(), kernels, grids, tols)
+@example(
+    gens=[_fixed([-1.0], Tail(0.0, math.inf)), _fixed([1e300], None)],
+    slot=False, kernel=TruncSeries.polynomial([1.0, 1e300]), grid=ParamGrid(), tol=DEFAULT_TOL,
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_pairing_bitwise_equal_to_per_member_loop(gens, slot, kernel, grid, tol):
+    V = FamilySpec(tuple(gens), dilation_slot=slot)
+    _same_outcome(
+        lambda: duality._pairing_certificate(kernel, V, grid, tol),
+        lambda: per_member_pairing(kernel, V, grid, tol),
+    )
+
+
+def test_transpose_and_perp_entry_points_match_the_member_loop():
+    seg = Pencil((1, 2), (Segment(0.1, 0.6j), Segment(-0.2, 0.3)))
+    V = FamilySpec((seg, _fixed([0.2, -0.1], Tail(0.1, 2.0))))
+    grid = ParamGrid(2, 4, 4, 6)
+    for h in (TruncSeries.polynomial([1.0, 0.4, 0.3]), TruncSeries.polynomial([1.0, -2.0, 0.0])):
+        for slot in (False, True):
+            W = FamilySpec(V.generators, dilation_slot=slot)
+            assert _text(in_T(h, W, grid)) == _text(per_member_pairing(h, W, grid))
+            assert _text(in_perp(h, W, grid)) == _text(per_member_pairing(h, W, grid))
+
+
+def test_pairing_builds_no_series_for_exact_products():
+    V = FamilySpec(tuple(_fixed([0.1 * k, 0.05], Tail(0.1, 2.0)) for k in range(5)))
+    h = TruncSeries.polynomial([1.0, 0.3, 0.2])
+    with mock.patch.object(duality, "_pairing_value", wraps=duality._pairing_value) as spy:
+        cert = in_perp(h, V)
+    assert cert.verified and cert.params["members_checked"] == 5 and spy.call_count == 0
+    assert _text(cert) == _text(per_member_pairing(h, V))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from convdual.family import (
 )
 from convdual.series import TruncSeries, convolve, from_rational, series_distance
 from convdual.specfile import (
+    MAX_ORDER,
     SpecFileError,
     dump_family,
     family_to_dict,
@@ -168,6 +170,45 @@ def test_malformed_family_diagnostics(doc, fragment):
     with pytest.raises(SpecFileError) as exc:
         parse_family(doc)
     assert fragment in str(exc.value)
+
+
+DISK = {"shape": "disk", "radius": 0.5}
+HUGE_ORDERS = [
+    ({"kind": "rational", "x_domain": DISK, "y_domain": DISK, "order": 10**8}, ".order"),
+    ({"kind": "rational", "x_domain": DISK, "y_domain": DISK, "order": MAX_ORDER + 1}, ".order"),
+    ({"kind": "pencil", "exponents": [1, 10**8], "domains": [DISK, DISK]}, ".exponents[1]"),
+    ({"kind": "pencil", "exponents": [MAX_ORDER + 1], "domains": [DISK]}, ".exponents[0]"),
+]
+
+
+@pytest.mark.parametrize("gen, field", HUGE_ORDERS)
+def test_orders_above_the_limit_are_rejected_before_allocating(gen, field):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecFileError, match=f"MAX_ORDER = {MAX_ORDER}") as info:
+            parse_family(json.dumps({"generators": [gen]}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.path.endswith(field)
+    assert peak < 1 << 20
+
+
+def test_orders_at_the_limit_are_accepted():
+    doc = {"generators": [
+        {"kind": "rational", "x_domain": DISK, "y_domain": DISK, "order": MAX_ORDER},
+        {"kind": "pencil", "exponents": [1, MAX_ORDER], "domains": [DISK, DISK]},
+    ]}
+    V = parse_family(json.dumps(doc))
+    assert V.generators[0].order == MAX_ORDER and V.generators[1].exponents == (1, MAX_ORDER)
+
+
+@pytest.mark.parametrize("command", ["dual-check", "hull-check", "image"])
+def test_cli_spec_order_above_the_limit_exits_three(capsys, tmp_path, command):
+    spec = tmp_path / "huge.spec"
+    spec.write_text(json.dumps({"generators": [HUGE_ORDERS[0][0]]}))
+    assert main([command, "--family", str(spec), "--kernel", "1+0.5z"]) == 3
+    assert f"MAX_ORDER = {MAX_ORDER}" in capsys.readouterr().err
 
 
 def test_json_syntax_error_reports_line_and_column():
