@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .family import (
     Fixed,
     Generator,
     LeadingRows,
+    MemberRows,
     MemberTag,
     ParamGrid,
     Pencil,
@@ -1081,6 +1082,46 @@ def is_complete_T(
 
 
 @dataclass(frozen=True)
+class _DeferredLabels:
+    """``count`` cloud labels, formatted by ``make()`` when first read."""
+
+    count: int
+    make: Callable[[], Iterable[str]]
+
+    def __len__(self) -> int:
+        return self.count
+
+
+class _LabelsField:
+    """The ``RegionCloud.labels`` field: a tuple of strings when read.
+
+    A ``_DeferredLabels`` value is stored as given and replaced by its tuple
+    on first read.  As a descriptor-typed dataclass field it has no default
+    (class access raises AttributeError), so ``labels`` stays required.
+    """
+
+    def __get__(self, cloud, owner=None):
+        if cloud is None:
+            raise AttributeError("labels")
+        labels = cloud.__dict__["labels"]
+        if isinstance(labels, _DeferredLabels):
+            labels = cloud.__dict__["labels"] = tuple(labels.make())
+        return labels
+
+    def __set__(self, cloud, labels) -> None:
+        cloud.__dict__["labels"] = labels
+
+
+def _member_labels(parts: Sequence) -> Iterator[str]:
+    """Direct-route labels; each part is a generator's ``MemberRows`` or its member tags."""
+    for part in parts:
+        if isinstance(part, MemberRows):
+            yield from part.labels
+        else:
+            yield from (tag.label() for tag in part)
+
+
+@dataclass(frozen=True)
 class RegionCloud:
     """Certified point cloud approximating a functional image ``lam(V)``.
 
@@ -1088,21 +1129,27 @@ class RegionCloud:
     from, and the evaluation point in the z-plane.  ``boundary_flags`` marks
     boundary candidates; for the direct route these come from a coverage
     probe (a point is interior when every direction at twice the mesh
-    spacing is backed by a nearby cloud point), for the border route they
-    are the images of the outermost evaluation radius.
+    spacing is backed by a nearby cloud point; non-finite points are never
+    flagged), for the border route they are the images of the outermost
+    evaluation radius.
 
     Direct-route points of pencil generators are evaluated in one batched
     pass per generator; rational, fixed and dilated members, and pencils a
     non-exact kernel truncates, are evaluated member by member.
-    ``mesh_spacing`` (unless given) and the probe run on a uniform cell
-    grid over the cloud: about ``O(n log n)`` time for ``n`` points spread
-    without dense clusters, with temporaries of about 5 MB whatever ``n``
-    is.  ``nearest_distance`` measures every point on each call.
+    ``mesh_spacing`` (unless given) and the probe measure against the
+    distinct finite points, deduplicated once per cloud by a sort, and run
+    on a uniform cell grid: about ``O(n log n)`` time for ``n`` points spread
+    without dense clusters, with temporaries of about 10 MB whatever ``n``
+    is.  The probe measures each distinct point once and settles most probes
+    on one representative point per cell; the cell table is dense when it
+    has at most ``8 * len(ref) + 2**16`` entries and a sorted key list
+    otherwise.  ``labels`` built by ``functional_image`` are formatted on
+    first access.  ``nearest_distance`` measures every point on each call.
     """
 
     points: np.ndarray
     errors: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = _LabelsField()
     eval_points: np.ndarray
     boundary_flags: np.ndarray
     mesh_spacing: float
@@ -1110,11 +1157,16 @@ class RegionCloud:
 
     def __post_init__(self) -> None:
         n = len(self.points)
-        if not (len(self.errors) == len(self.labels) == len(self.eval_points) == n
+        # the stored labels are counted, not formatted
+        if not (len(self.errors) == len(self.__dict__["labels"]) == len(self.eval_points) == n
                 and len(self.boundary_flags) == n):
             raise ValueError("cloud arrays must have equal length")
         if n and not np.all(np.isfinite(self.errors)):
             raise ValueError("every cloud point must carry a finite error bound")
+
+    def __getstate__(self) -> dict:
+        # deferred labels hold a closure, which does not pickle
+        return {**self.__dict__, "labels": self.labels}
 
     def boundary_candidates(self) -> np.ndarray:
         return self.points[self.boundary_flags]
@@ -1142,9 +1194,49 @@ class RegionCloud:
 # expression ``np.abs(q - r)`` as a brute-force pass, so results match it
 # bitwise.
 
-_PAIR_BUDGET = 1 << 16  # (query, candidate) pairs measured at once, ~5 MB of temporaries
+_PAIR_BUDGET = 1 << 16  # pairs measured, or probes built, at once: ~5-10 MB of temporaries
 _CELL_SLACK = 1e-9  # covers rounding in cell indices (at most ~2**20 cells per axis)
 _MAX_CELLS_PER_AXIS = 1 << 20
+# the 3x3 block, own cell first: most covered probes settle on it
+_BLOCK = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal values."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct(values: np.ndarray, return_inverse: bool = False):
+    """Sorted distinct values of a finite 1-d array, as ``np.unique``: a sort and a run mask.
+
+    ``0.0`` and ``-0.0`` are one value, and which of them is kept may differ
+    from ``np.unique``; no distance measured here tells them apart.
+    """
+    if return_inverse:
+        order = np.argsort(values)
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    starts = _run_starts(ordered)
+    if not return_inverse:
+        return ordered[starts]
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
+def _reference_set(points: np.ndarray) -> np.ndarray:
+    """The distinct finite cloud points, rounded to 12 decimals.
+
+    Spacing and coverage measure against this set; rounding merges points
+    that differ only by evaluation noise.  Non-finite points (and finite ones
+    whose rounding overflows) are left out.
+    """
+    rounded = np.round(points, 12)
+    finite = np.isfinite(rounded)
+    return _distinct(rounded if finite.all() else rounded[finite])
 
 
 class _CellIndex:
@@ -1221,6 +1313,56 @@ class _CellIndex:
             i = j
         return out
 
+    @functools.cached_property
+    def _representatives(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """One point per non-empty cell, keyed on the grid padded by three cells.
+
+        The padding holds every cell a clipped query block reaches, so block
+        keys need no bounds check.  Returns the padded keys of the non-empty
+        cells (sorted), their first points with a NaN sentinel appended (slot
+        ``-1``, never within any radius), and a dense key-to-slot table when
+        it has at most ``8 * len(ref) + _PAIR_BUDGET`` entries (at most 64
+        bytes per point beyond 512 kB); sparse and collinear grids, up to
+        2**40 cells, look keys up by ``searchsorted`` instead.
+        """
+        first = _run_starts(self.keys)
+        ix, iy = np.divmod(self.keys[first], self.ny)
+        cell_keys = (ix + 3) * (self.ny + 6) + iy + 3
+        reps = np.append(self.ref[first], complex(math.nan, math.nan))
+        size = (self.nx + 6) * (self.ny + 6)
+        table = None
+        if size <= 8 * len(self.ref) + _PAIR_BUDGET:
+            table = np.full(size, -1, dtype=np.intp)
+            table[cell_keys] = np.arange(len(cell_keys))
+        return cell_keys, reps, table
+
+    def near_representative(self, queries: np.ndarray, radius: float) -> np.ndarray:
+        """Whether a cell representative in the query's 3x3 block is within ``radius``.
+
+        True proves that some reference point is within ``radius`` of the
+        query, by the comparison ``np.abs(q - r) <= radius`` a block minimum
+        would make; False leaves the query open.
+        """
+        cell_keys, reps, table = self._representatives
+        ix, iy = self._cells(queries)
+        width = self.ny + 6
+        base = (ix + 3) * width + iy + 3
+        near = np.zeros(len(queries), dtype=bool)
+        pending = np.arange(len(queries))
+        for dx, dy in _BLOCK:
+            keys = base[pending] + (dx * width + dy)
+            if table is not None:
+                slot = table[keys]
+            else:
+                at = np.minimum(np.searchsorted(cell_keys, keys), len(cell_keys) - 1)
+                slot = np.where(cell_keys[at] == keys, at, -1)
+            hit = np.abs(queries[pending] - reps[slot]) <= radius
+            near[pending[hit]] = True
+            pending = pending[~hit]
+            if not len(pending):
+                break
+        return near
+
 
 def _extent(ref: np.ndarray) -> tuple[float, float]:
     return float(np.ptp(ref.real)), float(np.ptp(ref.imag))
@@ -1284,38 +1426,80 @@ def _nearest_in_set(queries: np.ndarray, ref: np.ndarray) -> np.ndarray:
     pairs (about 5 MB).
     """
     queries = np.asarray(queries, dtype=complex)
-    ref = np.unique(np.asarray(ref, dtype=complex))
+    ref = np.asarray(ref, dtype=complex).ravel()
+    # np.unique orders and merges NaNs
+    ref = _distinct(ref) if np.all(np.isfinite(ref)) else np.unique(ref)
     return _grid_nearest(queries, ref)
 
 
 def _coverage_boundary_flags(
     points: np.ndarray, spacing: float, directions: int = 16, probe: float = 2.0,
-    cover: float = 1.3,
+    cover: float = 1.3, ref: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Flag points whose probe circle is not fully backed by the cloud.
 
-    One fixed-radius pass over all ``directions * len(points)`` probes: with
-    cells just larger than the cover radius, every point within that radius
-    of a probe lies in the probe's 3x3 block.
+    A finite point is flagged when one of its ``directions`` probes at
+    ``probe * spacing`` has no point of the reference set (``ref``, by
+    default ``_reference_set(points)``) within ``cover * spacing``;
+    non-finite points are never flagged.  Flags depend only on a point's
+    value, so each distinct point is probed once, in blocks of at most
+    ``_PAIR_BUDGET`` probes.  With cells just larger than the cover radius
+    every point within it of a probe lies in the probe's 3x3 block, and most
+    probes settle on one representative per cell (``_probe_holes``).
     """
-    n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    ref = np.unique(np.round(points, 12))
-    angles = np.exp(2j * np.pi * np.arange(directions) / directions)
-    probes = np.concatenate([points + probe * spacing * a for a in angles])
+    flags = np.zeros(len(points), dtype=bool)
+    finite = np.isfinite(points)
+    distinct, inverse = _distinct(points[finite], return_inverse=True)
+    if not len(distinct):
+        return flags
+    if ref is None:
+        ref = _reference_set(points)
+    steps = probe * spacing * np.exp(2j * np.pi * np.arange(directions) / directions)
     radius = cover * spacing
-    span = max(_extent(ref))
-    if span > 0.0 and math.isfinite(radius) and np.all(np.isfinite(probes)):
-        cell = max(radius / (1.0 - _CELL_SLACK), span / _MAX_CELLS_PER_AXIS)
-        dist = _CellIndex(ref, cell).block_min(probes)
-    else:
-        dist = _grid_nearest(probes, ref)
-    return (dist > radius).reshape(directions, n).any(axis=0)
+    span = max(_extent(ref)) if len(ref) else 0.0
+    index = None
+    if 0.0 < span < math.inf and math.isfinite(radius) and np.all(np.isfinite(steps)):
+        index = _CellIndex(ref, max(radius / (1.0 - _CELL_SLACK), span / _MAX_CELLS_PER_AXIS))
+    hole = np.empty(len(distinct), dtype=bool)
+    block = max(1, _PAIR_BUDGET // directions)
+    for i in range(0, len(distinct), block):
+        probes = distinct[i : i + block, None] + steps
+        if index is not None:
+            hole[i : i + block] = _probe_holes(index, probes, radius)
+        else:  # at most one reference point, or no finite probe steps: exact distances
+            dist = _grid_nearest(probes.ravel(), ref).reshape(probes.shape)
+            hole[i : i + block] = (dist > radius).any(axis=1)
+    flags[finite] = hole[inverse]
+    return flags
 
 
-def _median_spacing(points: np.ndarray) -> float:
-    ref = np.unique(np.round(points, 12))
+def _probe_holes(index: _CellIndex, probes: np.ndarray, radius: float) -> np.ndarray:
+    """Rows of ``probes`` with a probe that has no reference point within ``radius``.
+
+    Probes a cell representative does not settle are measured exactly, one
+    per row first: off a curve or an edge that one is usually a hole, which
+    settles the row without measuring its other probes.
+    """
+    open_ = ~index.near_representative(probes.ravel(), radius).reshape(probes.shape)
+    rows = np.flatnonzero(open_.any(axis=1))
+    cols = open_[rows].argmax(axis=1)
+    hole = np.zeros(len(probes), dtype=bool)
+    hole[rows] = index.block_min(probes[rows, cols]) > radius
+    open_[rows, cols] = False
+    open_[hole] = False
+    rows, cols = np.nonzero(open_)
+    hole[rows[index.block_min(probes[rows, cols]) > radius]] = True
+    return hole
+
+
+def _median_spacing(points: np.ndarray, ref: Optional[np.ndarray] = None) -> float:
+    """Median nearest-neighbour distance within the reference set.
+
+    ``ref`` defaults to ``_reference_set(points)``; 1.0 when it holds fewer
+    than two points.
+    """
+    if ref is None:
+        ref = _reference_set(points)
     if len(ref) < 2:
         return 1.0
     if len(ref) > 4096:  # spacing estimate only; the subsample keeps the value stable
@@ -1356,47 +1540,50 @@ def functional_image(
     (median nearest-neighbour spacing, and the 16-direction coverage probe
     of the direct route) is grid-indexed: about ``O(n log n)`` for ``n``
     evenly spread cloud points rather than quadratic, with bounded
-    temporaries.
+    temporaries.  Both measure against one set of distinct finite points,
+    built once per cloud; the probe runs once per distinct point and settles
+    most probes on cell representatives (see ``_coverage_boundary_flags``).
+    Labels are formatted when ``RegionCloud.labels`` is first read.
     """
     grid = grid or ParamGrid()
     if not via_border:
         values: list[np.ndarray] = []
         bounds: list[np.ndarray] = []
-        labels: list[str] = []
+        label_parts: list = []  # per generator: its MemberRows, or its member tags
+        sampled = 0
         for gi, gen in enumerate(V.generators):
-            sampled = len(labels)
             if (isinstance(gen, Pencil) and not V.dilation_slot
                     and exact_product(lam.kernel, max(gen.exponents))):
                 rows = gen.member_rows(grid, gi, sampled_before=sampled)
                 vals, errs = convolve_rows_at_one(rows.coeffs, lam.kernel)
-                values.append(vals)
-                bounds.append(errs)
-                labels.extend(rows.labels)
-                continue
-            members = sample_generator(V, gi, grid, sampled_before=sampled)
-            vals = np.empty(len(members), dtype=complex)
-            errs = np.empty(len(members))
-            for i, (f, tag) in enumerate(members):
-                v = apply(lam, f)
-                if not math.isfinite(v.error_bound):
-                    raise ValueError(
-                        f"functional bound unusable on member {tag.label()} "
-                        "(combined tail radius does not exceed one)"
-                    )
-                vals[i], errs[i] = v
-                labels.append(tag.label())
+                label_parts.append(rows)
+            else:
+                members = sample_generator(V, gi, grid, sampled_before=sampled)
+                vals = np.empty(len(members), dtype=complex)
+                errs = np.empty(len(members))
+                for i, (f, tag) in enumerate(members):
+                    v = apply(lam, f)
+                    if not math.isfinite(v.error_bound):
+                        raise ValueError(
+                            f"functional bound unusable on member {tag.label()} "
+                            "(combined tail radius does not exceed one)"
+                        )
+                    vals[i], errs[i] = v
+                label_parts.append([tag for _, tag in members])
             values.append(vals)
             bounds.append(errs)
+            sampled += len(vals)
         points = np.concatenate(values)
-        spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points)
+        ref = _reference_set(points) if mesh_spacing is None or boundary else None
+        spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points, ref)
         if boundary:
-            flags = _coverage_boundary_flags(points, spacing)
+            flags = _coverage_boundary_flags(points, spacing, ref=ref)
         else:
             flags = np.zeros(len(points), dtype=bool)
         return RegionCloud(
             points=points,
             errors=np.concatenate(bounds),
-            labels=tuple(labels),
+            labels=_DeferredLabels(len(points), lambda: _member_labels(label_parts)),
             eval_points=np.full(len(points), 1.0 + 0.0j),
             boundary_flags=flags,
             mesh_spacing=spacing,
@@ -1411,7 +1598,6 @@ def functional_image(
     mesh_flags = np.abs(mesh) >= 1.0 - 1e-15
     values = []
     bounds = []
-    labels = []
     members = sample(border, grid)
     for f, tag in members:
         hconv = convolve(f, lam.kernel)
@@ -1423,13 +1609,14 @@ def functional_image(
             )
         values.append(vals)
         bounds.append(errs)
-        labels.extend([tag.label()] * len(mesh))
     points = np.concatenate(values)
     spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points)
+    tags = [tag for _, tag in members]
     return RegionCloud(
         points=points,
         errors=np.concatenate(bounds),
-        labels=tuple(labels),
+        labels=_DeferredLabels(len(points), lambda: itertools.chain.from_iterable(
+            itertools.repeat(tag.label(), len(mesh)) for tag in tags)),
         eval_points=np.tile(mesh, len(members)),
         boundary_flags=np.tile(mesh_flags, len(members)),
         mesh_spacing=spacing,

@@ -104,11 +104,17 @@ def brute_nearest_distance(queries, ref) -> np.ndarray:
     return np.array([np.min(np.abs(q - ref)) for q in queries], dtype=float)
 
 
+def _finite_rounded(points) -> np.ndarray:
+    """The distinct points rounded to 12 decimals, non-finite values left out."""
+    rounded = np.round(np.asarray(points, dtype=complex), 12)
+    return np.unique(rounded[np.isfinite(rounded)])
+
+
 def brute_median_spacing(points) -> float:
-    """Median nearest-neighbour distance of the distinct points (rounded to
-    12 decimals), over every ``len // 4096 + 1``-th one when there are more
-    than 4096; 1.0 for fewer than two distinct points."""
-    ref = np.unique(np.round(np.asarray(points, dtype=complex), 12))
+    """Median nearest-neighbour distance of the distinct finite points
+    (rounded to 12 decimals), over every ``len // 4096 + 1``-th one when
+    there are more than 4096; 1.0 for fewer than two distinct points."""
+    ref = _finite_rounded(points)
     if len(ref) < 2:
         return 1.0
     if len(ref) > 4096:
@@ -119,14 +125,17 @@ def brute_median_spacing(points) -> float:
 
 def brute_coverage_flags(points, spacing: float, directions: int = 16,
                          probe: float = 2.0, cover: float = 1.3) -> np.ndarray:
-    """A point is flagged when some probe at ``probe * spacing`` in one of
-    ``directions`` equally spaced directions has no distinct (rounded) cloud
-    point within ``cover * spacing``."""
+    """A finite point is flagged when some probe at ``probe * spacing`` in one
+    of ``directions`` equally spaced directions has no distinct finite
+    (rounded) cloud point within ``cover * spacing``; non-finite points are
+    never flagged."""
     points = np.asarray(points, dtype=complex)
-    ref = np.unique(np.round(points, 12))
+    ref = _finite_rounded(points)
+    finite = np.isfinite(points)
     flags = np.zeros(len(points), dtype=bool)
     for a in np.exp(2j * np.pi * np.arange(directions) / directions):
-        flags |= brute_nearest_distance(points + probe * spacing * a, ref) > cover * spacing
+        dist = brute_nearest_distance(points[finite] + probe * spacing * a, ref)
+        flags[finite] |= dist > cover * spacing
     return flags
 
 

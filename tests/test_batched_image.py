@@ -1,14 +1,15 @@
 """Batched pencil evaluation of the direct image route against the per-member loop: bitwise equality."""
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from convdual import duality
-from convdual.duality import Functional, functional_image
+from convdual import cli, duality, family
+from convdual.duality import Functional, RegionCloud, functional_image
 from convdual.family import (
     Circle,
     Disk,
@@ -18,6 +19,7 @@ from convdual.family import (
     Pencil,
     Rational,
     Segment,
+    border_elements,
     counterexample_family,
     sample,
 )
@@ -27,6 +29,8 @@ from convdual.series import (
     exact_product,
     from_rational,
 )
+
+from convdual.specfile import dump_family, load_family, parse_series
 
 from oracles import per_member_image
 
@@ -218,3 +222,76 @@ def test_grid_over_max_members_still_raises(V, grid):
         functional_image(Functional(TruncSeries.polynomial([0.0, 1.0])), V, grid)
     assert str(got.value) == str(expected.value)
     assert "more than 12 members" in str(got.value)
+
+
+def test_non_finite_points_are_never_boundary_candidates():
+    # the overflowing pencil above plus a finite disk pencil, with spacing and flags on
+    big = Segment(1e308 + 0.0j, 1e308 + 0.0j)
+    V = FamilySpec((Pencil((1, 2), (big, big)), Pencil((1,), (Disk(1.0),))))
+    lam = Functional(TruncSeries.polynomial([1.0, 1.0, 1.0]))
+    grid = ParamGrid(4, 24, segment=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = per_member_image(lam, V, grid)
+        cloud = functional_image(lam, V, grid)
+    finite = np.isfinite(cloud.points)
+    assert 0 < finite.sum() < len(finite)
+    assert not cloud.boundary_flags[~finite].any() and cloud.boundary_flags[finite].any()
+    assert cloud.mesh_spacing == functional_image(
+        lam, FamilySpec(V.generators[1:]), grid, boundary=False).mesh_spacing
+    for field, want in expected.items():
+        _assert_bitwise(getattr(cloud, field), want, field)
+
+
+# -- labels are formatted on first read ----------------------------------------------
+
+
+LABEL_FAMILY = FamilySpec(
+    counterexample_family().generators + (Rational(Circle(0.5), Circle(0.3), 4),)
+)
+LABEL_LAM = Functional(TruncSeries.polynomial([0.0, 1.0, 0.5]))
+
+
+def test_cloud_labels_are_formatted_only_when_read():
+    grid = ParamGrid(3, 8, circle=5)
+    with mock.patch.object(family, "_cfmt", autospec=True, side_effect=family._cfmt) as fmt:
+        direct = functional_image(LABEL_LAM, LABEL_FAMILY, grid)
+        border = functional_image(LABEL_LAM, LABEL_FAMILY, grid, via_border=True,
+                                  mesh_depth=3, mesh_angles=8)
+        assert fmt.call_count == 0
+        labels = direct.labels
+        assert fmt.call_count > 0
+    assert isinstance(labels, tuple) and direct.labels is labels
+    fresh = functional_image(LABEL_LAM, LABEL_FAMILY, grid)
+    copied = pickle.loads(pickle.dumps(fresh))  # formats the labels it carries
+    assert copied.labels == labels and copied.points.tobytes() == fresh.points.tobytes()
+    assert labels == per_member_image(LABEL_LAM, LABEL_FAMILY, grid)["labels"]
+    members = sample(border_elements(LABEL_FAMILY), grid)
+    per_member = len(border.points) // len(members)
+    assert border.labels == tuple(tag.label() for _, tag in members for _ in range(per_member))
+
+
+def test_csv_of_api_cli_and_eager_clouds_are_byte_identical(tmp_path, capsys):
+    spec = tmp_path / "family.json"
+    dump_family(LABEL_FAMILY, spec)
+    kernel = "z+0.5z^2"
+    assert cli.main(["image", "--family", str(spec), "--kernel", kernel, "--grid", "3x5",
+                     "--format", "csv", "--out", str(tmp_path / "cli.csv")]) == 0
+    capsys.readouterr()
+    lam = Functional(parse_series(kernel, order=64))
+    grid = ParamGrid(disk_radial=3, disk_angular=5, circle=5, segment=3)
+    functional_image(lam, load_family(spec), grid).to_csv(tmp_path / "api.csv")
+    RegionCloud(**per_member_image(lam, LABEL_FAMILY, grid)).to_csv(tmp_path / "eager.csv")
+    eager = (tmp_path / "eager.csv").read_bytes()
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "api.csv").read_bytes() == eager
+    assert eager.count(b"\n") == 1 + 2 * (1 + 3 * 5) + 5 * 5
+
+
+def test_region_cloud_still_checks_label_count():
+    one = dict(points=np.asarray([0j]), errors=np.asarray([0.0]), eval_points=np.asarray([1 + 0j]),
+               boundary_flags=np.asarray([False]), mesh_spacing=0.1, route="direct")
+    assert RegionCloud(labels=("m",), **one).labels == ("m",)
+    for labels in [(), ("m", "n")]:
+        with pytest.raises(ValueError, match="equal length"):
+            RegionCloud(labels=labels, **one)
+    with pytest.raises(TypeError):
+        RegionCloud(**one)

@@ -1,5 +1,7 @@
 """Cell-grid nearest-point geometry against all-pairs oracles: exact equality."""
 
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,3 +133,155 @@ def test_border_route_spacing_matches_brute_force_on_subsample():
                              mesh_angles=67)
     assert len(np.unique(np.round(cloud.points, 12))) > 4096
     assert cloud.mesh_spacing == brute_median_spacing(cloud.points)
+
+
+# -- distinct-point probing, cell representatives, non-finite points ---------------
+
+special = st.sampled_from([
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.0 + 0j,
+    complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(0.5, math.nan),
+    complex(math.nan, math.nan), complex(math.inf, math.inf),
+])
+
+
+@st.composite
+def duplicate_heavy(draw):
+    """Half of the points at one value, the rest spread or repeated."""
+    rest = draw(st.lists(cpoint, min_size=1, max_size=40))
+    rest = rest + draw(st.lists(st.sampled_from(rest), max_size=40))
+    hub = draw(cpoint | st.sampled_from([0j, complex(-0.0, -0.0)]))
+    return np.asarray(rest + [hub] * len(rest), dtype=complex)
+
+
+@st.composite
+def polar_grids(draw):
+    """Sampled disk domains: full rings, dense near the centre and sparse at the rim."""
+    nr, na = draw(st.sampled_from([(11, 66), (12, 78), (6, 36)]))
+    pts = np.asarray(Disk(draw(st.floats(0.3, 1.0))).points(ParamGrid(nr, na)), dtype=complex)
+    power = draw(st.sampled_from([1, 2]))  # z**2 folds the grid onto itself
+    return draw(cpoint) + draw(scale) * pts**power
+
+
+@st.composite
+def wide_collinear(draw):
+    """A run of unit-spaced points and a far tail on one line: ~10**6 spacings."""
+    n = draw(st.integers(2, 40))
+    far = draw(st.sampled_from([1e3, 1e6, 1e9]))
+    ts = np.concatenate([np.arange(n), far - np.arange(draw(st.integers(1, 5)))])
+    return draw(cpoint) + draw(st.sampled_from([1.0, 1j, 0.6 + 0.8j, -0.8 + 0.6j])) * ts
+
+
+@st.composite
+def with_specials(draw):
+    base = draw(st.one_of(_cloud(cpoint, 30), clustered(), polar_grids()))
+    extra = draw(st.lists(special, max_size=6))
+    pts = np.concatenate([base, np.asarray(extra, dtype=complex)])
+    return pts[draw(st.permutations(range(len(pts))))]
+
+
+geometry_clouds = st.one_of(
+    duplicate_heavy(), polar_grids(), wide_collinear(), with_specials(),
+    st.lists(special, min_size=1, max_size=4).map(lambda zs: np.asarray(zs, dtype=complex)),
+    _cloud(cpoint, 1),
+)
+
+
+@SET
+@given(geometry_clouds, st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([64, 1 << 16]))
+def test_probe_flags_and_spacing_match_brute_force(points, factor, budget):
+    with mock.patch.object(duality, "_PAIR_BUDGET", budget):  # small: blocks and sparse tables
+        med = _median_spacing(points)
+        spacing = factor * med
+        flags = _coverage_boundary_flags(points, spacing)
+    assert np.float64(med).tobytes() == np.float64(brute_median_spacing(points)).tobytes()
+    np.testing.assert_array_equal(flags, brute_coverage_flags(points, spacing))
+    assert not flags[~np.isfinite(points)].any()
+
+
+def test_probes_are_measured_once_per_distinct_point():
+    points = functional_image(A2, counterexample_family(), ParamGrid(12, 78), boundary=False).points
+    distinct = len(np.unique(points))
+    assert distinct < len(points) // 2 + 1  # the z**2 functional sends every z-pencil member to 0
+    spacing = _median_spacing(points)
+    with mock.patch.object(duality._CellIndex, "near_representative", autospec=True,
+                           side_effect=duality._CellIndex.near_representative) as reps, \
+            mock.patch.object(duality._CellIndex, "block_min", autospec=True,
+                              side_effect=duality._CellIndex.block_min) as exact:
+        flags = _coverage_boundary_flags(points, spacing)
+    probed = sum(len(call.args[1]) for call in reps.call_args_list)
+    measured = sum(len(call.args[1]) for call in exact.call_args_list)
+    assert probed == 16 * distinct
+    assert measured < probed // 10  # most probes settle on a cell representative
+    np.testing.assert_array_equal(flags, brute_coverage_flags(points, spacing))
+
+
+@pytest.mark.parametrize("gap, hole", [(0.98, False), (1.0 - 1e-9, False), (1.0, None),
+                                       (1.0 + 1e-9, True), (1.02, True)])
+def test_probe_at_the_cover_radius_matches_brute_force(gap, hole):
+    # every probe of the centre but the first is covered by its own outer
+    # point; the first has its nearest point at gap times the cover radius
+    spacing = 0.25
+    dirs = np.exp(2j * np.pi * np.arange(16) / 16)
+    points = np.concatenate([[0j], 3.2 * spacing * dirs[1:], [(2.0 + gap * 1.3) * spacing]])
+    flags = _coverage_boundary_flags(points, spacing)
+    np.testing.assert_array_equal(flags, brute_coverage_flags(points, spacing))
+    if hole is not None:
+        assert flags[0] == hole
+
+
+def _grid_cloud(n):
+    g = np.linspace(0.0, 1.0, n)
+    return (g[:, None] + 1j * g[None, :]).ravel()
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_non_finite_point_leaves_spacing_and_flags_of_the_rest(bad):
+    grid = _grid_cloud(20)
+    points = np.append(grid, bad)
+    spacing = _median_spacing(points)
+    assert spacing == _median_spacing(grid) == brute_median_spacing(points)
+    flags = _coverage_boundary_flags(points, spacing)
+    assert flags.sum() == 76 and not flags[-1]
+    np.testing.assert_array_equal(flags[:-1], _coverage_boundary_flags(grid, spacing))
+    np.testing.assert_array_equal(flags, brute_coverage_flags(points, spacing))
+
+
+def test_infinite_point_sends_no_probe_to_the_all_pairs_pass():
+    points = np.append(_grid_cloud(45), complex(math.inf, 0.0))
+    with mock.patch.object(duality, "_brute_nearest", autospec=True,
+                           side_effect=duality._brute_nearest) as brute:
+        flags = _coverage_boundary_flags(points, _median_spacing(points))
+    assert sum(len(call.args[0]) for call in brute.call_args_list) == 0
+    assert flags.sum() == 176 and not flags[-1]
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_memory_is_bounded_on_a_large_cloud():
+    # 2 * 10**5 jittered grid points: 3.2 * 10**6 probes, 51 MB as one array
+    rng = np.random.default_rng(5)
+    n = 448
+    points = _grid_cloud(n) + (rng.random(n * n) + 1j * rng.random(n * n)) * 0.2 / n
+    spacing = _median_spacing(points)
+    peak = _peak_bytes(lambda: _coverage_boundary_flags(points, spacing))
+    assert peak < 40e6
+
+
+def test_collinear_cloud_uses_no_dense_cell_table():
+    # unit-spaced points 10**6 spacings apart on a diagonal: ~10**11 cells
+    ts = np.concatenate([np.arange(2000.0), 1e6 - np.arange(2000.0)])
+    points = (0.6 + 0.8j) * ts
+    spacing = _median_spacing(points)
+    assert spacing == brute_median_spacing(points) == pytest.approx(1.0)
+    flags = []
+    peak = _peak_bytes(lambda: flags.append(_coverage_boundary_flags(points, spacing)))
+    assert peak < 16e6  # block temporaries only
+    np.testing.assert_array_equal(flags[0], brute_coverage_flags(points, spacing))
