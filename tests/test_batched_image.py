@@ -1,7 +1,9 @@
 """Batched pencil evaluation of the direct image route against the per-member loop: bitwise equality."""
 
+import gc
 import math
 import pickle
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -268,6 +270,23 @@ def test_cloud_labels_are_formatted_only_when_read():
     members = sample(border_elements(LABEL_FAMILY), grid)
     per_member = len(border.points) // len(members)
     assert border.labels == tuple(tag.label() for _, tag in members for _ in range(per_member))
+
+
+def test_unread_labels_keep_no_member_arrays_alive():
+    original = Pencil.member_rows
+    rows_made = []
+
+    def member_rows(gen, *args, **kwargs):
+        rows = original(gen, *args, **kwargs)
+        rows_made.append((weakref.ref(rows.coeffs), weakref.ref(rows.params)))
+        return rows
+
+    grid = ParamGrid(3, 8, circle=5)
+    with mock.patch.object(Pencil, "member_rows", member_rows):
+        cloud = functional_image(LABEL_LAM, LABEL_FAMILY, grid)
+    gc.collect()
+    assert rows_made and all(c() is None and p() is None for c, p in rows_made)
+    assert cloud.labels == per_member_image(LABEL_LAM, LABEL_FAMILY, grid)["labels"]
 
 
 def test_csv_of_api_cli_and_eager_clouds_are_byte_identical(tmp_path, capsys):

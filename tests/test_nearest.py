@@ -187,9 +187,12 @@ geometry_clouds = st.one_of(
 
 
 @SET
-@given(geometry_clouds, st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([64, 1 << 16]))
-def test_probe_flags_and_spacing_match_brute_force(points, factor, budget):
-    with mock.patch.object(duality, "_PAIR_BUDGET", budget):  # small: blocks and sparse tables
+@given(geometry_clouds, st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([64, 1 << 16]),
+       st.sampled_from([0, duality._DENSE_TABLE_FLOOR]))
+def test_probe_flags_and_spacing_match_brute_force(points, factor, budget, floor):
+    # a small budget gives one-to-four-point blocks, a zero floor mostly sparse tables
+    with mock.patch.object(duality, "_PAIR_BUDGET", budget), \
+            mock.patch.object(duality, "_DENSE_TABLE_FLOOR", floor):
         med = _median_spacing(points)
         spacing = factor * med
         flags = _coverage_boundary_flags(points, spacing)
@@ -212,6 +215,30 @@ def test_probes_are_measured_once_per_distinct_point():
     measured = sum(len(call.args[1]) for call in exact.call_args_list)
     assert probed == 16 * distinct
     assert measured < probed // 10  # most probes settle on a cell representative
+    np.testing.assert_array_equal(flags, brute_coverage_flags(points, spacing))
+
+
+def test_open_points_are_settled_by_their_first_measured_probe():
+    # a circle of points: every point has open probes on both sides of the
+    # curve, and the first one measured exactly is usually a hole
+    points = np.exp(2j * np.pi * np.arange(700) / 700)
+    spacing = _median_spacing(points)
+    near_representative = duality._CellIndex.near_representative
+    open_probes = []
+
+    def counting(index, queries, radius):
+        near = near_representative(index, queries, radius)
+        open_probes.append(int((~near).sum()))
+        return near
+
+    with mock.patch.object(duality._CellIndex, "near_representative", counting), \
+            mock.patch.object(duality._CellIndex, "block_min", autospec=True,
+                              side_effect=duality._CellIndex.block_min) as exact:
+        flags = _coverage_boundary_flags(points, spacing)
+    measured = sum(len(call.args[1]) for call in exact.call_args_list)
+    assert flags.all()
+    # one exact probe for most points, against more than 5 open probes per point
+    assert measured < 1.5 * len(points) < sum(open_probes) / 5
     np.testing.assert_array_equal(flags, brute_coverage_flags(points, spacing))
 
 
