@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .series import TruncSeries, eval_samples, modulus_derivative_bound
+from .series import TruncSeries, eval_samples, horner_rows, modulus_derivative_bound
 
 __all__ = [
     "CertStatus",
@@ -429,14 +429,6 @@ _ROW_BUDGET = 1 << 14  # values evaluated at once, ~256 KB of complex temporarie
 _FIRST_BLOCK = 4  # rows of the first block; blocks double up to the budget
 
 
-def _horner_rows(rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Every row polynomial at every point, in ``np.polyval``'s operation order."""
-    vals = np.zeros((len(rows), len(zs)), dtype=complex)
-    for column in rows.T[::-1]:  # highest degree first
-        vals = vals * zs + column[:, None]
-    return vals
-
-
 def _first_pass(
     rows: np.ndarray, orders: np.ndarray, r: float, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,7 +440,7 @@ def _first_pass(
     :func:`~convdual.series.modulus_derivative_bound` on the circle.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = _horner_rows(rows, _circle_points(r, _FIRST_MESH))
+        vals = horner_rows(rows, _circle_points(r, _FIRST_MESH))
         mods = np.abs(vals)
         ring = vals[:, ::2]  # bitwise the 256-point ring of the scan and winding pass
         steps = np.angle(np.roll(ring, -1, axis=1) / ring)
@@ -499,7 +491,7 @@ def _refine_rows(
         for s in range(0, len(active), step):
             idx = active[s : s + step]
             with np.errstate(over="ignore", invalid="ignore"):
-                new = np.abs(_horner_rows(rows[idx], zs))
+                new = np.abs(horner_rows(rows[idx], zs))
             finite = np.all(np.isfinite(new), axis=1)
             mesh[idx] = np.where(finite, np.minimum(mesh[idx], new.min(axis=1)), math.nan)
         active = active[np.isfinite(mesh[active])]

@@ -79,7 +79,7 @@ from .series import (
     EvalResult,
     TruncSeries,
     convolve,
-    convolve_rows_at_one,
+    convolve_rows_at,
     dilate,
     evaluate,
     evaluate_many,
@@ -143,6 +143,12 @@ def apply(lam: Functional, f: TruncSeries) -> EvalResult:
 
 def _pairing_value(kernel: TruncSeries, f: TruncSeries) -> EvalResult:
     return evaluate(convolve(f, kernel), 1.0)
+
+
+# the point z = 1 of row passes: Horner multiplies by it, as np.polyval
+# does, which keeps polyval's inf/nan results
+_AT_ONE = np.ones(1, dtype=complex)
+_AT_ONE.flags.writeable = False
 
 
 class _Verdict:
@@ -408,7 +414,7 @@ def _pairing_certificate(
     fixed members, all dilated in a slot family) are sampled as one
     :func:`_sampled_table`; every member whose product with the kernel is
     an exact polynomial with finite coefficients is paired in one
-    :func:`~convdual.series.convolve_rows_at_one` pass, bitwise the
+    :func:`~convdual.series.convolve_rows_at` pass at ``z = 1``, bitwise the
     per-member value, and only the others build their series.  Members are
     then judged in sample order, so the first Falsified member, the gray
     reasons and ``members_checked`` are those of the per-member loop.
@@ -477,7 +483,8 @@ def _pairing_certificate(
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = np.all(np.isfinite(table.coeffs * kernel.coeffs[:width]), axis=1)
             batched = exact & finite
-            values, _ = convolve_rows_at_one(np.where(batched[:, None], table.coeffs, 0.0), kernel)
+            values = convolve_rows_at(
+                np.where(batched[:, None], table.coeffs, 0.0), kernel, _AT_ONE)[:, 0]
         for i in next(ranges):
             members_checked += 1
             if batched[i]:
@@ -1133,20 +1140,22 @@ class RegionCloud:
     flagged), for the border route they are the images of the outermost
     evaluation radius.
 
-    Direct-route points of pencil generators are evaluated in one batched
-    pass per generator; rational, fixed and dilated members, and pencils a
-    non-exact kernel truncates, are evaluated member by member.
-    ``mesh_spacing`` (unless given) and the probe measure against the
-    distinct finite points, deduplicated once per cloud by a sort, and run
-    on a uniform cell grid: about ``O(n log n)`` time for ``n`` points spread
-    without dense clusters.  The probe builds its probes in blocks of about
-    5 MB whatever ``n`` is; the dedupe and the reference set take ``O(n)``
-    memory, about 90 bytes per point.  The probe measures each distinct
-    point once and settles most probes on one representative point per
-    cell; the cell table is dense when it has at most ``8 * len(ref) +
-    2**16`` entries and a sorted key list otherwise.  ``labels`` built by
-    ``functional_image`` are formatted on first access.  ``nearest_distance``
-    measures every point on each call.
+    On both routes the members of a pencil generator are evaluated in one
+    batched pass, at ``z = 1`` or on the whole border mesh; rational, fixed
+    and dilated members, and pencils a non-exact kernel truncates, are
+    evaluated member by member.  ``mesh_spacing`` (unless given) and the
+    probe measure against the distinct finite points, deduplicated once per
+    cloud by a sort, and run on a uniform cell grid: about ``O(n log n)``
+    time for ``n`` points spread without dense clusters.  The spacing
+    settles only the nearer half of the nearest distances, on a ladder of
+    cells that starts at about two points per occupied cell.  The probe
+    builds its probes in blocks of about 5 MB whatever ``n`` is; the dedupe
+    and the reference set take ``O(n)`` memory, about 90 bytes per point.
+    The probe measures each distinct point once and settles most probes on
+    one representative point per cell; the cell table is dense when it has
+    at most ``8 * len(ref) + 2**16`` entries and a sorted key list
+    otherwise.  ``labels`` built by ``functional_image`` are formatted on
+    first access.  ``nearest_distance`` measures every point on each call.
     """
 
     points: np.ndarray
@@ -1237,11 +1246,18 @@ def _reference_set(points: np.ndarray) -> np.ndarray:
     """The distinct finite cloud points, rounded to 12 decimals.
 
     Spacing and coverage measure against this set; rounding merges points
-    that differ only by evaluation noise.  Non-finite points (and finite ones
-    whose rounding overflows) are left out.
+    that differ only by evaluation noise.  Non-finite points are left out.
+    A coordinate above about 1.8e296 overflows when scaled by ``10**12``; it
+    has no fractional digits, so it is kept as it is.
     """
-    rounded = np.round(points, 12)
+    with np.errstate(over="ignore"):
+        rounded = np.round(points, 12)
     finite = np.isfinite(rounded)
+    if not finite.all():
+        for part, raw in ((rounded.real, points.real), (rounded.imag, points.imag)):
+            overflowed = np.isinf(part) & np.isfinite(raw)
+            part[overflowed] = raw[overflowed]
+        finite = np.isfinite(rounded)
     return _distinct(rounded if finite.all() else rounded[finite])
 
 
@@ -1389,32 +1405,55 @@ def _brute_nearest(
 
 
 def _grid_nearest(
-    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None
+    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None,
+    enough: Optional[int] = None,
 ) -> np.ndarray:
     """Exact nearest distance through cell indexes of growing side.
 
-    Starts with about one reference point per cell.  A query is settled once
-    its block minimum is below the cell side; the rest retry with cells four
-    times larger, and whatever is left once the side exceeds the extent of
-    ``ref`` (queries far outside the cloud) takes the all-pairs pass.
+    The first index has about one reference point per cell of the bounding
+    box.  When its occupied cells hold ``m > 2`` points on average (rings
+    and curves, as in border clouds), the ladder starts from that side
+    shrunk by ``sqrt(2 / m)``, about two points per occupied cell.  A query
+    is settled once its block minimum is at most the cell side times
+    ``1 - _CELL_SLACK``; the rest retry with cells twice as large, and
+    whatever is left once the side exceeds the extent of ``ref`` (queries
+    far outside the cloud) takes the all-pairs pass.
+
+    With ``enough``, the ladder stops as soon as that many queries are
+    settled and leaves the others at ``inf``.  Every point outside a
+    query's block is at least a cell side away, so an unsettled query's
+    nearest distance is at least every settled one's: the ``enough``
+    smallest distances are exact.
     """
     out = np.full(len(queries), np.inf)
     if len(queries) == 0 or len(ref) == 0:
         return out
     pending = np.arange(len(queries))
+    needed = len(queries) if enough is None else enough
     xs, ys = _extent(ref)
     span = max(xs, ys)
-    if span > 0.0 and np.all(np.isfinite(ref)):
-        # about one point per cell; the span / n floor keeps collinear
-        # clouds from piling sqrt(n) points into each cell
-        cell = max(math.sqrt(xs * ys / len(ref)), span / min(len(ref), _MAX_CELLS_PER_AXIS))
-        while len(pending) and cell <= span:
-            index = _CellIndex(ref, cell)
+    if 0.0 < span < math.inf and np.all(np.isfinite(ref)):
+        # about one point per cell; the floor keeps collinear clouds from
+        # piling sqrt(n) points into each cell, and the key range bounded
+        floor = span / min(len(ref), _MAX_CELLS_PER_AXIS)
+        cell = max(math.sqrt(xs) * math.sqrt(ys / len(ref)), floor)
+        index = _CellIndex(ref, cell)
+        occupancy = len(ref) / np.count_nonzero(_run_starts(index.keys))
+        if occupancy > 2.0:
+            cell = max(cell * math.sqrt(2.0 / occupancy), span / _MAX_CELLS_PER_AXIS)
+            index = None
+        while cell <= span:
+            if index is None:
+                index = _CellIndex(ref, cell)
             d = index.block_min(queries[pending], None if skip is None else skip[pending])
             settled = d <= cell * (1.0 - _CELL_SLACK)
             out[pending[settled]] = d[settled]
             pending = pending[~settled]
-            cell *= 4.0
+            needed -= int(np.count_nonzero(settled))
+            if needed <= 0 or not len(pending):
+                return out
+            cell *= 2.0
+            index = None
     if len(pending):
         out[pending] = _brute_nearest(queries[pending], ref, None if skip is None else skip[pending])
     return out
@@ -1503,7 +1542,9 @@ def _median_spacing(points: np.ndarray, ref: Optional[np.ndarray] = None) -> flo
     """Median nearest-neighbour distance within the reference set.
 
     ``ref`` defaults to ``_reference_set(points)``; 1.0 when it holds fewer
-    than two points.
+    than two points.  ``np.median`` of ``n`` distances reads only the
+    ``n // 2 + 1`` smallest, so the ladder of :func:`_grid_nearest` stops
+    once that many are settled; the value is bitwise that of all ``n``.
     """
     if ref is None:
         ref = _reference_set(points)
@@ -1511,8 +1552,62 @@ def _median_spacing(points: np.ndarray, ref: Optional[np.ndarray] = None) -> flo
         return 1.0
     if len(ref) > 4096:  # spacing estimate only; the subsample keeps the value stable
         ref = ref[:: len(ref) // 4096 + 1]
-    nn = _grid_nearest(ref, ref, skip=np.arange(len(ref)))
+    nn = _grid_nearest(ref, ref, skip=np.arange(len(ref)), enough=len(ref) // 2 + 1)
     return float(np.median(nn))
+
+
+def _image_rows(
+    lam: Functional, V: FamilySpec, grid: ParamGrid, zs: np.ndarray, route: str
+) -> tuple[np.ndarray, np.ndarray, _DeferredLabels]:
+    """Every sampled member's ``convolve(f, lam.kernel)`` evaluated at ``zs``.
+
+    Returns the values and error bounds, one row per member in sample
+    order and one column per point, and the labels of their flattened
+    values (each member's label once per point), formatted on first read.
+    A pencil generator whose products with the kernel are exact (outside a
+    dilation slot) is evaluated by :func:`~convdual.series.convolve_rows_at`
+    in row blocks of about ``_PAIR_BUDGET`` values, bitwise the per-member
+    values with bound zero; its labels keep no member arrays.  Every other
+    member builds its series, and the first whose bound is not finite at
+    some point raises ValueError.  Generators are listed and evaluated in
+    order, and ``grid.max_members`` counts the members of all of them, as
+    :func:`sample` does.
+    """
+    values: list[np.ndarray] = []
+    bounds: list[np.ndarray] = []
+    label_parts: list = []  # per generator: its MemberRows, or its member tags
+    sampled = 0
+    for gi, gen in enumerate(V.generators):
+        if (isinstance(gen, Pencil) and not V.dilation_slot
+                and exact_product(lam.kernel, max(gen.exponents))):
+            rows = gen.member_rows(grid, gi, sampled_before=sampled)
+            vals = np.empty((len(rows.coeffs), len(zs)), dtype=complex)
+            step = max(1, _PAIR_BUDGET // len(zs))
+            for i in range(0, len(vals), step):
+                vals[i : i + step] = convolve_rows_at(rows.coeffs[i : i + step], lam.kernel, zs)
+            errs = np.zeros(vals.shape)
+            # labels read only gen_index and param_lists: keep the arrays out
+            label_parts.append(replace(rows, params=np.empty((0, 0)),
+                                       coeffs=np.empty((0, 0), dtype=complex)))
+        else:
+            members = sample_generator(V, gi, grid, sampled_before=sampled)
+            vals = np.empty((len(members), len(zs)), dtype=complex)
+            errs = np.empty(vals.shape)
+            for i, (f, tag) in enumerate(members):
+                vals[i], errs[i] = evaluate_many(convolve(f, lam.kernel), zs)
+                if not np.all(np.isfinite(errs[i])):
+                    raise ValueError(
+                        f"{route} bound unusable on member {tag.label()} "
+                        "(convolution tail radius does not exceed one)"
+                    )
+            label_parts.append([tag for _, tag in members])
+        values.append(vals)
+        bounds.append(errs)
+        sampled += len(vals)
+    per_member = len(zs)
+    labels = _DeferredLabels(sampled * per_member, lambda: itertools.chain.from_iterable(
+        itertools.repeat(label, per_member) for label in _member_labels(label_parts)))
+    return np.concatenate(values), np.concatenate(bounds), labels
 
 
 def functional_image(
@@ -1536,53 +1631,28 @@ def functional_image(
     candidates, which carries the region boundary whenever the border
     representation does.
 
-    Cost: on the direct route the members of a pencil generator are
-    evaluated together, one array product and one Horner pass over all of
-    them, bitwise equal to evaluating each member on its own.  Members still
-    go one by one (a series built and convolved per member) for rational
-    and fixed generators, for dilation-slot families, and for pencils whose
-    products with a non-exact kernel are not exact (the kernel is truncated
-    below the pencil's top exponent).  The border route makes one
-    vectorised mesh evaluation per border element.  The geometry on top
-    (median nearest-neighbour spacing, and the 16-direction coverage probe
-    of the direct route) is grid-indexed: about ``O(n log n)`` for ``n``
-    evenly spread cloud points rather than quadratic, with bounded
-    temporaries.  Both measure against one set of distinct finite points,
-    built once per cloud; the probe runs once per distinct point and settles
-    most probes on cell representatives (see ``_coverage_boundary_flags``).
-    Labels are formatted when ``RegionCloud.labels`` is first read.
+    Cost: on both routes the members of a pencil generator are evaluated
+    together (:func:`_image_rows`), one array product and one Horner pass
+    over all of them at ``z = 1`` or on the whole mesh, bitwise equal to
+    evaluating each member on its own.  Members still go one by one (a
+    series built and convolved per member) for rational and fixed
+    generators, for dilation-slot families, and for pencils whose products
+    with a non-exact kernel are not exact (the kernel is truncated below the
+    pencil's top exponent).  The geometry on top (median nearest-neighbour
+    spacing, and the 16-direction coverage probe of the direct route) is
+    grid-indexed: about ``O(n log n)`` for ``n`` evenly spread cloud points
+    rather than quadratic, with bounded temporaries.  Both measure against
+    one set of distinct finite points, built once per cloud; the spacing
+    measures only the nearer half of its nearest distances
+    (:func:`_median_spacing`), and the probe runs once per distinct point
+    and settles most probes on cell representatives (see
+    ``_coverage_boundary_flags``).  Labels are formatted when
+    ``RegionCloud.labels`` is first read.
     """
     grid = grid or ParamGrid()
     if not via_border:
-        values: list[np.ndarray] = []
-        bounds: list[np.ndarray] = []
-        label_parts: list = []  # per generator: its MemberRows, or its member tags
-        sampled = 0
-        for gi, gen in enumerate(V.generators):
-            if (isinstance(gen, Pencil) and not V.dilation_slot
-                    and exact_product(lam.kernel, max(gen.exponents))):
-                rows = gen.member_rows(grid, gi, sampled_before=sampled)
-                vals, errs = convolve_rows_at_one(rows.coeffs, lam.kernel)
-                # labels read only gen_index and param_lists: keep the arrays out
-                label_parts.append(replace(rows, params=np.empty((0, 0)),
-                                           coeffs=np.empty((0, 0), dtype=complex)))
-            else:
-                members = sample_generator(V, gi, grid, sampled_before=sampled)
-                vals = np.empty(len(members), dtype=complex)
-                errs = np.empty(len(members))
-                for i, (f, tag) in enumerate(members):
-                    v = apply(lam, f)
-                    if not math.isfinite(v.error_bound):
-                        raise ValueError(
-                            f"functional bound unusable on member {tag.label()} "
-                            "(combined tail radius does not exceed one)"
-                        )
-                    vals[i], errs[i] = v
-                label_parts.append([tag for _, tag in members])
-            values.append(vals)
-            bounds.append(errs)
-            sampled += len(vals)
-        points = np.concatenate(values)
+        values, bounds, labels = _image_rows(lam, V, grid, _AT_ONE, "functional")
+        points = values.ravel()
         ref = _reference_set(points) if mesh_spacing is None or boundary else None
         spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points, ref)
         if boundary:
@@ -1591,43 +1661,28 @@ def functional_image(
             flags = np.zeros(len(points), dtype=bool)
         return RegionCloud(
             points=points,
-            errors=np.concatenate(bounds),
-            labels=_DeferredLabels(len(points), lambda: _member_labels(label_parts)),
+            errors=bounds.ravel(),
+            labels=labels,
             eval_points=np.full(len(points), 1.0 + 0.0j),
             boundary_flags=flags,
             mesh_spacing=spacing,
             route="direct",
         )
-    border = border_elements(V)
     radii = [r for r in radius_schedule(mesh_depth)] + [1.0]
     angles = np.exp(2j * np.pi * np.arange(mesh_angles) / mesh_angles)
     mesh = np.concatenate(
         [np.zeros(1, dtype=complex), np.asarray([r * a for r in radii for a in angles])]
     )
     mesh_flags = np.abs(mesh) >= 1.0 - 1e-15
-    values = []
-    bounds = []
-    members = sample(border, grid)
-    for f, tag in members:
-        hconv = convolve(f, lam.kernel)
-        vals, errs = evaluate_many(hconv, mesh)
-        if not np.all(np.isfinite(errs)):
-            raise ValueError(
-                f"border-route bound unusable on member {tag.label()} "
-                "(convolution tail radius does not exceed one)"
-            )
-        values.append(vals)
-        bounds.append(errs)
-    points = np.concatenate(values)
+    values, bounds, labels = _image_rows(lam, border_elements(V), grid, mesh, "border-route")
+    points = values.ravel()
     spacing = mesh_spacing if mesh_spacing is not None else _median_spacing(points)
-    tags = [tag for _, tag in members]
     return RegionCloud(
         points=points,
-        errors=np.concatenate(bounds),
-        labels=_DeferredLabels(len(points), lambda: itertools.chain.from_iterable(
-            itertools.repeat(tag.label(), len(mesh)) for tag in tags)),
-        eval_points=np.tile(mesh, len(members)),
-        boundary_flags=np.tile(mesh_flags, len(members)),
+        errors=bounds.ravel(),
+        labels=labels,
+        eval_points=np.tile(mesh, len(values)),
+        boundary_flags=np.tile(mesh_flags, len(values)),
         mesh_spacing=spacing,
         route="border",
     )

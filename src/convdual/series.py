@@ -34,7 +34,8 @@ __all__ = [
     "TruncSeries",
     "convolve",
     "exact_product",
-    "convolve_rows_at_one",
+    "convolve_rows_at",
+    "horner_rows",
     "evaluate",
     "evaluate_many",
     "dilate",
@@ -315,16 +316,17 @@ def exact_product(g: TruncSeries, order: int) -> bool:
     return g.is_exact or g.order >= order
 
 
-def convolve_rows_at_one(rows: np.ndarray, g: TruncSeries) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate(convolve(p_i, g), 1)`` for many exact polynomials at once.
+def convolve_rows_at(rows: np.ndarray, g: TruncSeries, zs: np.ndarray) -> np.ndarray:
+    """``evaluate_many(convolve(p_i, g), zs)`` values for many exact polynomials at once.
 
-    Row ``i`` of ``rows`` holds the coefficients of ``p_i``.  The rows are
-    multiplied by ``g``'s coefficients and summed by Horner's scheme at
-    ``z = 1`` in ``np.polyval``'s operation order, so every value is bitwise
-    equal to the one-polynomial route; the error bounds are zero, as every
-    product is an exact polynomial.  Raises ValueError unless
-    ``exact_product(g, order)`` holds, and, as :class:`TruncSeries` does,
-    when a product coefficient is not finite.
+    Row ``i`` of ``rows`` holds the coefficients of ``p_i``; row ``i`` of the
+    result holds its product's values at the points ``zs``.  The rows are
+    multiplied by ``g``'s coefficients and summed by :func:`horner_rows`, in
+    ``np.polyval``'s operation order, so every value is bitwise equal to the
+    one-polynomial route; the error bounds are zero, as every product is an
+    exact polynomial.  Raises ValueError unless ``exact_product(g, order)``
+    holds, and, as :class:`TruncSeries` does, when a product coefficient is
+    not finite.
     """
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] == 0:
@@ -336,11 +338,20 @@ def convolve_rows_at_one(rows: np.ndarray, g: TruncSeries) -> tuple[np.ndarray, 
     products = rows[:, : n + 1] * g.coeffs[: n + 1]
     if not np.all(np.isfinite(products.view(float))):
         raise ValueError("coefficients must be finite")
-    z = np.ones(1, dtype=complex)  # multiplying by it keeps polyval's inf/nan results
-    values = np.zeros(len(rows), dtype=complex)
-    for column in np.ascontiguousarray(products.T[::-1]):  # highest degree first
-        values = values * z + column
-    return values, np.zeros(len(rows))
+    return horner_rows(products, zs)
+
+
+def horner_rows(rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Every row polynomial (coefficients ascending) at every point of ``zs``.
+
+    Horner's scheme in ``np.polyval``'s operation order, the multiplication
+    of the zero start by ``z`` included, so row ``i`` is bitwise
+    ``np.polyval(rows[i][::-1], zs)``.
+    """
+    values = np.zeros((len(rows), len(zs)), dtype=complex)
+    for column in np.ascontiguousarray(rows.T[::-1])[:, :, None]:  # highest degree first
+        values = values * zs + column
+    return values
 
 
 def dilate(f: TruncSeries, x: complex) -> TruncSeries:

@@ -105,8 +105,17 @@ def brute_nearest_distance(queries, ref) -> np.ndarray:
 
 
 def _finite_rounded(points) -> np.ndarray:
-    """The distinct points rounded to 12 decimals, non-finite values left out."""
-    rounded = np.round(np.asarray(points, dtype=complex), 12)
+    """The distinct points rounded to 12 decimals, non-finite values left out.
+
+    A finite coordinate whose rounding overflows (above about 1.8e296) is a
+    whole number already and is kept unrounded.
+    """
+    points = np.asarray(points, dtype=complex)
+    rounded = np.empty_like(points)
+    for part, raw in (("real", points.real), ("imag", points.imag)):
+        with np.errstate(over="ignore"):
+            r = np.round(raw, 12)
+        setattr(rounded, part, np.where(np.isfinite(raw) & ~np.isfinite(r), raw, r))
     return np.unique(rounded[np.isfinite(rounded)])
 
 
@@ -174,6 +183,48 @@ def per_member_image(lam, V, grid, mesh_spacing=None, boundary: bool = True) -> 
         "boundary_flags": flags,
         "mesh_spacing": spacing,
         "route": "direct",
+    }
+
+
+def per_member_border_image(lam, V, grid, mesh_depth: int = 8, mesh_angles: int = 64,
+                            mesh_spacing=None) -> dict:
+    """Border-route ``functional_image`` fields by the member-by-member loop.
+
+    Every sampled border element is built as a series, convolved with the
+    kernel and evaluated on the whole mesh on its own (``sample`` +
+    ``convolve`` + ``evaluate_many``), the route the batched pencil pass
+    replaces; the spacing comes from the all-pairs oracle above.  Raises
+    ValueError where that loop does, with its message.
+    """
+    from convdual.contour import radius_schedule
+    from convdual.family import border_elements, sample
+    from convdual.series import convolve, evaluate_many
+
+    radii = list(radius_schedule(mesh_depth)) + [1.0]
+    angles = np.exp(2j * np.pi * np.arange(mesh_angles) / mesh_angles)
+    mesh = np.concatenate(
+        [np.zeros(1, dtype=complex), np.asarray([r * a for r in radii for a in angles])]
+    )
+    mesh_flags = np.abs(mesh) >= 1.0 - 1e-15
+    members = sample(border_elements(V), grid)
+    pts, errs, labels = [], [], []
+    for f, tag in members:
+        vals, bounds = evaluate_many(convolve(f, lam.kernel), mesh)
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError(f"border-route bound unusable on member {tag.label()} "
+                             "(convolution tail radius does not exceed one)")
+        pts.append(vals)
+        errs.append(bounds)
+        labels.extend([tag.label()] * len(mesh))
+    points = np.concatenate(pts)
+    return {
+        "points": points,
+        "errors": np.concatenate(errs),
+        "labels": tuple(labels),
+        "eval_points": np.tile(mesh, len(members)),
+        "boundary_flags": np.tile(mesh_flags, len(members)),
+        "mesh_spacing": brute_median_spacing(points) if mesh_spacing is None else mesh_spacing,
+        "route": "border",
     }
 
 

@@ -1,4 +1,4 @@
-"""Batched pencil evaluation of the direct image route against the per-member loop: bitwise equality."""
+"""Batched pencil evaluation of both image routes against the per-member loops: bitwise equality."""
 
 import gc
 import math
@@ -27,14 +27,14 @@ from convdual.family import (
 )
 from convdual.series import (
     TruncSeries,
-    convolve_rows_at_one,
+    convolve_rows_at,
     exact_product,
     from_rational,
 )
 
 from convdual.specfile import dump_family, load_family, parse_series
 
-from oracles import per_member_image
+from oracles import per_member_border_image, per_member_image
 
 SET = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -197,12 +197,13 @@ def test_member_rows_follow_sample_order():
 
 def test_convolve_rows_rejects_non_exact_products():
     rows = np.array([[1.0, 0.5, 0.25]], dtype=complex)
+    one = np.ones(1, dtype=complex)
     assert exact_product(from_rational(0.5, 0.2, order=2), 2)
     assert not exact_product(from_rational(0.5, 0.2, order=1), 2)
     with pytest.raises(ValueError, match="not exact"):
-        convolve_rows_at_one(rows, from_rational(0.5, 0.2, order=1))
+        convolve_rows_at(rows, from_rational(0.5, 0.2, order=1), one)
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-        convolve_rows_at_one(np.array([[1.0, 1e200]]), TruncSeries.polynomial([1.0, 1e200]))
+        convolve_rows_at(np.array([[1.0, 1e200]]), TruncSeries.polynomial([1.0, 1e200]), one)
 
 
 @pytest.mark.parametrize(
@@ -314,3 +315,168 @@ def test_region_cloud_still_checks_label_count():
             RegionCloud(labels=labels, **one)
     with pytest.raises(TypeError):
         RegionCloud(**one)
+
+
+# -- border route: pencil generators in one row pass over the mesh -------------------
+
+border_domain = st.one_of(st.builds(Disk, radius), st.builds(Circle, radius))
+
+
+@st.composite
+def border_pencils(draw):
+    exps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+    return Pencil(tuple(exps), tuple(draw(border_domain) for _ in exps))
+
+
+border_others = st.one_of(
+    st.builds(Rational, st.builds(Circle, radius), st.builds(Circle, st.floats(0.0, 0.6)),
+              st.integers(0, 6)),
+    st.builds(Fixed, st.builds(from_rational, cpoint, pole, st.integers(0, 6))),
+    st.builds(lambda c: Fixed(TruncSeries([1.0] + c)), st.lists(cpoint, max_size=3)),  # no tail
+)
+
+border_grids = st.builds(
+    ParamGrid, disk_radial=st.integers(1, 2), disk_angular=st.integers(1, 3),
+    circle=st.integers(1, 5),
+)
+
+
+def _assert_matches_border_oracle(lam, V, grid, **kw):
+    try:
+        expected = per_member_border_image(lam, V, grid, **kw)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            functional_image(lam, V, grid, via_border=True, **kw)
+        assert str(got.value) == str(err)
+        return
+    cloud = functional_image(lam, V, grid, via_border=True, **kw)
+    for field, want in expected.items():
+        _assert_bitwise(getattr(cloud, field), want, field)
+
+
+@SET
+@given(
+    st.lists(border_pencils(), min_size=1, max_size=2),
+    st.lists(border_others, max_size=1),
+    kernels,
+    border_grids,
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.sampled_from([None, 0.05]),
+    st.randoms(use_true_random=False),
+)
+def test_border_route_bitwise_equal_to_per_member_loop(
+    pens, others, kernel, grid, depth, angles, spacing, rnd
+):
+    gens = list(pens) + list(others)
+    rnd.shuffle(gens)
+    V = FamilySpec(tuple(gens))
+    assume(_member_count(border_elements(V), grid) <= 40)
+    _assert_matches_border_oracle(Functional(kernel), V, grid, mesh_depth=depth,
+                                  mesh_angles=angles, mesh_spacing=spacing)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        TruncSeries.polynomial([0.5, -1.0]),  # exact, order below the top exponent
+        TruncSeries.polynomial([1.0, 2.0, -0.0, 0.25, 1j]),  # exact, above
+        from_rational(0.8, -0.4, order=1),  # non-exact, below: member-by-member
+        from_rational(0.8, -0.4, order=3),  # non-exact, at the top exponent
+        from_rational(-0.3j, 0.5),  # non-exact, far above
+    ],
+)
+def test_border_kernel_routes_bitwise_equal(kernel):
+    V = FamilySpec((
+        Pencil((1, 3), (Disk(0.7), Circle(0.9))),
+        Rational(Circle(0.9), Circle(0.4), order=4),
+        Pencil((2,), (Disk(1.0),)),
+        Fixed(from_rational(0.2, 0.1, order=5)),
+    ))
+    _assert_matches_border_oracle(Functional(kernel), V, ParamGrid(2, 3, 5), mesh_depth=3,
+                                  mesh_angles=7)
+
+
+def test_border_pencils_skip_the_series_route():
+    V = counterexample_family()
+    lam = Functional(from_rational(0.5, 0.2))
+    with mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
+         mock.patch.object(duality, "sample_generator", side_effect=AssertionError("sampled")):
+        cloud = functional_image(lam, V, ParamGrid(circle=12), via_border=True, mesh_depth=4,
+                                 mesh_angles=8)
+    assert len(cloud.points) == 2 * 12 * (1 + 5 * 8)
+    assert not np.any(cloud.errors)
+
+
+def test_border_rows_are_evaluated_in_bounded_blocks():
+    # one row per block: every member's product is evaluated on its own
+    V = counterexample_family()
+    lam = Functional(TruncSeries.polynomial([0.0, 1.0, 0.5]))
+    kw = dict(via_border=True, mesh_depth=3, mesh_angles=8, mesh_spacing=1.0)
+    rows_at = duality.convolve_rows_at
+    with mock.patch.object(duality, "_PAIR_BUDGET", 8), \
+         mock.patch.object(duality, "convolve_rows_at", autospec=True,
+                           side_effect=rows_at) as passes:
+        cloud = functional_image(lam, V, ParamGrid(circle=6), **kw)
+    assert {len(call.args[0]) for call in passes.call_args_list} == {1}
+    assert passes.call_count == 12
+    expected = per_member_border_image(lam, V, ParamGrid(circle=6), 3, 8, mesh_spacing=1.0)
+    for field, want in expected.items():
+        _assert_bitwise(getattr(cloud, field), want, field)
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_overflowing_border_product_raises_the_per_member_error(first):
+    big = Pencil((1,), (Circle(1e200),))
+    rational = Rational(Circle(0.5), Circle(0.3), order=4)
+    V = FamilySpec((big, rational) if first else (rational, big))
+    lam = Functional(TruncSeries.polynomial([1.0, 1e200]))
+    with pytest.raises(ValueError) as expected, np.errstate(over="ignore"):
+        per_member_border_image(lam, V, ParamGrid(circle=3), 2, 4)
+    with pytest.raises(ValueError) as got, np.errstate(over="ignore"):
+        functional_image(lam, V, ParamGrid(circle=3), via_border=True, mesh_depth=2,
+                         mesh_angles=4)
+    assert str(got.value) == str(expected.value) == "coefficients must be finite"
+
+
+def test_border_grid_over_max_members_still_raises():
+    V = FamilySpec((Rational(Circle(0.5), Circle(0.5)), Pencil((1, 2), (Disk(1.0), Disk(0.5)))))
+    grid = ParamGrid(circle=3, max_members=20)
+    with pytest.raises(ValueError) as expected:
+        sample(border_elements(V), grid)
+    with pytest.raises(ValueError) as got:
+        functional_image(Functional(TruncSeries.polynomial([0.0, 1.0])), V, grid, via_border=True)
+    assert str(got.value) == str(expected.value)
+    assert "more than 20 members" in str(got.value)
+
+
+def test_border_cloud_labels_are_formatted_only_when_read():
+    grid = ParamGrid(3, 8, circle=5)
+    kw = dict(via_border=True, mesh_depth=3, mesh_angles=8)
+    with mock.patch.object(family, "_cfmt", autospec=True, side_effect=family._cfmt) as fmt:
+        border = functional_image(LABEL_LAM, LABEL_FAMILY, grid, **kw)
+        assert fmt.call_count == 0
+        labels = border.labels
+        assert fmt.call_count > 0
+    assert isinstance(labels, tuple) and border.labels is labels
+    assert labels == per_member_border_image(LABEL_LAM, LABEL_FAMILY, grid, 3, 8)["labels"]
+    copied = pickle.loads(pickle.dumps(functional_image(LABEL_LAM, LABEL_FAMILY, grid, **kw)))
+    assert copied.labels == labels
+
+
+def test_unread_border_labels_keep_no_member_arrays_alive():
+    original = Pencil.member_rows
+    rows_made = []
+
+    def member_rows(gen, *args, **kwargs):
+        rows = original(gen, *args, **kwargs)
+        rows_made.append((weakref.ref(rows.coeffs), weakref.ref(rows.params)))
+        return rows
+
+    grid = ParamGrid(3, 8, circle=5)
+    with mock.patch.object(Pencil, "member_rows", member_rows):
+        cloud = functional_image(LABEL_LAM, LABEL_FAMILY, grid, via_border=True, mesh_depth=3,
+                                 mesh_angles=8)
+    gc.collect()
+    assert len(rows_made) == 2 and all(c() is None and p() is None for c, p in rows_made)
+    assert cloud.labels == per_member_border_image(LABEL_LAM, LABEL_FAMILY, grid, 3, 8)["labels"]

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from convdual import duality
 from convdual.duality import (
@@ -312,3 +312,102 @@ def test_collinear_cloud_uses_no_dense_cell_table():
     peak = _peak_bytes(lambda: flags.append(_coverage_boundary_flags(points, spacing)))
     assert peak < 16e6  # block temporaries only
     np.testing.assert_array_equal(flags[0], brute_coverage_flags(points, spacing))
+
+
+# -- median spacing: the ladder stops once the nearer half is settled ------------
+
+
+def _without_self_nearest(ref):
+    return np.array([np.min(np.abs(q - np.delete(ref, i))) for i, q in enumerate(ref)])
+
+
+@SET
+@given(st.one_of(clouds, geometry_clouds), st.floats(0.0, 1.0), budgets)
+def test_ladder_stopped_early_settles_the_nearer_distances_exactly(points, share, budget):
+    ref = duality._reference_set(points)
+    assume(len(ref) >= 2)
+    enough = max(1, int(share * len(ref)))
+    with mock.patch.object(duality, "_PAIR_BUDGET", budget):
+        got = duality._grid_nearest(ref, ref, skip=np.arange(len(ref)), enough=enough)
+    want = _without_self_nearest(ref)
+    settled = np.isfinite(got)
+    assert settled.sum() >= enough
+    np.testing.assert_array_equal(got[settled], want[settled])
+    assert np.all(want[~settled] >= got[settled].max())
+
+
+@SET
+@given(st.integers(2, 41).flatmap(lambda n: st.lists(cpoint, min_size=n, max_size=n)), scale)
+def test_median_spacing_of_odd_and_even_counts(zs, s):
+    points = np.asarray(zs, dtype=complex) * s
+    got = _median_spacing(points)
+    assert np.float64(got).tobytes() == np.float64(brute_median_spacing(points)).tobytes()
+
+
+@pytest.mark.parametrize("points", [[0j, 1.0], [0j, 1.0, 3.0], [0j, 1j, 3.0, 7.0 + 2j],
+                                    [0j, 0j, 2.0], [5.0 - 1j, 5.0 - 1j, 5.0 - 1j, 6.0]])
+def test_median_spacing_of_two_three_and_four_points(points):
+    points = np.asarray(points, dtype=complex)
+    assert _median_spacing(points) == brute_median_spacing(points)
+
+
+@SET
+@given(duplicate_heavy(), budgets)
+def test_median_spacing_of_duplicate_heavy_clouds(points, budget):
+    with mock.patch.object(duality, "_PAIR_BUDGET", budget):
+        got = _median_spacing(points)
+    assert np.float64(got).tobytes() == np.float64(brute_median_spacing(points)).tobytes()
+
+
+def _rotational_lattice(params, rings, angles, power=1):
+    # the border images x * z**power of a pencil over |x| = 0.83, on a disk mesh
+    xs = 0.83 * np.exp(2j * np.pi * np.arange(params) / params)
+    radii = 1.0 - 0.5 ** np.arange(1, rings + 1)
+    mesh = np.concatenate([[0j], (radii[:, None] * np.exp(
+        2j * np.pi * np.arange(angles) / angles)).ravel()])
+    return (xs[:, None] * mesh**power).ravel()
+
+
+@pytest.mark.parametrize("params, rings, angles, power", [
+    (52, 9, 64, 1), (10, 9, 64, 1), (12, 8, 72, 1), (16, 9, 64, 2), (14, 7, 80, 2),
+])
+def test_median_spacing_of_rotational_lattices(params, rings, angles, power):
+    points = _rotational_lattice(params, rings, angles, power)
+    got = _median_spacing(points)
+    assert np.float64(got).tobytes() == np.float64(brute_median_spacing(points)).tobytes()
+
+
+def test_median_spacing_above_the_subsample():
+    rng = np.random.default_rng(11)
+    points = rng.random(6006) + 1j * rng.random(6006)
+    points[::7] = points[1::7]  # some duplicates
+    assert len(np.unique(np.round(points, 12))) > 4096
+    assert _median_spacing(points) == brute_median_spacing(points)
+
+
+def test_tight_cluster_with_far_points_takes_no_all_pairs_pass():
+    # the far points have no neighbour in any cell block short of the cloud's
+    # extent; the median is settled without them
+    g = np.arange(15) * 1e-7
+    cluster = (g[:, None] + 1j * g[None, :]).ravel()
+    points = np.concatenate([cluster, [1e3, 1e3j, -1e3 - 1e3j]])
+    with mock.patch.object(duality, "_brute_nearest", autospec=True,
+                           side_effect=duality._brute_nearest) as brute:
+        spacing = _median_spacing(points)
+    assert brute.call_count == 0
+    assert spacing == brute_median_spacing(points)
+
+
+def test_rounding_overflow_keeps_huge_points():
+    # coordinates above about 1.8e296 overflow when rounded to 12 decimals;
+    # they are whole numbers, kept as they are, so the scaled grid has the
+    # unit grid's boundary
+    grid = _grid_cloud(20)
+    huge = grid * 1e300
+    assert len(duality._reference_set(huge)) == len(grid)
+    spacing = _median_spacing(huge)
+    assert spacing == brute_median_spacing(huge) == 1e300 / 19
+    flags = _coverage_boundary_flags(huge, spacing)
+    np.testing.assert_array_equal(flags, _coverage_boundary_flags(grid, _median_spacing(grid)))
+    np.testing.assert_array_equal(flags, brute_coverage_flags(huge, spacing))
+    assert flags.sum() == 76
