@@ -1266,15 +1266,18 @@ class _CellIndex:
 
     Cells are keyed ``ix * ny + iy`` and the points sorted by key, so the
     three cells of one column of a 3x3 block form one contiguous run found
-    with two ``searchsorted`` calls.
+    with two ``searchsorted`` calls.  The grid lies on the points multiplied
+    by ``scale`` (``cell`` is measured there), the distances on the points
+    themselves; see :func:`_extent`.
     """
 
-    def __init__(self, ref: np.ndarray, cell: float):
-        self.x0 = float(ref.real.min())
-        self.y0 = float(ref.imag.min())
+    def __init__(self, ref: np.ndarray, cell: float, scale: float = 1.0):
+        self.scale = scale
+        self.x0 = float(ref.real.min()) * scale
+        self.y0 = float(ref.imag.min()) * scale
         self.cell = cell
-        self.nx = int((float(ref.real.max()) - self.x0) / cell) + 1
-        self.ny = int((float(ref.imag.max()) - self.y0) / cell) + 1
+        self.nx = int((float(ref.real.max()) * scale - self.x0) / cell) + 1
+        self.ny = int((float(ref.imag.max()) * scale - self.y0) / cell) + 1
         ix, iy = self._cells(ref)
         keys = ix * self.ny + iy
         order = np.argsort(keys, kind="stable")
@@ -1285,6 +1288,8 @@ class _CellIndex:
     def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # clipping keeps far (and infinite) queries two cells off the grid,
         # where their block is empty; NaN queries are parked there as well
+        if self.scale != 1.0:
+            pts = pts * self.scale
         fx = np.nan_to_num((pts.real - self.x0) / self.cell, nan=-2.0)
         fy = np.nan_to_num((pts.imag - self.y0) / self.cell, nan=-2.0)
         ix = np.clip(np.floor(fx), -2, self.nx + 1).astype(np.int64)
@@ -1386,8 +1391,19 @@ class _CellIndex:
         return near
 
 
-def _extent(ref: np.ndarray) -> tuple[float, float]:
-    return float(np.ptp(ref.real)), float(np.ptp(ref.imag))
+def _extent(ref: np.ndarray) -> tuple[float, float, float]:
+    """Extent of ``ref`` along each axis, at the scale (1 or 1/2) that keeps it finite.
+
+    Finite points more than about 1.8e308 apart have an infinite extent;
+    halved they do not, so the cell grid of such a cloud is laid on its
+    halves.  Halving is exact above about 2.2e-308, and below it the error
+    is far smaller than any cell side of such a cloud.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = float(np.ptp(ref.real)), float(np.ptp(ref.imag))
+    if max(xs, ys) == math.inf and np.all(np.isfinite(ref)):
+        return float(np.ptp(ref.real * 0.5)), float(np.ptp(ref.imag * 0.5)), 0.5
+    return xs, ys, 1.0
 
 
 def _brute_nearest(
@@ -1415,7 +1431,7 @@ def _grid_nearest(
     and curves, as in border clouds), the ladder starts from that side
     shrunk by ``sqrt(2 / m)``, about two points per occupied cell.  A query
     is settled once its block minimum is at most the cell side times
-    ``1 - _CELL_SLACK``; the rest retry with cells twice as large, and
+    ``1 - _CELL_SLACK``; the rest retry with cells four times as large, and
     whatever is left once the side exceeds the extent of ``ref`` (queries
     far outside the cloud) takes the all-pairs pass.
 
@@ -1430,29 +1446,29 @@ def _grid_nearest(
         return out
     pending = np.arange(len(queries))
     needed = len(queries) if enough is None else enough
-    xs, ys = _extent(ref)
+    xs, ys, scale = _extent(ref)
     span = max(xs, ys)
     if 0.0 < span < math.inf and np.all(np.isfinite(ref)):
         # about one point per cell; the floor keeps collinear clouds from
         # piling sqrt(n) points into each cell, and the key range bounded
         floor = span / min(len(ref), _MAX_CELLS_PER_AXIS)
         cell = max(math.sqrt(xs) * math.sqrt(ys / len(ref)), floor)
-        index = _CellIndex(ref, cell)
+        index = _CellIndex(ref, cell, scale)
         occupancy = len(ref) / np.count_nonzero(_run_starts(index.keys))
         if occupancy > 2.0:
             cell = max(cell * math.sqrt(2.0 / occupancy), span / _MAX_CELLS_PER_AXIS)
             index = None
         while cell <= span:
             if index is None:
-                index = _CellIndex(ref, cell)
+                index = _CellIndex(ref, cell, scale)
             d = index.block_min(queries[pending], None if skip is None else skip[pending])
-            settled = d <= cell * (1.0 - _CELL_SLACK)
+            settled = d * scale <= cell * (1.0 - _CELL_SLACK)
             out[pending[settled]] = d[settled]
             pending = pending[~settled]
             needed -= int(np.count_nonzero(settled))
             if needed <= 0 or not len(pending):
                 return out
-            cell *= 2.0
+            cell *= 4.0
             index = None
     if len(pending):
         out[pending] = _brute_nearest(queries[pending], ref, None if skip is None else skip[pending])
@@ -1499,10 +1515,12 @@ def _coverage_boundary_flags(
         ref = _reference_set(points)
     steps = probe * spacing * np.exp(2j * np.pi * np.arange(directions) / directions)
     radius = cover * spacing
-    span = max(_extent(ref)) if len(ref) else 0.0
+    xs, ys, scale = _extent(ref) if len(ref) else (0.0, 0.0, 1.0)
+    span = max(xs, ys)
     index = None
     if 0.0 < span < math.inf and math.isfinite(radius) and np.all(np.isfinite(steps)):
-        index = _CellIndex(ref, max(radius / (1.0 - _CELL_SLACK), span / _MAX_CELLS_PER_AXIS))
+        cell = max(radius * scale / (1.0 - _CELL_SLACK), span / _MAX_CELLS_PER_AXIS)
+        index = _CellIndex(ref, cell, scale)
     hole = np.empty(len(distinct), dtype=bool)
     block = max(1, _PAIR_BUDGET // directions)
     for i in range(0, len(distinct), block):

@@ -411,3 +411,22 @@ def test_rounding_overflow_keeps_huge_points():
     np.testing.assert_array_equal(flags, _coverage_boundary_flags(grid, _median_spacing(grid)))
     np.testing.assert_array_equal(flags, brute_coverage_flags(huge, spacing))
     assert flags.sum() == 76
+
+
+def test_overflowing_extent_keeps_the_cell_ladder():
+    # a circle of radius 1.5e308: its extent overflows, so the cell grid is
+    # laid on the halved points, and no probe or spacing query is measured
+    # against the whole cloud
+    V = FamilySpec((Pencil((1,), (Circle(1.5e308),)),))
+    with mock.patch.object(duality, "_brute_nearest", autospec=True,
+                           side_effect=duality._brute_nearest) as brute:
+        cloud = functional_image(A1, V, ParamGrid(circle=700))
+        ring = cloud.points
+        nearest = _nearest_in_set(ring * 0.999, ring[::3])
+    assert sum(len(call.args[0]) for call in brute.call_args_list) == 0
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.ptp(ring.real)) and np.all(np.isfinite(ring))
+        np.testing.assert_array_equal(nearest, brute_nearest_distance(ring * 0.999, ring[::3]))
+        assert cloud.mesh_spacing == brute_median_spacing(ring)
+        np.testing.assert_array_equal(cloud.boundary_flags,
+                                      brute_coverage_flags(ring, cloud.mesh_spacing))
