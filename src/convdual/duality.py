@@ -54,7 +54,6 @@ from .family import (
     Fixed,
     Generator,
     LeadingRows,
-    MemberRows,
     MemberTag,
     ParamGrid,
     Pencil,
@@ -65,6 +64,7 @@ from .family import (
     default_kernel_family,
     dilation_points,
     leading_rows,
+    member_labels,
     pairing_interval,
     pairing_margin,
     pairing_zero_weights,
@@ -72,7 +72,6 @@ from .family import (
     pencil_margin_rows,
     pencil_term_radii,
     sample,
-    sample_generator,
     sigma_search,
 )
 from .series import (
@@ -345,15 +344,6 @@ def _rational_slice(
     return margin, (complex(xstar), value, residual)
 
 
-def _member_order(gen: Generator) -> int:
-    """Order of every member a generator samples."""
-    if isinstance(gen, Pencil):
-        return max(gen.exponents)
-    if isinstance(gen, Rational):
-        return gen.order
-    return gen.series.order
-
-
 def _exact_products(gen: Generator, g: TruncSeries) -> bool:
     """Whether :func:`convolve` makes every (dilated) member of ``gen`` with
     ``g`` an exact polynomial.
@@ -364,7 +354,7 @@ def _exact_products(gen: Generator, g: TruncSeries) -> bool:
     members are counted as non-exact, so their products with a non-exact
     kernel are left to the per-member path.
     """
-    order = _member_order(gen)
+    order = gen.order
     member_exact = isinstance(gen, Pencil) or (isinstance(gen, Fixed) and gen.series.is_exact)
     if member_exact and exact_product(g, order):
         return True
@@ -377,19 +367,21 @@ def _sampled_table(
     """The sampled members of V's generators ``gens``, as rows for ``g``.
 
     Returns the sub-family of those generators, its :func:`leading_rows`
-    as wide as the longest product with ``g``, each member's product order
-    (the truncation :func:`convolve` applies), whether that product is
-    exact (:func:`_exact_products`), and each generator's row range, in
+    as wide as the longest exact product with ``g`` (the rows of the other
+    members are never read, so they cost no width), each member's product
+    order (the truncation :func:`convolve` applies), whether that product
+    is exact (:func:`_exact_products`), and each generator's row range, in
     order.  Past a member's stored block a row is zero for an exact
     member and NaN otherwise, so such a product is left to the per-member
     path.  ``grid.max_members`` counts the members of all ``gens``
     together, as :func:`sample` does.
     """
     sub = FamilySpec(tuple(V.generators[i] for i in gens), V.dilation_slot)
-    gen_orders = np.array([min(_member_order(gen), g.order) for gen in sub.generators])
-    table = leading_rows(sub, grid, int(gen_orders.max()) + 1)
+    gen_orders = np.array([min(gen.order, g.order) for gen in sub.generators])
+    gen_exact = np.array([_exact_products(gen, g) for gen in sub.generators])
+    table = leading_rows(sub, grid, int(gen_orders[gen_exact].max(initial=0)) + 1)
     orders = gen_orders[table.gen_index]
-    exact = np.array([_exact_products(gen, g) for gen in sub.generators])[table.gen_index]
+    exact = gen_exact[table.gen_index]
     bounds = np.searchsorted(table.gen_index, np.arange(len(gens) + 1)).tolist()
     return sub, table, orders, exact, map(range, bounds[:-1], bounds[1:])
 
@@ -398,6 +390,38 @@ def _tag_of(table: LeadingRows, sub: FamilySpec, i: int, gi: int) -> MemberTag:
     """Tag of row ``i`` of a :func:`_sampled_table`, under generator ``gi``
     of the whole family."""
     return replace(table.tag(sub, i), gen_index=gi)
+
+
+def _table_products(
+    table: LeadingRows, orders: np.ndarray, exact: np.ndarray, g: TruncSeries, zs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pass of a :func:`_sampled_table`: its products with ``g`` at ``zs``.
+
+    Returns the values, one row per member, and which rows they fill: those
+    whose products are exact (``exact``) with finite coefficients, evaluated
+    by :func:`~convdual.series.convolve_rows_at` over their own product
+    columns in blocks of about ``_PAIR_BUDGET`` values, bitwise
+    ``evaluate_many(convolve(member, g), zs)`` with bound zero.  Callers
+    build the other members' series lazily, in member order, so the first
+    Falsified member and the first error are those of the per-member loop.
+    """
+    values = np.empty((len(table.coeffs), len(zs)), dtype=complex)
+    filled = np.zeros(len(values), dtype=bool)
+    step = max(1, _PAIR_BUDGET // len(zs))
+    change = (orders[1:] != orders[:-1]) | (exact[1:] != exact[:-1])
+    cuts = (np.flatnonzero(change) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(values)]):  # runs of one order
+        if not exact[lo]:
+            continue
+        cols = slice(0, int(orders[lo]) + 1)
+        for i in range(lo, hi, step):
+            block = slice(i, min(i + step, hi))
+            rows = table.coeffs[block, cols]
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.all(np.isfinite(rows * g.coeffs[cols]), axis=1)
+            filled[block] = finite
+            values[block][finite] = convolve_rows_at(rows[finite], g, zs)
+    return values, filled
 
 
 def _pairing_certificate(
@@ -478,17 +502,12 @@ def _pairing_certificate(
                     or (isinstance(h, Pencil) and pencil_term_radii(h, kernel, 1.0) is None)
                 )
             ]
-            sub, table, _, exact, ranges = _sampled_table(family, sampled, kernel, grid)
-            width = table.coeffs.shape[1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.all(np.isfinite(table.coeffs * kernel.coeffs[:width]), axis=1)
-            batched = exact & finite
-            values = convolve_rows_at(
-                np.where(batched[:, None], table.coeffs, 0.0), kernel, _AT_ONE)[:, 0]
+            sub, table, orders, exact, ranges = _sampled_table(family, sampled, kernel, grid)
+            values, filled = _table_products(table, orders, exact, kernel, _AT_ONE)
         for i in next(ranges):
             members_checked += 1
-            if batched[i]:
-                v = EvalResult(complex(values[i]), 0.0)
+            if filled[i]:
+                v = EvalResult(complex(values[i, 0]), 0.0)
             else:
                 v = _pairing_value(kernel, table.member(sub, i))
             if not math.isfinite(v.error_bound):
@@ -693,8 +712,9 @@ def in_dual(
             sub, table, orders, exact, ranges = _sampled_table(base, sampled, g, grid)
             with np.errstate(over="ignore", invalid="ignore"):
                 products = table.coeffs * g.coeffs[: table.coeffs.shape[1]]
-            products[~exact] = np.nan
-            margins = row_margins(products, orders, r_max=r_max, schedule=schedule, tol=tol)
+            products[~exact] = np.nan  # left to the per-member path, as wide as the table
+            margins = row_margins(products, np.where(exact, orders, 0),
+                                  r_max=r_max, schedule=schedule, tol=tol)
         for i in next(ranges):
             members_checked += 1
             margin = next(margins)
@@ -1119,15 +1139,6 @@ class _LabelsField:
         cloud.__dict__["labels"] = labels
 
 
-def _member_labels(parts: Sequence) -> Iterator[str]:
-    """Direct-route labels; each part is a generator's ``MemberRows`` or its member tags."""
-    for part in parts:
-        if isinstance(part, MemberRows):
-            yield from part.labels
-        else:
-            yield from (tag.label() for tag in part)
-
-
 @dataclass(frozen=True)
 class RegionCloud:
     """Certified point cloud approximating a functional image ``lam(V)``.
@@ -1140,13 +1151,15 @@ class RegionCloud:
     flagged), for the border route they are the images of the outermost
     evaluation radius.
 
-    On both routes the members of a pencil generator are evaluated in one
-    batched pass, at ``z = 1`` or on the whole border mesh; rational, fixed
-    and dilated members, and pencils a non-exact kernel truncates, are
-    evaluated member by member.  ``mesh_spacing`` (unless given) and the
-    probe measure against the distinct finite points, deduplicated once per
-    cloud by a sort, and run on a uniform cell grid: about ``O(n log n)``
-    time for ``n`` points spread without dense clusters.  The spacing
+    On both routes the sampled members, dilated ones included, form one
+    table of leading coefficients; every member whose product with the
+    kernel is an exact polynomial with finite coefficients is evaluated in
+    one batched pass, at ``z = 1`` or on the whole border mesh, and only
+    the others (products with a tail) build their series one by one.
+    ``mesh_spacing`` (unless given) and the probe measure against the
+    distinct finite points, deduplicated once per cloud by a sort, and run
+    on a uniform cell grid: about ``O(n log n)`` time for ``n`` points
+    spread without dense clusters.  The spacing
     settles only the nearer half of the nearest distances, on a ladder of
     cells that starts at about two points per occupied cell.  The probe
     builds its probes in blocks of about 5 MB whatever ``n`` is; the dedupe
@@ -1581,51 +1594,26 @@ def _image_rows(
 
     Returns the values and error bounds, one row per member in sample
     order and one column per point, and the labels of their flattened
-    values (each member's label once per point), formatted on first read.
-    A pencil generator whose products with the kernel are exact (outside a
-    dilation slot) is evaluated by :func:`~convdual.series.convolve_rows_at`
-    in row blocks of about ``_PAIR_BUDGET`` values, bitwise the per-member
-    values with bound zero; its labels keep no member arrays.  Every other
-    member builds its series, and the first whose bound is not finite at
-    some point raises ValueError.  Generators are listed and evaluated in
-    order, and ``grid.max_members`` counts the members of all of them, as
-    :func:`sample` does.
+    values (each member's label once per point), formatted on first read
+    by :func:`~convdual.family.member_labels`, so they keep no member
+    arrays.  The members are one :func:`_sampled_table` and take the row
+    pass of :func:`_table_products`; the first other member whose bound is
+    not finite at some point raises ValueError.
     """
-    values: list[np.ndarray] = []
-    bounds: list[np.ndarray] = []
-    label_parts: list = []  # per generator: its MemberRows, or its member tags
-    sampled = 0
-    for gi, gen in enumerate(V.generators):
-        if (isinstance(gen, Pencil) and not V.dilation_slot
-                and exact_product(lam.kernel, max(gen.exponents))):
-            rows = gen.member_rows(grid, gi, sampled_before=sampled)
-            vals = np.empty((len(rows.coeffs), len(zs)), dtype=complex)
-            step = max(1, _PAIR_BUDGET // len(zs))
-            for i in range(0, len(vals), step):
-                vals[i : i + step] = convolve_rows_at(rows.coeffs[i : i + step], lam.kernel, zs)
-            errs = np.zeros(vals.shape)
-            # labels read only gen_index and param_lists: keep the arrays out
-            label_parts.append(replace(rows, params=np.empty((0, 0)),
-                                       coeffs=np.empty((0, 0), dtype=complex)))
-        else:
-            members = sample_generator(V, gi, grid, sampled_before=sampled)
-            vals = np.empty((len(members), len(zs)), dtype=complex)
-            errs = np.empty(vals.shape)
-            for i, (f, tag) in enumerate(members):
-                vals[i], errs[i] = evaluate_many(convolve(f, lam.kernel), zs)
-                if not np.all(np.isfinite(errs[i])):
-                    raise ValueError(
-                        f"{route} bound unusable on member {tag.label()} "
-                        "(convolution tail radius does not exceed one)"
-                    )
-            label_parts.append([tag for _, tag in members])
-        values.append(vals)
-        bounds.append(errs)
-        sampled += len(vals)
+    sub, table, orders, exact, _ = _sampled_table(V, range(len(V.generators)), lam.kernel, grid)
+    values, filled = _table_products(table, orders, exact, lam.kernel, zs)
+    bounds = np.zeros(values.shape)
+    for i in np.flatnonzero(~filled):
+        values[i], bounds[i] = evaluate_many(convolve(table.member(sub, i), lam.kernel), zs)
+        if not np.all(np.isfinite(bounds[i])):
+            raise ValueError(
+                f"{route} bound unusable on member {table.tag(sub, i).label()} "
+                "(convolution tail radius does not exceed one)"
+            )
     per_member = len(zs)
-    labels = _DeferredLabels(sampled * per_member, lambda: itertools.chain.from_iterable(
-        itertools.repeat(label, per_member) for label in _member_labels(label_parts)))
-    return np.concatenate(values), np.concatenate(bounds), labels
+    labels = _DeferredLabels(len(values) * per_member, lambda: itertools.chain.from_iterable(
+        itertools.repeat(label, per_member) for label in member_labels(V, grid)))
+    return values, bounds, labels
 
 
 def functional_image(
@@ -1649,14 +1637,15 @@ def functional_image(
     candidates, which carries the region boundary whenever the border
     representation does.
 
-    Cost: on both routes the members of a pencil generator are evaluated
-    together (:func:`_image_rows`), one array product and one Horner pass
-    over all of them at ``z = 1`` or on the whole mesh, bitwise equal to
-    evaluating each member on its own.  Members still go one by one (a
-    series built and convolved per member) for rational and fixed
-    generators, for dilation-slot families, and for pencils whose products
-    with a non-exact kernel are not exact (the kernel is truncated below the
-    pencil's top exponent).  The geometry on top (median nearest-neighbour
+    Cost: on both routes the sampled members are one table of leading
+    coefficients (:func:`~convdual.family.leading_rows`, dilations by
+    column scaling), and every member whose product with the kernel is an
+    exact polynomial is evaluated with the others in one array product and
+    one Horner pass, at ``z = 1`` or on the whole mesh, bitwise equal to
+    evaluating each member on its own (:func:`_image_rows`).  Only members
+    whose products carry a tail (a non-exact kernel truncated below the
+    member's order, or a non-exact member under a kernel with later
+    coefficients) build a series each.  The geometry on top (median nearest-neighbour
     spacing, and the 16-direction coverage probe of the direct route) is
     grid-indexed: about ``O(n log n)`` for ``n`` evenly spread cloud points
     rather than quadratic, with bounded temporaries.  Both measure against

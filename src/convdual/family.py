@@ -22,11 +22,10 @@ a distance computation, with constructive witnesses when zero is attained.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .series import (
     is_normalized,
     leading_block,
     rational_leading_rows,
-    regular_beyond_disk,
     series_distance,
 )
 
@@ -57,11 +55,11 @@ __all__ = [
     "Generator",
     "FamilySpec",
     "MemberTag",
-    "MemberRows",
     "LeadingRows",
     "sample",
     "sample_generator",
     "leading_rows",
+    "member_labels",
     "complete_hull",
     "border_elements",
     "border_decompose",
@@ -208,24 +206,6 @@ def dilation_points(grid: ParamGrid) -> list[complex]:
 
 
 @dataclass(frozen=True)
-class MemberRows:
-    """Sampled pencil members as arrays: one row per member, in sample order.
-
-    ``labels`` are the members' tag labels, formatted on first access.
-    """
-
-    params: np.ndarray  # (members, exponents)
-    coeffs: np.ndarray  # (members, max exponent + 1)
-    gen_index: int
-    param_lists: list[list[complex]]  # sampled values of each domain
-
-    @functools.cached_property
-    def labels(self) -> list[str]:
-        texts = [[_cfmt(p) for p in ps] for ps in self.param_lists]
-        return [_label(self.gen_index, Pencil.kind, t) for t in itertools.product(*texts)]
-
-
-@dataclass(frozen=True)
 class Pencil:
     """``1 + sum_j x_j z^{k_j}`` with independent parameter domains."""
 
@@ -257,29 +237,21 @@ class Pencil:
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return [d.points(grid) for d in self.domains]
 
-    def member_rows(self, grid: ParamGrid, gen_index: int = 0, sampled_before: int = 0) -> MemberRows:
-        """Every sampled member as one row of parameters and coefficients.
+    @property
+    def order(self) -> int:
+        return max(self.exponents)
 
-        Rows follow :func:`sample`'s order (the last domain varies fastest);
-        coefficient row ``i`` equals ``instantiate(params[i]).coeffs`` and
-        label ``i`` the member's tag label under ``gen_index``.
-        ``sampled_before`` members of earlier generators count against
-        ``grid.max_members`` as they do in :func:`sample`.
-        """
-        lists = self.param_lists(grid)
-        shape = tuple(len(ps) for ps in lists)
-        m = math.prod(shape)
-        _check_member_budget(sampled_before + m, grid)
-        index = np.indices(shape).reshape(len(shape), m)
-        params = np.stack(
-            [np.asarray(ps, dtype=complex)[i] for ps, i in zip(lists, index)], axis=1
-        )
-        coeffs = np.zeros((m, max(self.exponents) + 1), dtype=complex)
-        coeffs[:, 0] = 1.0
-        coeffs[:, list(self.exponents)] = params
-        if not np.all(np.isfinite(params.view(float))):
+    def base_rows(self, params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The members with these parameter rows, at once: each one's
+        :func:`~convdual.series.leading_block` ``width`` wide and its tail
+        radius.  :class:`Rational` and :class:`Fixed` have the same method."""
+        if not np.all(np.isfinite(params)):
             raise ValueError("coefficients must be finite")
-        return MemberRows(params, coeffs, gen_index, lists)
+        rows = np.zeros((len(params), width), dtype=complex)
+        rows[:, 0] = 1.0
+        inside = [j for j, k in enumerate(self.exponents) if k < width]
+        rows[:, [self.exponents[j] for j in inside]] = params[:, inside]
+        return rows, np.full(len(params), math.inf)
 
 
 @dataclass(frozen=True)
@@ -303,28 +275,9 @@ class Rational:
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return [self.x_domain.points(grid), self.y_domain.points(grid)]
 
-    def leading_rows(
-        self, grid: ParamGrid, width: int, sampled_before: int = 0
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every sampled member's first ``width`` coefficients, in sample order.
-
-        Returns ``(params, rows, regular)``: row ``i`` is
-        :func:`~convdual.series.leading_block` of ``instantiate(params[i])``,
-        computed for all members at once
-        (:func:`~convdual.series.rational_leading_rows`), and ``regular[i]``
-        whether that member is regular beyond the closed disk.
-        ``sampled_before`` members of earlier generators count against
-        ``grid.max_members`` as they do in :func:`sample`.
-        """
-        xs, ys = self.param_lists(grid)
-        _check_member_budget(sampled_before + len(xs) * len(ys), grid)
-        params = np.stack(
-            [np.repeat(np.asarray(xs, dtype=complex), len(ys)),
-             np.tile(np.asarray(ys, dtype=complex), len(xs))],
-            axis=1,
-        )
-        rows, regular = rational_leading_rows(params[:, 0], params[:, 1], self.order, width)
-        return params, rows, regular
+    def base_rows(self, params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`Pencil.base_rows` (:func:`~convdual.series.rational_leading_rows`)."""
+        return rational_leading_rows(params[:, 0], params[:, 1], self.order, width)
 
 
 @dataclass(frozen=True)
@@ -342,8 +295,16 @@ class Fixed:
     def instantiate(self, params: Sequence[complex]) -> TruncSeries:
         return self.series
 
+    @property
+    def order(self) -> int:
+        return self.series.order
+
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return []
+
+    def base_rows(self, params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`Pencil.base_rows` for the one stored member."""
+        return leading_block(self.series, width)[None, :], np.array([self.series.tail_radius])
 
 
 Generator = Union[Pencil, Rational, Fixed]
@@ -373,9 +334,7 @@ class MemberTag:
 
     def label(self) -> str:
         base = _label(self.gen_index, self.kind, [_cfmt(p) for p in self.params])
-        if self.dilation is not None:
-            base += f"@P[{_cfmt(self.dilation)}]"
-        return base
+        return base if self.dilation is None else base + _dilation_suffix(self.dilation)
 
 
 def _cfmt(z: complex) -> str:
@@ -386,11 +345,27 @@ def _label(gen_index: int, kind: str, param_texts: Sequence[str]) -> str:
     return f"g{gen_index}:{kind}({','.join(param_texts)})"
 
 
+def _dilation_suffix(w: complex) -> str:
+    return f"@P[{_cfmt(w)}]"
+
+
 def _check_member_budget(total: int, grid: ParamGrid) -> None:
     if total > grid.max_members:
         raise ValueError(
             f"grid would produce more than {grid.max_members} members; "
             "coarsen the grid or raise max_members"
+        )
+
+
+# coefficients one member table may hold (512 MiB of complex rows)
+_MAX_TABLE_ENTRIES = 1 << 25
+
+
+def _check_table_budget(members: int, width: int) -> None:
+    if members * width > _MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"member table of {members} members x {width} coefficients exceeds the limit of "
+            f"{_MAX_TABLE_ENTRIES} entries; coarsen the grid or lower the order"
         )
 
 
@@ -475,50 +450,82 @@ class LeadingRows(NamedTuple):
 def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
     """The members :func:`sample` draws, as their first ``width`` coefficients.
 
-    Pencil generators come from :meth:`Pencil.member_rows`, rational ones
-    from :meth:`Rational.leading_rows`, a fixed one is its stored block; no
-    series is built for them.  A family with a dilation slot is sampled
-    member by member.  Raises the ``max_members`` error :func:`sample`
-    raises.
+    Each generator gives its members' rows at once (``base_rows``), and a
+    dilation slot scales them by ``w ** k`` (:func:`_dilated_rows`); no
+    series is built.  Raises the ``max_members`` error :func:`sample`
+    raises, and, before allocating them, refuses rows that would take the
+    table past ``_MAX_TABLE_ENTRIES`` coefficients.
     """
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (coeffs, regular, params)
-    dilations: list[complex] = []
+    dil = np.asarray(dilation_points(grid), dtype=complex) if V.dilation_slot else None
+    lists = [gen.param_lists(grid) for gen in V.generators]
+    counts = [math.prod(len(ps) for ps in ls) * (1 if dil is None else len(dil)) for ls in lists]
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (params, coeffs, regular)
     total = 0
-    for gi, gen in enumerate(V.generators):
-        if V.dilation_slot:
-            members = sample_generator(V, gi, grid, sampled_before=total)
-            block = np.array([leading_block(f, width) for f, _ in members]).reshape(-1, width)
-            reg = np.array([regular_beyond_disk(f) for f, _ in members], dtype=bool)
-            params = np.array([tag.params for _, tag in members], dtype=complex)
-            dilations.extend(tag.dilation for _, tag in members)
-        elif isinstance(gen, Pencil):
-            rows = gen.member_rows(grid, gi, sampled_before=total)
-            params, block = rows.params, np.zeros((len(rows.params), width), dtype=complex)
-            n = min(width, rows.coeffs.shape[1])
-            block[:, :n] = rows.coeffs[:, :n]
-            reg = np.ones(len(params), dtype=bool)
-        elif isinstance(gen, Rational):
-            params, block, reg = gen.leading_rows(grid, width, sampled_before=total)
-        else:
-            _check_member_budget(total + 1, grid)
-            params = np.zeros((1, 0), dtype=complex)
-            block = leading_block(gen.series, width)[None, :]
-            reg = np.array([regular_beyond_disk(gen.series)])
-        blocks.append((block, reg, params))
-        total += len(block)
-    widest = max(p.shape[1] for _, _, p in blocks)
-    params = np.full((total, widest), np.nan, dtype=complex)
-    start = 0
-    for _, _, p in blocks:
-        params[start : start + len(p), : p.shape[1]] = p
-        start += len(p)
+    for gen, ls, count in zip(V.generators, lists, counts):
+        total += count
+        _check_member_budget(total, grid)
+        _check_table_budget(total, width)
+        params = _param_rows(ls)
+        rows, radius = gen.base_rows(params, width)
+        if dil is not None:
+            params = np.repeat(params, len(dil), axis=0)
+            rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
+        blocks.append((params, rows, radius > 1.0))
+    params = np.full((total, max(len(ls) for ls in lists)), np.nan, dtype=complex)
+    for (p, _, _), end in zip(blocks, itertools.accumulate(counts)):
+        params[end - len(p) : end, : p.shape[1]] = p
     return LeadingRows(
-        np.concatenate([b for b, _, _ in blocks]),
-        np.concatenate([r for _, r, _ in blocks]),
-        np.repeat(np.arange(len(blocks)), [len(b) for b, _, _ in blocks]),
+        np.concatenate([c for _, c, _ in blocks]),
+        np.concatenate([r for _, _, r in blocks]),
+        np.repeat(np.arange(len(blocks)), counts),
         params,
-        np.array(dilations, dtype=complex) if V.dilation_slot else None,
+        None if dil is None else np.tile(dil, total // len(dil)),
     )
+
+
+def _param_rows(lists: list[list[complex]]) -> np.ndarray:
+    """Every combination of the sampled parameter values, one row each, in
+    :func:`sample`'s order (the last list varies fastest)."""
+    shape = [len(ps) for ps in lists]
+    params = np.empty((math.prod(shape), len(lists)), dtype=complex)
+    for j, ps in enumerate(lists):
+        column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
+        params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
+    return params
+
+
+def _dilated_rows(
+    rows: np.ndarray, radius: np.ndarray, w: np.ndarray, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every member dilated by every ``w`` (member-major), and its tail radius.
+
+    Entries before ``block`` (the stored block) are bitwise ``dilate``'s
+    ``rows[:, k] * w ** k``, later ones keep their ``leading_block``
+    markers, and ``w = 0`` gives the exact constant; raises as ``dilate``
+    does on a product that is not finite."""
+    m, width = rows.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rows[:, None, :] * w[:, None] ** np.arange(width)
+    if not np.all(np.isfinite(out[:, :, :block])):
+        raise ValueError("coefficients must be finite")
+    out[:, :, block:] = rows[:, None, block:]
+    zero = w == 0
+    out[:, zero] = 0.0
+    out[:, zero, 0] = rows[:, None, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(zero, math.inf, radius[:, None] / np.hypot(w.real, w.imag))
+    return out.reshape(m * len(w), width), radius.ravel()
+
+
+def member_labels(V: FamilySpec, grid: ParamGrid) -> Iterator[str]:
+    """The tag labels of the members :func:`sample` draws, in order, formatted
+    one at a time from the parameter lists; no member is built."""
+    suffixes = [_dilation_suffix(w) for w in dilation_points(grid)] if V.dilation_slot else [""]
+    for gi, gen in enumerate(V.generators):
+        texts = [[_cfmt(p) for p in ps] for ps in gen.param_lists(grid)]
+        for params in itertools.product(*texts):
+            label = _label(gi, gen.kind, params)
+            yield from (label + s for s in suffixes)
 
 
 def complete_hull(V: FamilySpec) -> FamilySpec:

@@ -437,8 +437,8 @@ def rational_leading_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`leading_block` rows of ``from_rational(x_i, y_i, order)`` at once.
 
-    Returns the ``(len(x), width)`` rows and whether each expansion is
-    regular beyond the closed disk (exact, or tail radius above one).  The
+    Returns the ``(len(x), width)`` rows and each expansion's tail radius
+    (``TruncSeries.tail_radius``: infinite when exact).  The
     closed form runs :func:`from_rational`'s operations in its order, exact
     cases ``x = y`` and ``y = 0`` included, so every row is bitwise equal to
     the scalar expansion's.  Pairs whose coefficients it cannot vouch for
@@ -466,13 +466,13 @@ def rational_leading_rows(
         # |(x - y) (-y)^k| <= |x - y| once |y| < 1, so a difference below
         # 1e307 per component keeps every stored coefficient finite
         rows[pole & safe, 1:n] = d[pole & safe, None] * (-y[pole & safe, None]) ** ks
-    with np.errstate(divide="ignore", over="ignore"):  # 1/|y| of a tiny y is inf: regular
-        regular = exact | (1.0 / ay > 1.0)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/|y| of a tiny y is capped
+        radius = np.where(exact, math.inf, np.minimum(1.0 / ay, _RATIONAL_RHO_CAP))
     for i in np.flatnonzero(~safe):
         f = from_rational(x[i], y[i], order=order)
         rows[i] = leading_block(f, width)
-        regular[i] = regular_beyond_disk(f)
-    return rows, regular
+        radius[i] = f.tail_radius
+    return rows, radius
 
 
 def ones(order: int = DEFAULT_ORDER) -> TruncSeries:

@@ -1,6 +1,7 @@
 """Batched pencil evaluation of both image routes against the per-member loops: bitwise equality."""
 
 import gc
+import json
 import math
 import pickle
 import weakref
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from convdual import cli, duality, family
-from convdual.duality import Functional, RegionCloud, functional_image
+from convdual.duality import Functional, RegionCloud, functional_image, in_dual
 from convdual.family import (
     Circle,
     Disk,
@@ -22,19 +23,24 @@ from convdual.family import (
     Rational,
     Segment,
     border_elements,
+    complete_hull,
     counterexample_family,
+    leading_rows,
+    member_labels,
     sample,
 )
 from convdual.series import (
     TruncSeries,
+    convolve,
     convolve_rows_at,
+    evaluate_many,
     exact_product,
     from_rational,
 )
 
 from convdual.specfile import dump_family, load_family, parse_series
 
-from oracles import per_member_border_image, per_member_image
+from oracles import per_member_border_image, per_member_dual, per_member_image
 
 SET = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -173,26 +179,55 @@ def test_overflowing_horner_sum_matches_per_member_loop():
 
 
 def test_pencil_members_skip_the_series_route():
-    V = counterexample_family()
     lam = Functional(TruncSeries.polynomial([0.0, 1.0, 0.5]))
     grid = ParamGrid(3, 8)
-    with mock.patch.object(duality, "apply", side_effect=AssertionError("apply called")), \
-         mock.patch.object(duality, "sample_generator", side_effect=AssertionError("sampled")):
-        cloud = functional_image(lam, V, grid)
-    assert len(cloud.points) == 2 * (1 + 3 * 8)
-    assert not np.any(cloud.errors)
+    for V, dilations in [(counterexample_family(), 1),
+                         (complete_hull(counterexample_family()), 1 + 3 * 8)]:
+        with mock.patch.object(duality, "apply", side_effect=AssertionError("apply called")), \
+             mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
+             mock.patch.object(family, "dilate", side_effect=AssertionError("dilated")), \
+             mock.patch.object(family, "sample_generator", side_effect=AssertionError("sampled")):
+            cloud = functional_image(lam, V, grid)
+        assert len(cloud.points) == 2 * (1 + 3 * 8) * dilations
+        assert not np.any(cloud.errors)
+
+
+def test_members_left_to_the_series_route_cost_the_table_no_width():
+    # no product of these rational members with the kernel is exact, so
+    # their rows are never read: the table stays one column wide, under a
+    # limit that 25 rows of 1025 coefficients would exceed
+    V = FamilySpec((Rational(Disk(0.5), Disk(0.5), order=1024),))
+    g = from_rational(0.3, 0.2, order=1024)
+    grid = ParamGrid(1, 4)
+    shapes = []
+
+    def build(*args, **kwargs):
+        table = leading_rows(*args, **kwargs)
+        shapes.append(table.coeffs.shape)
+        return table
+
+    with mock.patch.object(duality, "leading_rows", build), \
+         mock.patch.object(family, "_MAX_TABLE_ENTRIES", 100):
+        _assert_matches_oracle(Functional(g), V, grid)
+        cert = in_dual(g, V, grid)
+    assert shapes == [(25, 1), (25, 1)]
+    assert json.dumps(cert.to_dict(), sort_keys=True) == json.dumps(
+        per_member_dual(g, V, grid).to_dict(), sort_keys=True)
 
 
 def test_member_rows_follow_sample_order():
     gen = Pencil((2, 1, 4), (Disk(0.5), Circle(1.0), Segment(-1.0, 1j)))
     grid = ParamGrid(2, 3, 4, 2)
-    rows = gen.member_rows(grid, gen_index=3)
-    members = sample(FamilySpec((Fixed(TruncSeries.polynomial([1.0])),) * 3 + (gen,)), grid)[3:]
-    assert len(rows.labels) == len(members) == 7 * 4 * 3
+    V = FamilySpec((Fixed(TruncSeries.polynomial([1.0])),) * 3 + (gen,))
+    table = leading_rows(V, grid, max(gen.exponents) + 1)
+    rows = table.take(table.gen_index == 3)
+    labels = list(member_labels(V, grid))[3:]
+    members = sample(V, grid)[3:]
+    assert len(labels) == len(members) == 7 * 4 * 3
     for i, (f, tag) in enumerate(members):
         assert rows.params[i].tobytes() == np.asarray(tag.params, dtype=complex).tobytes()
         assert rows.coeffs[i].tobytes() == f.coeffs.tobytes()
-        assert rows.labels[i] == tag.label()
+        assert labels[i] == tag.label()
 
 
 def test_convolve_rows_rejects_non_exact_products():
@@ -273,17 +308,23 @@ def test_cloud_labels_are_formatted_only_when_read():
     assert border.labels == tuple(tag.label() for _, tag in members for _ in range(per_member))
 
 
+def _watched_tables():
+    """A patch of the member-table builder, and the weak references to the
+    coefficient and parameter matrices of every table it builds."""
+    made = []
+
+    def build(*args, **kwargs):
+        table = leading_rows(*args, **kwargs)
+        made.append((weakref.ref(table.coeffs), weakref.ref(table.params)))
+        return table
+
+    return mock.patch.object(duality, "leading_rows", build), made
+
+
 def test_unread_labels_keep_no_member_arrays_alive():
-    original = Pencil.member_rows
-    rows_made = []
-
-    def member_rows(gen, *args, **kwargs):
-        rows = original(gen, *args, **kwargs)
-        rows_made.append((weakref.ref(rows.coeffs), weakref.ref(rows.params)))
-        return rows
-
     grid = ParamGrid(3, 8, circle=5)
-    with mock.patch.object(Pencil, "member_rows", member_rows):
+    watch, rows_made = _watched_tables()
+    with watch:
         cloud = functional_image(LABEL_LAM, LABEL_FAMILY, grid)
     gc.collect()
     assert rows_made and all(c() is None and p() is None for c, p in rows_made)
@@ -401,11 +442,26 @@ def test_border_pencils_skip_the_series_route():
     V = counterexample_family()
     lam = Functional(from_rational(0.5, 0.2))
     with mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
-         mock.patch.object(duality, "sample_generator", side_effect=AssertionError("sampled")):
+         mock.patch.object(family, "sample_generator", side_effect=AssertionError("sampled")):
         cloud = functional_image(lam, V, ParamGrid(circle=12), via_border=True, mesh_depth=4,
                                  mesh_angles=8)
     assert len(cloud.points) == 2 * 12 * (1 + 5 * 8)
     assert not np.any(cloud.errors)
+    # the border route refuses dilation-slot families, so the hull of the
+    # border members goes to the mesh evaluation directly
+    V = complete_hull(border_elements(V))
+    grid = ParamGrid(2, 4, circle=6)
+    mesh = np.concatenate([[0j], 0.5 * np.exp(2j * np.pi * np.arange(8) / 8), [1 + 0j, -1j]])
+    with mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
+         mock.patch.object(family, "dilate", side_effect=AssertionError("dilated")), \
+         mock.patch.object(family, "sample_generator", side_effect=AssertionError("sampled")):
+        values, bounds, labels = duality._image_rows(lam, V, grid, mesh, "border-route")
+    members = sample(V, grid)
+    assert values.shape == (len(members), len(mesh)) == (2 * 6 * (1 + 2 * 4), 11)
+    assert not np.any(bounds)
+    for row, (f, _) in zip(values, members):
+        assert row.tobytes() == evaluate_many(convolve(f, lam.kernel), mesh)[0].tobytes()
+    assert tuple(labels.make()) == tuple(tag.label() for _, tag in members for _ in mesh)
 
 
 def test_border_rows_are_evaluated_in_bounded_blocks():
@@ -465,18 +521,11 @@ def test_border_cloud_labels_are_formatted_only_when_read():
 
 
 def test_unread_border_labels_keep_no_member_arrays_alive():
-    original = Pencil.member_rows
-    rows_made = []
-
-    def member_rows(gen, *args, **kwargs):
-        rows = original(gen, *args, **kwargs)
-        rows_made.append((weakref.ref(rows.coeffs), weakref.ref(rows.params)))
-        return rows
-
     grid = ParamGrid(3, 8, circle=5)
-    with mock.patch.object(Pencil, "member_rows", member_rows):
+    watch, rows_made = _watched_tables()
+    with watch:
         cloud = functional_image(LABEL_LAM, LABEL_FAMILY, grid, via_border=True, mesh_depth=3,
                                  mesh_angles=8)
     gc.collect()
-    assert len(rows_made) == 2 and all(c() is None and p() is None for c, p in rows_made)
+    assert len(rows_made) == 1 and all(c() is None and p() is None for c, p in rows_made)
     assert cloud.labels == per_member_border_image(LABEL_LAM, LABEL_FAMILY, grid, 3, 8)["labels"]

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from convdual import duality
+from convdual import duality, family
 from convdual.duality import build_transpose_pool, in_dual_hull, is_complete_T
 from convdual.family import (
     COARSE_GRID,
@@ -233,6 +234,24 @@ def test_max_members_error_matches_sample():
     assert "more than 100 members" in str(got.value)
 
 
+def test_oversized_table_is_refused_before_its_rows_are_built():
+    V = FamilySpec((Rational(Disk(0.5), Disk(0.5), order=4096),), dilation_slot=True)
+    grid = ParamGrid(1, 4)  # 5 x 5 base members, 5 dilations each: 125 rows
+    width = family._MAX_TABLE_ENTRIES // 125 + 1
+    with mock.patch.object(Rational, "base_rows", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match=f"125 members x {width} coefficients exceeds "
+                                             f"the limit of {family._MAX_TABLE_ENTRIES} entries"):
+            leading_rows(V, grid, width)
+        # past max_members the member count raises first, as sample does
+        with pytest.raises(ValueError, match="more than 100 members"):
+            leading_rows(V, replace(grid, max_members=100), width)
+        # a first generator within max_members is held to the limit before
+        # its rows are built, though the second takes the count past it
+        two = FamilySpec(V.generators * 2, dilation_slot=True)
+        with pytest.raises(ValueError, match=f"125 members x {width} coefficients exceeds"):
+            leading_rows(two, replace(grid, max_members=200), width)
+
+
 def test_empty_pool_is_inconclusive_as_per_kernel():
     only_bad = FamilySpec((Fixed(TruncSeries.polynomial([1.0, 1.0])),))
     V = pencil_family()
@@ -342,14 +361,32 @@ def test_rational_rows_equal_the_scalar_expansion(xy, order, width):
                 rational_leading_rows(x, y, order, width)
             assert str(got.value) == str(exc)
             return
-        rows, regular = rational_leading_rows(x, y, order, width)
-    for f, row, reg in zip(want, rows, regular):
+        rows, radius = rational_leading_rows(x, y, order, width)
+    for f, row, rad in zip(want, rows, radius):
         assert row.tobytes() == leading_block(f, width).tobytes()
-        assert reg == regular_beyond_disk(f)
+        assert np.float64(rad).tobytes() == np.float64(f.tail_radius).tobytes()
+        assert (rad > 1.0) == regular_beyond_disk(f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_families, kernel_grids)
+@example(  # w = 0 collapses a non-exact member to the exact constant row
+    FamilySpec((Fixed(from_rational(0.5 - 0.25j, -0.3, order=6)),), dilation_slot=True),
+    ParamGrid(1, 3, 3, 1),
+)
+@example(  # a tail-less fixed member stays irregular at every w != 0
+    FamilySpec((Fixed(TruncSeries([1.0, 0.5j, -0.25 + 1j], None)),), dilation_slot=True),
+    ParamGrid(2, 3, 3, 1),
+)
+@example(  # rho <= 1: regular exactly where rho / |w| exceeds one
+    FamilySpec((Fixed(TruncSeries([1.0, -0.3, 0.2j, 0.1], Tail(1.0, 0.8))),
+                Fixed(TruncSeries([1.0, 0.7], Tail(0.5, 1.0)))), dilation_slot=True),
+    ParamGrid(2, 4, 3, 1),
+)
+@example(  # subnormal |y|: the tail radius is capped at 1e300
+    FamilySpec((Rational(Disk(0.5), Circle(5e-324), order=8),), dilation_slot=True),
+    ParamGrid(1, 3, 4, 1),
+)
 def test_leading_rows_rebuild_the_sampled_members(V, grid):
     try:
         members = sample(V, grid)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_cli_spec_order_above_the_limit_exits_three(capsys, tmp_path, command):
     spec.write_text(json.dumps({"generators": [HUGE_ORDERS[0][0]]}))
     assert main([command, "--family", str(spec), "--kernel", "1+0.5z"]) == 3
     assert f"MAX_ORDER = {MAX_ORDER}" in capsys.readouterr().err
+
+
+def test_cli_oversized_member_table_exits_three(capsys, tmp_path):
+    # every product with the exact kernel is an exact polynomial read from
+    # the table: 811801 sampled members x 4097 coefficients, 49.6 GiB
+    spec = tmp_path / "wide.spec"
+    spec.write_text(json.dumps({"generators": [
+        {"kind": "rational", "x_domain": DISK, "y_domain": DISK, "order": MAX_ORDER}]}))
+    argv = ["dual-check", "--family", str(spec), "--kernel", f"1+z^{MAX_ORDER}",
+            "--trunc", str(MAX_ORDER), "--grid", "30x30"]
+    with mock.patch.object(Rational, "base_rows", side_effect=AssertionError("allocated")):
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"limit of {1 << 25} entries" in err
 
 
 def test_json_syntax_error_reports_line_and_column():
