@@ -36,6 +36,7 @@ __all__ = [
     "min_modulus_on_circle",
     "nonvanishing_in_disk",
     "row_margins",
+    "row_bounds",
 ]
 
 
@@ -333,6 +334,19 @@ def _schedule(r_max: Optional[float], schedule: Optional[Sequence[float]]) -> li
     return sorted(sched)
 
 
+def _unbounded_off_origin(f: Evaluable, sched: list[float], tol: Tolerances) -> bool:
+    """Whether :func:`nonvanishing_in_disk` must skip every circle of ``sched``:
+    a series whose evaluation bound is infinite off the origin (no tail, or
+    ``M = inf``) and whose value at the origin, ``c_0``, is no witness."""
+    return (
+        isinstance(f, TruncSeries)
+        and (f.tail is None or math.isinf(f.tail.M))
+        and bool(np.all(np.isfinite(f.coeffs)))
+        and float(np.abs(f.coeffs[0])) >= tol.witness_bar
+        and all(r > 0 for r in sched)
+    )
+
+
 def nonvanishing_in_disk(
     f: Evaluable,
     r_max: Optional[float] = None,
@@ -350,6 +364,15 @@ def nonvanishing_in_disk(
     sched = _schedule(r_max, schedule)
     limit = r_max if r_max is not None else sched[-1]
     base_params = {"r_max": float(limit), "schedule_depth": len(sched)}
+    if _unbounded_off_origin(f, sched, tol):
+        # every sample off the origin has an infinite error bound, so each
+        # circle fails its winding pass, and _refine_root accepts only a point
+        # with a finite bound: z = 0, where |f| = |c_0| clears the bar
+        return Certificate(
+            CertStatus.INCONCLUSIVE,
+            reason="no certifiable circle in the radius schedule",
+            params={**base_params, "skipped_radii": sched[::-1]},
+        )
 
     skipped: list[float] = []
     for r in reversed(sched):
@@ -497,6 +520,18 @@ def _refine_rows(
         active = active[np.isfinite(mesh[active])]
 
 
+def _row_circle(
+    r_max: Optional[float], schedule: Optional[Sequence[float]], tol: Tolerances
+) -> Optional[float]:
+    """The outermost schedule circle, where the row passes follow the scalar
+    certification; None where they do not apply (the scan ring is not the
+    512-point mesh's even half, or the circle is not positive)."""
+    r = _schedule(r_max, schedule)[-1]
+    if r <= 0 or max(256, tol.initial_samples) != _FIRST_MESH // 2:
+        return None
+    return r
+
+
 def row_margins(
     rows: np.ndarray,
     orders: np.ndarray,
@@ -525,8 +560,8 @@ def row_margins(
     """
     rows = np.asarray(rows, dtype=complex)
     orders = np.asarray(orders, dtype=int)
-    r = _schedule(r_max, schedule)[-1]
-    if r <= 0 or max(256, tol.initial_samples) != _FIRST_MESH // 2:
+    r = _row_circle(r_max, schedule, tol)
+    if r is None:
         yield from itertools.repeat(math.nan, len(rows))
         return
     start, size = 0, _FIRST_BLOCK
@@ -544,3 +579,80 @@ def row_margins(
             i = k
         start += size
         size = min(2 * size, _ROW_BUDGET // _FIRST_MESH)
+
+
+_EPS = float(np.finfo(float).eps)  # 2u, twice the unit roundoff
+_SLACK = 2.0**-30  # relative slack of the bound's comparisons, far above its roundings
+_ANGLE_SLACK = 2.0**-40  # radians kept clear of the phase step, far above the phase pass's errors
+_NORMAL = (2.0**-900, 2.0**1000)  # every value and partial sum stays normal and finite
+
+
+def row_bounds(
+    rows: np.ndarray,
+    r_max: Optional[float] = None,
+    schedule: Optional[Sequence[float]] = None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> np.ndarray:
+    """Rows that :func:`row_margins` verifies, proven from their coefficients
+    alone: for each row a lower bound of its margin, NaN where nothing is
+    proven.
+
+    Rows are those of :func:`row_margins` (zero past each row's order, which
+    the bound therefore does not need).  Where a bound is
+    given, :func:`nonvanishing_in_disk` of the row's polynomial is Verified
+    on the outermost schedule circle ``r`` with ``min_modulus`` at least the
+    bound, which :func:`row_margins` yields bitwise.  No value is evaluated:
+    ``rho`` bounds ``|p(z) - c_0|`` as computed by Horner's rule at every
+    mesh point, ``sum_{k>=1} |c_k| |z|^k`` widened by the running error
+    analysis of Horner's rule (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, §5.1), so every sample lies in the disk of
+    radius ``rho`` about ``c_0``.  A row is proven when that disk
+
+    * keeps the argument within ``min(phase_step / 2, pi / 2)`` of ``c_0``'s,
+      so the winding pass takes every phase step below ``phase_step`` and
+      sums them to winding zero;
+    * keeps ``|p|`` above ten witness bars, so the scan chases no near-zero;
+    * leaves the mesh's Lipschitz deflation at ``2**17`` points within
+      0.005 of ``|c_0| - rho``, so :func:`min_modulus_on_circle` ends with
+      at least ``0.995 (|c_0| - rho)``, which must clear the margin floor.
+
+    Each comparison keeps a relative slack far above the roundings it
+    omits, and values must stay normal and far from overflow.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    lower = np.full(len(rows), math.nan)
+    r = _row_circle(r_max, schedule, tol)
+    if r is None or not rows.size:
+        return lower
+    width = rows.shape[1]
+    R = r * (1.0 + 4.0 * _EPS)  # above |z| of every computed point r * _unit_ring(n)
+    # Horner's rule errs by at most gamma_(4 width + 1) sum_k |c_k| |z|^k: a
+    # complex product by sqrt(2) gamma_2 <= gamma_3, a sum by u; gamma_n <=
+    # n eps.  The widening doubles that to cover the rounding of the sums below.
+    gamma = (8.0 * width + 16.0) * _EPS
+    ks = np.arange(1.0, width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = R**ks
+        mods = np.abs(rows)
+        c0 = mods[:, 0] * (1.0 - 2.0 * _EPS)  # at most |c_0|
+        # sum |c_k| R^k, and above the scalar derivative bound sum k |c_k| r^(k-1)
+        sums = mods[:, 1:] @ np.stack([powers, ks * R ** (ks - 1.0)], axis=1)
+        spread, L = sums.T * (1.0 + gamma)
+        # a product that underflows errs by up to 2**-1072 more, carried on
+        # by |z|^j; 2**-1070 leaves a factor of four
+        rho = spread + gamma * mods[:, 0] + 2.0**-1070 * (1.0 + powers.sum())
+        gap = (c0 - rho) * (1.0 - _SLACK)
+        # bounds every partial sum of Horner's rule; finite only if every coefficient is
+        reach = mods.sum(axis=1) + spread
+    angle = min(tol.phase_step / 2.0, math.pi / 2.0) - _ANGLE_SLACK
+    bound = 0.995 * gap * (1.0 - _SLACK)
+    ok = (
+        (rho * (1.0 + _SLACK) < c0 * math.sin(angle))
+        & (gap > 10 * tol.witness_bar)
+        & (L * (math.pi * r / _MAX_MESH) <= 0.005 * gap)
+        & (bound > max(tol.margin_floor, 0.0))
+        & (gap > _NORMAL[0])
+        & (reach <= _NORMAL[1])
+    )
+    lower[ok] = bound[ok]
+    return lower

@@ -44,6 +44,7 @@ from .contour import (
     Tolerances,
     nonvanishing_in_disk,
     radius_schedule,
+    row_bounds,
     row_margins,
 )
 from .family import (
@@ -671,6 +672,11 @@ def in_dual(
     other member is built as a series and certified on its own, in sample
     order, so the first Falsified member, the gray reasons and
     ``members_checked`` are those of the per-member loop.
+
+    Products that :func:`~convdual.contour.row_bounds` proves Verified from
+    their coefficients are skipped by that loop.  They can only lower the
+    worst margin, so they are settled after it, and only when it leaves a
+    Verified answer (:func:`_settle_clear_rows`).
     """
     if not is_normalized(g):
         raise ValueError("dual membership requires a normalized kernel (c_0 = 1)")
@@ -713,10 +719,15 @@ def in_dual(
             with np.errstate(over="ignore", invalid="ignore"):
                 products = table.coeffs * g.coeffs[: table.coeffs.shape[1]]
             products[~exact] = np.nan  # left to the per-member path, as wide as the table
-            margins = row_margins(products, np.where(exact, orders, 0),
-                                  r_max=r_max, schedule=schedule, tol=tol)
+            orders = np.where(exact, orders, 0)
+            opts = {"r_max": r_max, "schedule": schedule, "tol": tol}
+            lower = row_bounds(products, **opts)
+            clear = ~np.isnan(lower)
+            margins = row_margins(products[~clear], orders[~clear], **opts)
         for i in next(ranges):
             members_checked += 1
+            if clear[i]:
+                continue
             margin = next(margins)
             if not math.isnan(margin):
                 verdict.margin(margin)
@@ -740,9 +751,31 @@ def in_dual(
                 verdict.gray(lambda: f"{_tag_of(table, sub, i, gi).label()}: {inner.reason}")
                 continue
             verdict.margin(inner.min_modulus)
+    if table is not None and not verdict.gray_count:
+        _settle_clear_rows(verdict, products, orders, lower, opts)
     return verdict.certificate(
         {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
     )
+
+
+def _settle_clear_rows(
+    verdict: _Verdict, products: np.ndarray, orders: np.ndarray, lower: np.ndarray, opts: dict
+) -> None:
+    """Feed ``verdict`` the margins of the rows :func:`row_bounds` proved
+    Verified (a bound, not NaN), evaluating only those that can be the worst.
+
+    A row's margin is at least its bound, so rows are taken by ascending
+    bound and the first whose bound lies above the worst margin known ends
+    the pass: neither it nor a later row can lower that margin.  Every
+    margin fed comes from :func:`row_margins`, so the worst one is bitwise
+    the one the row pass gives with every row evaluated.
+    """
+    by_bound = np.argsort(lower, kind="stable")  # unproven (NaN) rows last
+    margins = row_margins(products[by_bound], orders[by_bound], **opts)
+    for bound in lower[by_bound].tolist():
+        if not bound <= verdict.worst:  # past the worst, or at the unproven rows
+            return
+        verdict.margin(next(margins))
 
 
 # -- dual hull ---------------------------------------------------------------------

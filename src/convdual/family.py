@@ -93,13 +93,16 @@ class Disk:
     kind = "disk"
 
     def points(self, grid: "ParamGrid") -> list[complex]:
-        pts: list[complex] = [0.0 + 0.0j]
         nr, na = grid.disk_radial, grid.disk_angular
+        units = [cmath.exp(2j * math.pi * j / na) for j in range(na)]
+        pts: list[complex] = [0.0 + 0.0j]
         for i in range(1, nr + 1):
             r = self.radius * i / nr
-            for j in range(na):
-                pts.append(r * cmath.exp(2j * math.pi * j / na))
+            pts.extend([r * u for u in units])
         return pts
+
+    def point_count(self, grid: "ParamGrid") -> int:
+        return 1 + grid.disk_radial * grid.disk_angular
 
     def contains(self, x: complex, tol: float = 1e-9) -> bool:
         return abs(x) <= self.radius + tol
@@ -125,6 +128,9 @@ class Circle:
         n = grid.circle
         return [self.radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
 
+    def point_count(self, grid: "ParamGrid") -> int:
+        return grid.circle
+
     def contains(self, x: complex, tol: float = 1e-9) -> bool:
         return abs(abs(x) - self.radius) <= tol
 
@@ -145,6 +151,9 @@ class Segment:
     def points(self, grid: "ParamGrid") -> list[complex]:
         n = grid.segment
         return [self.start + (self.end - self.start) * i / n for i in range(n + 1)]
+
+    def point_count(self, grid: "ParamGrid") -> int:
+        return grid.segment + 1
 
     def contains(self, x: complex, tol: float = 1e-9) -> bool:
         d = self.end - self.start
@@ -272,6 +281,10 @@ class Rational:
         x, y = params
         return from_rational(x, y, order=self.order)
 
+    @property
+    def domains(self) -> tuple[Domain, Domain]:
+        return (self.x_domain, self.y_domain)
+
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return [self.x_domain.points(grid), self.y_domain.points(grid)]
 
@@ -287,6 +300,7 @@ class Fixed:
     series: TruncSeries
 
     kind = "fixed"
+    domains = ()
 
     def __post_init__(self) -> None:
         if not is_normalized(self.series):
@@ -349,6 +363,13 @@ def _dilation_suffix(w: complex) -> str:
     return f"@P[{_cfmt(w)}]"
 
 
+def _member_count(V: FamilySpec, gen: Generator, grid: ParamGrid) -> int:
+    """How many members :func:`sample` draws from ``gen``, a generator of
+    ``V``, counted without listing a parameter."""
+    dilations = Disk(1.0).point_count(grid) if V.dilation_slot else 1
+    return math.prod(d.point_count(grid) for d in gen.domains) * dilations
+
+
 def _check_member_budget(total: int, grid: ParamGrid) -> None:
     if total > grid.max_members:
         raise ValueError(
@@ -388,19 +409,17 @@ def sample_generator(
     """The members :func:`sample` draws from one generator of ``V``.
 
     ``sampled_before`` members of earlier generators count against
-    ``grid.max_members``.
+    ``grid.max_members``, which is checked before any parameter is listed.
     """
     gen = V.generators[gen_index]
+    _check_member_budget(sampled_before + _member_count(V, gen, grid), grid)
     out: list[tuple[TruncSeries, MemberTag]] = []
     dil_points = dilation_points(grid) if V.dilation_slot else [None]
-    total = sampled_before
     lists = gen.param_lists(grid)
     combos = itertools.product(*lists) if lists else iter([()])
     for params in combos:
         member = gen.instantiate(params)
         for w in dil_points:
-            total += 1
-            _check_member_budget(total, grid)
             if w is None:
                 out.append((member, MemberTag(gen_index, gen.kind, tuple(params))))
             else:
@@ -454,24 +473,25 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
     dilation slot scales them by ``w ** k`` (:func:`_dilated_rows`); no
     series is built.  Raises the ``max_members`` error :func:`sample`
     raises, and, before allocating them, refuses rows that would take the
-    table past ``_MAX_TABLE_ENTRIES`` coefficients.
+    table past ``_MAX_TABLE_ENTRIES`` coefficients; both are checked on
+    member counts, before a generator's parameters are listed.
     """
+    counts = [_member_count(V, gen, grid) for gen in V.generators]
+    _check_member_budget(counts[0], grid)  # the loop's first check, before dilations are listed
     dil = np.asarray(dilation_points(grid), dtype=complex) if V.dilation_slot else None
-    lists = [gen.param_lists(grid) for gen in V.generators]
-    counts = [math.prod(len(ps) for ps in ls) * (1 if dil is None else len(dil)) for ls in lists]
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (params, coeffs, regular)
     total = 0
-    for gen, ls, count in zip(V.generators, lists, counts):
+    for gen, count in zip(V.generators, counts):
         total += count
         _check_member_budget(total, grid)
         _check_table_budget(total, width)
-        params = _param_rows(ls)
+        params = _param_rows(gen.param_lists(grid))
         rows, radius = gen.base_rows(params, width)
         if dil is not None:
             params = np.repeat(params, len(dil), axis=0)
             rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
         blocks.append((params, rows, radius > 1.0))
-    params = np.full((total, max(len(ls) for ls in lists)), np.nan, dtype=complex)
+    params = np.full((total, max(p.shape[1] for p, _, _ in blocks)), np.nan, dtype=complex)
     for (p, _, _), end in zip(blocks, itertools.accumulate(counts)):
         params[end - len(p) : end, : p.shape[1]] = p
     return LeadingRows(

@@ -350,7 +350,8 @@ def horner_rows(rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """
     values = np.zeros((len(rows), len(zs)), dtype=complex)
     for column in np.ascontiguousarray(rows.T[::-1])[:, :, None]:  # highest degree first
-        values = values * zs + column
+        values *= zs
+        values += column
     return values
 
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from convdual import contour
 from convdual.contour import (
+    DEFAULT_TOL,
     CertStatus,
     _circle_points,
     Certificate,
@@ -18,7 +23,7 @@ from convdual.contour import (
     radius_schedule,
     winding_number,
 )
-from convdual.series import TruncSeries, from_rational, const_one, ones
+from convdual.series import Tail, TruncSeries, from_rational, const_one, ones
 
 from oracles import count_roots_inside, dense_min_modulus, planted_polynomial
 
@@ -192,3 +197,81 @@ def test_radius_schedule_shape():
     assert s[-1] == 1.0 - 2.0**-12
     capped = radius_schedule(12, r_max=0.9)
     assert max(capped) == 0.9 and all(r <= 0.9 for r in capped)
+
+
+# -- series without an error bound off the origin --------------------------------
+
+
+def _outcome(call):
+    """The certificate's JSON text, or the ValueError's message."""
+    try:
+        return json.dumps(call().to_dict(), sort_keys=True)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _with_coeff(f, k, value):
+    """``f`` with coefficient ``k`` set to a value TruncSeries refuses."""
+    coeffs = f.coeffs.copy()
+    coeffs[k] = value
+    object.__setattr__(f, "coeffs", coeffs)
+    return f
+
+
+bound_tails = st.sampled_from(
+    [None, Tail(math.inf, 2.0), Tail(math.inf, 0.25), Tail(1.0, 2.0), Tail(0.0, math.inf)]
+)
+shortcut_coeff = st.sampled_from([1.0, -0.5j, 1e-9, 1e-12, 0.0, 1e300]) | st.builds(
+    complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)
+)
+shortcut_schedules = st.sampled_from([
+    {},
+    {"r_max": 0.9},
+    {"schedule": [0.3, 0.75]},
+    {"schedule": [5e-324, 1e-310, 0.4]},
+    {"schedule": [0.0, 0.5]},
+    {"schedule": [-0.25, 0.6]},
+    {"schedule": [0.0]},
+])
+shortcut_tols = st.sampled_from([
+    DEFAULT_TOL,
+    DEFAULT_TOL.with_bar(1e-3),
+    Tolerances(witness_bar=1e-12, margin_floor=1e-10, newton_iterations=5),
+])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(shortcut_coeff, min_size=1, max_size=6),
+    bound_tails,
+    st.sampled_from([None, math.nan, math.inf, complex(1.0, math.inf)]),
+    st.integers(0, 5),
+    shortcut_schedules,
+    shortcut_tols,
+)
+@example([1.0, 0.5, 0.25], None, None, 0, {}, DEFAULT_TOL)  # no tail
+@example([1.0, -0.5j], Tail(math.inf, 1.0), None, 0, {}, DEFAULT_TOL)  # M = inf
+@example([1.0, 0.5], None, math.nan, 1, {}, DEFAULT_TOL)  # a non-finite coefficient
+@example([1e-12, 0.5], None, None, 0, {}, DEFAULT_TOL)  # |c_0| below the bar
+@example([1e-9, 0.5], None, None, 0, {}, DEFAULT_TOL)  # |c_0| on the bar
+@example([0.0, 1.0], None, None, 0, {}, DEFAULT_TOL)  # a zero at the origin
+@example([1.0, 0.5], None, None, 0, {"schedule": [0.0, 0.5]}, DEFAULT_TOL)  # radius zero
+@example([1.0, 0.5], None, None, 0, {"schedule": [-0.25, 0.6]}, DEFAULT_TOL)  # a negative radius
+@example([1.0, 0.5], None, None, 0, {"schedule": [5e-324, 1e-310, 0.4]}, DEFAULT_TOL)
+def test_no_bound_shortcut_matches_the_walk(coeffs, tail, bad, k, sched, tol):
+    f = TruncSeries(coeffs, tail)
+    if bad is not None:
+        f = _with_coeff(f, min(k, f.order), bad)
+    with mock.patch.object(contour, "_unbounded_off_origin", return_value=False):
+        walked = _outcome(lambda: nonvanishing_in_disk(f, tol=tol, **sched))
+    assert _outcome(lambda: nonvanishing_in_disk(f, tol=tol, **sched)) == walked
+
+
+def test_no_bound_shortcut_skips_the_walk():
+    f = TruncSeries([1.0, 0.3, 0.2], None)
+    with mock.patch.object(contour, "_refine_root") as refine:
+        cert = nonvanishing_in_disk(f, schedule=[0.5, 0.25, 0.75])
+    assert refine.call_count == 0
+    assert cert.status is CertStatus.INCONCLUSIVE
+    assert cert.reason == "no certifiable circle in the radius schedule"
+    assert cert.params["skipped_radii"] == [0.75, 0.5, 0.25]

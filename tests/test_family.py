@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from convdual.family import (
     complete_hull,
     counterexample_family,
     default_kernel_family,
+    leading_rows,
     nearest_member_distance,
     pairing_interval,
     pairing_zero_weights,
@@ -46,6 +48,35 @@ def test_domain_point_counts():
     assert len(Disk(1.0).points(COARSE)) == 1 + 3 * 6
     assert len(Circle(0.5).points(COARSE)) == 8
     assert len(Segment(0, 1 + 1j).points(COARSE)) == 5
+
+
+@pytest.mark.parametrize("grid", [COARSE, ParamGrid(1, 1, 1, 1), ParamGrid(5, 7, 3, 9)])
+def test_domain_point_counts_are_arithmetic(grid):
+    for d in (Disk(0.5), Circle(0.5), Segment(0, 1j)):
+        assert d.point_count(grid) == len(d.points(grid))
+
+
+@pytest.mark.parametrize("radius", [0.8, 1e-310, 5e-324])
+def test_disk_points_bitwise_the_per_point_formula(radius):
+    for nr, na in [(1, 1), (3, 6), (8, 16), (5, 7), (16, 128)]:
+        want = [0.0 + 0.0j] + [
+            (radius * i / nr) * cmath.exp(2j * math.pi * j / na)
+            for i in range(1, nr + 1)
+            for j in range(na)
+        ]
+        got = Disk(radius).points(ParamGrid(nr, na))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_member_budget_is_checked_before_parameters_are_listed():
+    V = complete_hull(FamilySpec((Rational(Circle(0.5), Disk(0.3)),)))
+    grid = ParamGrid(1, 30_000_000, circle=30_000_000)
+    listed = AssertionError("parameters listed")
+    with mock.patch.object(Disk, "points", side_effect=listed), \
+         mock.patch.object(Circle, "points", side_effect=listed):
+        for build in (lambda: sample(V, grid), lambda: leading_rows(V, grid, 2)):
+            with pytest.raises(ValueError, match="more than 1000000 members"):
+                build()
 
 
 def test_domain_contains():

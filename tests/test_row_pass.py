@@ -18,10 +18,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from convdual import contour, duality
 from convdual.contour import (
     DEFAULT_TOL,
+    CertStatus,
     Tolerances,
     _circle_points,
     nonvanishing_in_disk,
     radius_schedule,
+    row_bounds,
     row_margins,
 )
 from convdual.duality import in_dual, in_perp, in_T
@@ -248,6 +250,187 @@ def test_row_blocks_stay_within_the_budget():
     assert max(sizes) * 512 <= contour._ROW_BUDGET
 
 
+# -- contour.row_bounds -------------------------------------------------------
+
+# schedules whose outermost radius the bound works on, and ones it refuses
+bound_schedules = st.sampled_from([
+    {},
+    {"r_max": 0.5},
+    {"schedule": [0.6]},
+    {"schedule": [-0.5, 0.0, 0.75]},
+    {"schedule": [-0.5, 0.0]},
+    {"schedule": [0.0]},
+])
+
+
+def _bound_holds(rows, orders, lower, tol, **sched):
+    """Every row with a bound is Verified by the scalar walk on the outermost
+    circle with a margin at least the bound, the margin row_margins yields."""
+    radii = sched.get("schedule") or radius_schedule(12, sched.get("r_max"))
+    outer = max(radii)
+    margins = list(row_margins(rows, orders, tol=tol, **sched))
+    proven = 0
+    for row, n, lo, m in zip(rows, orders, lower, margins):
+        if math.isnan(lo):
+            continue
+        cert = nonvanishing_in_disk(TruncSeries.polynomial(row[: n + 1]), tol=tol, **sched)
+        assert cert.verified and cert.params["r_certified"] == outer
+        assert cert.min_modulus >= lo
+        assert np.float64(cert.min_modulus).tobytes() == np.float64(m).tobytes()
+        proven += 1
+    return proven
+
+
+def _edge_row(c0, order, spread, r, phase=0.0, weights=None):
+    """Coefficients ``c_1..c_order`` with ``sum |c_k| r^k = spread``, at one
+    phase (all on the top power without weights)."""
+    row = np.zeros(order + 1, dtype=complex)
+    row[0] = c0
+    if order:
+        w = np.zeros(order) if weights is None else np.asarray(weights, dtype=float)
+        if weights is None:
+            w[-1] = 1.0
+        ks = np.arange(1, order + 1)
+        row[1:] = spread * w / w.sum() / r**ks * np.exp(1j * phase)
+    return row
+
+
+@st.composite
+def bound_cases(draw):
+    """Rows next to the edges of the bound's conditions, with the tolerances
+    and schedules that set those edges."""
+    sched = draw(bound_schedules)
+    radii = sched.get("schedule") or radius_schedule(12, sched.get("r_max"))
+    r = max(max(radii), 0.5)  # rows for a positive circle even where none is certified
+    phase_step = draw(st.sampled_from([math.pi / 2, math.pi, 4.0, 1.0, 0.05]))
+    alpha = min(phase_step / 2, math.pi / 2)
+    rows, orders, gaps = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        c0 = draw(st.sampled_from([1.0, -0.75j, 3e5, 2e-3, 1e-280, 1e280]))
+        order = draw(st.sampled_from([0, 1, 2, 3, 6, 30, 64, 200]))
+        # rho next to |c_0| sin(alpha), or well inside it
+        ratio = draw(st.sampled_from([0.2, 0.5, 0.9, 1 - 1e-6, 1 - 1e-8, 1 - 2e-9, 1.0, 1 + 1e-9]
+                                     + [0.5] * 4))
+        spread = abs(c0) * ratio * math.sin(alpha) if ratio != 0.2 else abs(c0) * 0.2
+        weights = draw(st.none() | st.lists(st.floats(0.01, 1.0), min_size=order, max_size=order))
+        phase = draw(st.floats(0.0, 2 * math.pi))
+        rows.append(_edge_row(c0, order, spread, r, phase, weights))
+        orders.append(order)
+        gaps.append(abs(c0) - spread)
+    if draw(st.integers(0, 3)) == 0:
+        rows[0][-1] = draw(st.sampled_from([math.nan, math.inf]))
+    width = max(orders) + 1
+    table = np.zeros((len(rows), width), dtype=complex)
+    for i, row in enumerate(rows):
+        table[i, : len(row)] = row
+    # the bar and the floor next to the first row's gap, or the defaults
+    gap = gaps[0]
+    nudge = draw(st.sampled_from([1 - 1e-6, 1 - 1e-10, 1.0, 1 + 1e-6]))
+    bar = draw(st.sampled_from([1e-9, 0.1 * gap * nudge, 0.0]))
+    floor = draw(st.sampled_from([1e-7, 0.995 * gap * nudge, 0.0, -1.0]))
+    tol = Tolerances(
+        witness_bar=bar,
+        margin_floor=floor,
+        initial_samples=draw(st.sampled_from([256, 256, 1, 255, 257, 512])),
+        phase_step=phase_step,
+    )
+    return table, np.asarray(orders), sched, tol
+
+
+@settings(SET, max_examples=100)
+@given(bound_cases())
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_row_bounds_prove_scalar_verified_rows(case):
+    rows, orders, sched, tol = case
+    lower = row_bounds(rows, tol=tol, **sched)
+    assert lower.shape == (len(rows),)
+    r = max(sched.get("schedule") or [1.0])
+    if r <= 0 or tol.initial_samples > 256:
+        assert np.all(np.isnan(lower))
+    _bound_holds(rows, orders, lower, tol, **sched)
+
+
+@pytest.mark.parametrize("order", [64, 96, 116, 127])
+def test_row_bounds_at_the_phase_step_edge(order):
+    # z^order turns by pi - phase_step per sample of the 256-point ring, so
+    # two neighbours sit at the tangent points of the disk about c_0: their
+    # phase step is 2 asin(rho / |c_0|), just below phase_step
+    phase_step = math.pi - 2 * math.pi * order / 256
+    alpha = phase_step / 2
+    r = radius_schedule(12)[-1]
+    tol = Tolerances(phase_step=phase_step, witness_bar=1e-12, margin_floor=1e-10)
+    rows, orders = [], []
+    for ratio in (1 - 1e-5, 1 - 1e-7, 1 - 1e-12):
+        rows.append(_edge_row(1.0, order, ratio * math.sin(alpha), r, math.pi / 2 + alpha))
+        orders.append(order)
+    rows, orders = np.array(rows), np.array(orders)
+    lower = row_bounds(rows, tol=tol)
+    assert [math.isnan(x) for x in lower] == [False, False, True]
+    assert _bound_holds(rows, orders, lower, tol) == 2
+    steps = np.angle(np.roll(np.polyval(rows[1][::-1], _circle_points(r, 256)), -1)
+                     / np.polyval(rows[1][::-1], _circle_points(r, 256)))
+    assert phase_step - 1e-6 < np.max(np.abs(steps)) < phase_step
+
+
+def test_row_bounds_at_the_derivative_edge():
+    # z^n with rho = |c_0| / 2: the 2**17-point mesh's deflation n rho pi /
+    # 2**17 reaches 0.005 (|c_0| - rho) near n = 208
+    r = radius_schedule(12)[-1]
+    rows = np.zeros((2, 211), dtype=complex)
+    for i, n in enumerate((200, 210)):
+        rows[i, : n + 1] = _edge_row(1.0, n, 0.5, r)
+    tol = Tolerances(phase_step=math.pi)
+    lower = row_bounds(rows, tol=tol)
+    assert not math.isnan(lower[0]) and math.isnan(lower[1])
+    assert _bound_holds(rows, np.array([200, 210]), lower, tol) == 1
+
+
+def test_row_bounds_at_the_bar_and_floor_edges():
+    rows = np.array([[1.0, 0.5]], dtype=complex)
+    r = radius_schedule(12)[-1]
+    gap = 1.0 - 0.5 * r
+    for bar, floor, proven in [
+        (0.1 * gap * (1 - 1e-6), 1e-7, True),
+        (0.1 * gap * (1 + 1e-9), 1e-7, False),
+        (1e-9, 0.995 * gap * (1 - 1e-6), True),
+        (1e-9, 0.995 * gap * (1 + 1e-9), False),
+    ]:
+        tol = Tolerances(witness_bar=bar, margin_floor=floor)
+        lower = row_bounds(rows, tol=tol)
+        assert math.isnan(lower[0]) != proven
+        _bound_holds(rows, np.array([1]), lower, tol)
+
+
+def test_row_bounds_prove_most_clear_rows_close_to_their_margins():
+    rng = np.random.default_rng(7)
+    orders = rng.integers(0, 5, 300)
+    rows = np.zeros((300, 5), dtype=complex)
+    rows[:, 0] = 1.0
+    for i, n in enumerate(orders):
+        rows[i, 1 : n + 1] = 0.7 / max(n, 1) * np.exp(2j * np.pi * rng.random(n))
+    lower = row_bounds(rows)
+    margins = np.array(list(row_margins(rows, orders)))
+    assert np.all(lower <= margins) and np.all(lower > 0.25)
+
+
+def test_row_bounds_cases_outside_the_pass():
+    # a clear row whose values near overflow break the scalar phase pass (its
+    # steps are NaN at any sample count, so a small budget only ends it sooner)
+    quick = Tolerances(sample_budget=2048)
+    huge = [1.2e308 + 0.9e308j, 1e307]
+    assert not nonvanishing_in_disk(TruncSeries.polynomial(huge), tol=quick).verified
+    rows = np.array([[1.0, 0.5], [1.0, np.inf], [np.nan, 0.0], [np.inf, 0.0], huge], dtype=complex)
+    assert np.isnan(row_bounds(rows)).tolist() == [False, True, True, True, True]
+    for kw in ({"tol": Tolerances(initial_samples=512)}, {"schedule": [-0.5, 0.0]}):
+        assert np.all(np.isnan(row_bounds(rows, **kw)))
+    # subnormal values break it too, with no bar or floor to refuse them
+    tiny = [3.308738e-317, -1.763814e-321 + 5.3e-322j]
+    bare = Tolerances(witness_bar=0.0, margin_floor=0.0, sample_budget=2048)
+    assert not nonvanishing_in_disk(TruncSeries.polynomial(tiny), tol=bare).verified
+    assert math.isnan(row_bounds(np.array([tiny]), tol=bare)[0])
+    assert row_bounds(np.zeros((0, 2), dtype=complex)).shape == (0,)
+
+
 # -- in_dual ------------------------------------------------------------------
 
 
@@ -316,6 +499,48 @@ def test_in_dual_builds_series_only_for_scalar_members():
         cert = in_dual(g, V, grid)
     assert cert.verified and cert.params["members_checked"] == 17**2 + 1
     assert spy.call_count == 0
+    assert _text(cert) == _text(per_member_dual(g, V, grid))
+
+
+def _settle_spy(V, g, grid):
+    """in_dual's certificate, the rows row_bounds proved, and the settling calls."""
+    bounds = []
+
+    def spy(*args, **kwargs):
+        bounds.append(row_bounds(*args, **kwargs))
+        return bounds[-1]
+
+    with mock.patch.object(duality, "row_bounds", side_effect=spy), \
+         mock.patch.object(duality, "_settle_clear_rows",
+                           wraps=duality._settle_clear_rows) as settle:
+        cert = in_dual(g, V, grid)
+    proven = int(np.sum(~np.isnan(bounds[0])))
+    assert _text(cert) == _text(per_member_dual(g, V, grid))
+    return cert, proven, settle.call_count
+
+
+def test_in_dual_settles_proven_rows_only_for_a_verified_answer():
+    grid = ParamGrid(segment=12)
+    g = TruncSeries.polynomial([1.0, 1.0])
+    # the first sampled member, 1 - 1.5 z, vanishes inside; the later ones are proven
+    cert, proven, settled = _settle_spy(_seg_family((-1.5, 0.0)), g, grid)
+    assert cert.falsified and proven > 0 and settled == 0
+    # a tail-less member leaves its product with a rational kernel gray
+    gray = _seg_family((-0.3, 0.3), _fixed([0.5], None))
+    cert, proven, settled = _settle_spy(gray, from_rational(0.5, 0.2, order=4), grid)
+    assert cert.status is CertStatus.INCONCLUSIVE and proven > 0 and settled == 0
+    cert, proven, settled = _settle_spy(_seg_family((-0.3, 0.3)), g, grid)
+    assert cert.verified and proven == 13 and settled == 1
+
+
+def test_in_dual_evaluates_only_the_proven_rows_that_can_be_worst():
+    V = FamilySpec((Rational(Disk(0.4), Disk(0.3)),))
+    g = TruncSeries.polynomial([1.0, 0.6])
+    grid = ParamGrid(2, 8)
+    with mock.patch.object(contour, "_first_pass", wraps=contour._first_pass) as first:
+        cert = in_dual(g, V, grid)
+    assert cert.verified and cert.params["members_checked"] == 17**2
+    assert sum(len(call.args[0]) for call in first.call_args_list) < 17**2 // 4
     assert _text(cert) == _text(per_member_dual(g, V, grid))
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -224,6 +225,25 @@ def test_cli_oversized_member_table_exits_three(capsys, tmp_path):
         assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"limit of {1 << 25} entries" in err
+
+
+@pytest.mark.parametrize("grid", ["1x3000000", "1x30000000"])
+def test_cli_oversized_grid_exits_three_before_listing_parameters(capsys, tmp_path, grid):
+    # x on a circle, y on a disk: about grid**2 members, refused on their count
+    spec = tmp_path / "rational.spec"
+    spec.write_text(json.dumps({"generators": [
+        {"kind": "rational", "x_domain": {"shape": "circle", "radius": 0.5}, "y_domain": DISK}]}))
+    argv = ["dual-check", "--family", str(spec), "--kernel", "1+0.5z", "--grid", grid]
+    listed = AssertionError("parameters listed")
+    start = time.perf_counter()
+    with mock.patch.object(Disk, "points", side_effect=listed), \
+         mock.patch.object(Circle, "points", side_effect=listed):
+        assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: grid would produce more than 1000000 members; "
+        "coarsen the grid or raise max_members\n"
+    )
 
 
 def test_json_syntax_error_reports_line_and_column():
