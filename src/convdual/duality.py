@@ -59,6 +59,7 @@ from .family import (
     ParamGrid,
     Pencil,
     Rational,
+    _check_member_budget,
     border_elements,
     complete_hull,
     counterexample_family,
@@ -475,6 +476,8 @@ def _pairing_certificate(
                 continue
         all_exact = False
         if isinstance(gen, Rational):
+            dilations = Disk(1.0).point_count(grid) if family.dilation_slot else 1
+            _check_member_budget(gen.y_domain.point_count(grid) * dilations, grid)
             us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
             for y in gen.y_domain.points(grid):
                 for u in us:
@@ -1190,18 +1193,20 @@ class RegionCloud:
     one batched pass, at ``z = 1`` or on the whole border mesh, and only
     the others (products with a tail) build their series one by one.
     ``mesh_spacing`` (unless given) and the probe measure against the
-    distinct finite points, deduplicated once per cloud by a sort, and run
-    on a uniform cell grid: about ``O(n log n)`` time for ``n`` points
-    spread without dense clusters.  The spacing
-    settles only the nearer half of the nearest distances, on a ladder of
-    cells that starts at about two points per occupied cell.  The probe
-    builds its probes in blocks of about 5 MB whatever ``n`` is; the dedupe
-    and the reference set take ``O(n)`` memory, about 90 bytes per point.
-    The probe measures each distinct point once and settles most probes on
-    one representative point per cell; the cell table is dense when it has
-    at most ``8 * len(ref) + 2**16`` entries and a sorted key list
-    otherwise.  ``labels`` built by ``functional_image`` are formatted on
-    first access.  ``nearest_distance`` measures every point on each call.
+    distinct finite points, deduplicated once per cloud by a sort (of the
+    real parts first, from 4096 points on, unless the cloud is
+    conjugate-symmetric), and run on a uniform cell grid: about
+    ``O(n log n)`` time for ``n`` points spread without dense clusters.
+    The spacing settles only the nearer half of the nearest distances, on a
+    ladder of cells that starts at about one point per occupied cell and
+    doubles.  The probe builds its probes in blocks of about 5 MB whatever
+    ``n`` is; the dedupe and the reference set take ``O(n)`` memory, about
+    90 bytes per point.  The probe measures each distinct point once and
+    settles most probes on one representative point per cell.  A cell grid
+    finds its cells in a dense start table when that has at most
+    ``8 * len(ref) + 2**16`` entries, and in the sorted cell keys otherwise.
+    ``labels`` built by ``functional_image`` are formatted on first access.
+    ``nearest_distance`` measures every point on each call.
     """
 
     points: np.ndarray
@@ -1254,10 +1259,19 @@ class RegionCloud:
 _PAIR_BUDGET = 1 << 16  # pairs measured, or probes built, at once: ~5 MB of temporaries
 _CELL_SLACK = 1e-9  # covers rounding in cell indices (at most ~2**20 cells per axis)
 _MAX_CELLS_PER_AXIS = 1 << 20
-# cells a dense representative table may hold beyond 8 per reference point
-# (512 kB): the circle clouds of a few hundred points span grids of about
-# 30000 cells, and a sorted-key lookup there doubles their probe time
+# cells a dense start table may hold beyond 8 per reference point (512 kB):
+# the circle clouds of a few hundred points span grids of about 30000 cells,
+# and a sorted-key lookup there doubles their probe time
 _DENSE_TABLE_FLOOR = 1 << 16
+# the spacing ladder starts at about _LADDER_FILL points per occupied cell and
+# grows the side by _LADDER_GROWTH: measured per image-cloud template, one
+# point and doubling measure about a third fewer pairs than two points and
+# quadrupling (46165 against 72693 on the largest border cloud) and slow no
+# template
+_LADDER_FILL = 1.0
+_LADDER_GROWTH = 2.0
+# values from which _distinct argsorts real parts instead of complex values
+_REAL_SORT_FROM = 4096
 # the 3x3 block, own cell first: most covered probes settle on it
 _BLOCK = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -1269,21 +1283,51 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _lexicographic_order(values: np.ndarray) -> np.ndarray:
+    """An argsort of finite complex values by real, then imaginary part.
+
+    The real parts are argsorted as floats, which is several times faster
+    than sorting complex values; the imaginary parts are then put in order
+    only within the runs of equal real parts that have them out of order.
+    """
+    order = np.argsort(values.real)
+    real, imag = values.real[order], values.imag[order]
+    tied = real[1:] == real[:-1]
+    descents = np.flatnonzero(tied & (imag[1:] < imag[:-1]))
+    if len(descents):
+        run = np.zeros(len(values), dtype=np.intp)
+        np.cumsum(~tied, out=run[1:])
+        unsorted = np.zeros(run[-1] + 1, dtype=bool)
+        unsorted[run[descents]] = True
+        at = np.flatnonzero(unsorted[run])
+        # the real parts order the runs, so one complex sort orders them all
+        order[at] = order[at][np.argsort(values[order[at]])]
+    return order
+
+
 def _distinct(values: np.ndarray, return_inverse: bool = False):
     """Sorted distinct values of a finite 1-d array, as ``np.unique``: a sort and a run mask.
 
-    ``0.0`` and ``-0.0`` are one value, and which of them is kept may differ
-    from ``np.unique``; no distance measured here tells them apart.
+    From ``_REAL_SORT_FROM`` values on, the sort is
+    :func:`_lexicographic_order`, unless the values hold the conjugate of
+    their highest one: conjugate-symmetric clouds (kernels with real
+    coefficients over conjugate-symmetric families) tie nearly every real
+    part with a different imaginary part, and a complex sort is faster
+    there.  ``0.0`` and ``-0.0`` are one value, and which of them is kept may
+    differ from ``np.unique``; no distance measured here tells them apart.
     """
-    if return_inverse:
+    n = len(values)
+    if n >= _REAL_SORT_FROM and not np.any(values == np.conj(values[np.argmax(values.imag)])):
+        order = _lexicographic_order(values)
+    elif return_inverse:
         order = np.argsort(values)
-        ordered = values[order]
     else:
-        ordered = np.sort(values)
+        order = None
+    ordered = np.sort(values) if order is None else values[order]
     starts = _run_starts(ordered)
     if not return_inverse:
         return ordered[starts]
-    inverse = np.empty(len(values), dtype=np.intp)
+    inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return ordered[starts], inverse
 
@@ -1310,11 +1354,18 @@ def _reference_set(points: np.ndarray) -> np.ndarray:
 class _CellIndex:
     """Finite reference points bucketed by square cells of side ``cell``.
 
-    Cells are keyed ``ix * ny + iy`` and the points sorted by key, so the
-    three cells of one column of a 3x3 block form one contiguous run found
-    with two ``searchsorted`` calls.  The grid lies on the points multiplied
-    by ``scale`` (``cell`` is measured there), the distances on the points
-    themselves; see :func:`_extent`.
+    The grid is padded by three cells on each side and cells are keyed
+    ``(ix + 3) * (ny + 6) + iy + 3``; the points are sorted by key, so the
+    three cells of one column of a 3x3 block form one contiguous run.
+    Clipped queries (far, infinite or NaN) have their blocks in the padding,
+    which holds no point, so block keys need no bounds check.  When the
+    padded grid has at most ``8 * len(ref) + _DENSE_TABLE_FLOOR`` cells (at
+    most 64 bytes per point beyond 512 kB) a dense start table, built by
+    ``bincount`` and ``cumsum``, gives the first point of every cell with one
+    lookup; sparse and collinear grids, up to 2**40 cells, look their keys up
+    in the sorted keys by ``searchsorted`` instead.  The grid lies on the
+    points multiplied by ``scale`` (``cell`` is measured there), the
+    distances on the points themselves; see :func:`_extent`.
     """
 
     def __init__(self, ref: np.ndarray, cell: float, scale: float = 1.0):
@@ -1324,45 +1375,56 @@ class _CellIndex:
         self.cell = cell
         self.nx = int((float(ref.real.max()) * scale - self.x0) / cell) + 1
         self.ny = int((float(ref.imag.max()) * scale - self.y0) / cell) + 1
-        ix, iy = self._cells(ref)
-        keys = ix * self.ny + iy
-        order = np.argsort(keys, kind="stable")
+        self.width = self.ny + 6
+        keys = self._keys(ref)
+        # no distance depends on the order of the points within a cell
+        order = np.argsort(keys)
         self.keys = keys[order]
-        self.ref = ref[order]
-        self.index = order  # position of each sorted point in the caller's array
+        # the sorted points and a NaN sentinel, never within any radius, at
+        # the position of the cells past the last point
+        self.ref = np.append(ref[order], complex(math.nan, math.nan))
+        size = (self.nx + 6) * self.width
+        self.start = None
+        if size <= 8 * len(ref) + _DENSE_TABLE_FLOOR:
+            # start[k] counts the points keyed below k
+            self.start = np.bincount(self.keys + 1, minlength=size + 1)
+            np.cumsum(self.start, out=self.start)
 
     def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # clipping keeps far (and infinite) queries two cells off the grid,
-        # where their block is empty; NaN queries are parked there as well
+        # far (and infinite) queries are clipped two cells off the grid, where
+        # their block is empty; fmax parks NaN queries there as well
         if self.scale != 1.0:
             pts = pts * self.scale
-        fx = np.nan_to_num((pts.real - self.x0) / self.cell, nan=-2.0)
-        fy = np.nan_to_num((pts.imag - self.y0) / self.cell, nan=-2.0)
-        ix = np.clip(np.floor(fx), -2, self.nx + 1).astype(np.int64)
-        iy = np.clip(np.floor(fy), -2, self.ny + 1).astype(np.int64)
+        ix, iy = (
+            np.fmin(np.fmax(np.floor(offset / self.cell), -2.0), top + 1).astype(np.int64)
+            for offset, top in ((pts.real - self.x0, self.nx), (pts.imag - self.y0, self.ny))
+        )
         return ix, iy
 
-    def block_min(self, queries: np.ndarray, skip: Optional[np.ndarray] = None) -> np.ndarray:
+    def _keys(self, pts: np.ndarray) -> np.ndarray:
+        ix, iy = self._cells(pts)
+        return (ix + 3) * self.width + (iy + 3)
+
+    def _first(self, keys: np.ndarray) -> np.ndarray:
+        """Sorted position of the first point whose key is at least ``keys``."""
+        if self.start is not None:
+            return self.start[keys]
+        return np.searchsorted(self.keys, keys)
+
+    def block_min(self, queries: np.ndarray, positive: bool = False) -> np.ndarray:
         """Minimum of ``|q - r|`` over the 3x3 cell block around each query.
 
-        ``inf`` where the block holds no point.  ``skip[i]`` names a
-        reference position (in the caller's order) that query ``i`` ignores.
+        ``inf`` where the block holds no point.  With ``positive``, distances
+        of zero are left out (see :func:`_grid_nearest`).
+        Each column of the block is one run of sorted points, from the first
+        point of its lowest cell to the first point past its highest.
         Candidates are measured in runs of at most ``_PAIR_BUDGET`` pairs, so
         memory stays bounded however many points share a cell.
         """
         n = len(queries)
-        ix, iy = self._cells(queries)
-        lo_y = np.maximum(iy - 1, 0)
-        hi_y = np.minimum(iy + 1, self.ny - 1)
-        starts = np.empty((n, 3), dtype=np.int64)
-        ends = np.empty((n, 3), dtype=np.int64)
-        for c, dx in enumerate((-1, 0, 1)):
-            cx = ix + dx
-            live = (cx >= 0) & (cx < self.nx) & (lo_y <= hi_y)
-            base = cx * self.ny
-            starts[:, c] = np.searchsorted(self.keys, np.where(live, base + lo_y, -1), "left")
-            ends[:, c] = np.searchsorted(self.keys, np.where(live, base + hi_y, -1), "right")
-        lens = ends - starts
+        low = self._keys(queries)[:, None] + np.array([-self.width - 1, -1, self.width - 1])
+        starts = self._first(low)
+        lens = self._first(low + 3) - starts
         per_query = lens.sum(axis=1)
         cum = np.cumsum(per_query)
         out = np.full(n, np.inf)
@@ -1376,60 +1438,32 @@ class _CellIndex:
                 run_len = lens[i:j].ravel()
                 run_at = np.cumsum(run_len) - run_len
                 cand = np.repeat(starts[i:j].ravel() - run_at, run_len) + np.arange(total)
-                who = np.repeat(np.arange(i, j), counts)
-                d = np.abs(queries[who] - self.ref[cand])
-                if skip is not None:
-                    d[self.index[cand] == skip[who]] = np.inf
+                d = np.abs(np.repeat(queries[i:j], counts) - self.ref[cand])
+                if positive:
+                    d[d == 0.0] = np.inf
                 hit = np.flatnonzero(counts)
                 first = (np.cumsum(counts) - counts)[hit]
                 out[i + hit] = np.minimum.reduceat(d, first)
             i = j
         return out
 
-    @functools.cached_property
-    def _representatives(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """One point per non-empty cell, keyed on the grid padded by three cells.
-
-        The padding holds every cell a clipped query block reaches, so block
-        keys need no bounds check.  Returns the padded keys of the non-empty
-        cells (sorted), their first points with a NaN sentinel appended (slot
-        ``-1``, never within any radius), and a dense key-to-slot table when
-        it has at most ``8 * len(ref) + _DENSE_TABLE_FLOOR`` entries (at most
-        64 bytes per point beyond 512 kB); sparse and collinear grids, up to
-        2**40 cells, look keys up by ``searchsorted`` instead.
-        """
-        first = _run_starts(self.keys)
-        ix, iy = np.divmod(self.keys[first], self.ny)
-        cell_keys = (ix + 3) * (self.ny + 6) + iy + 3
-        reps = np.append(self.ref[first], complex(math.nan, math.nan))
-        size = (self.nx + 6) * (self.ny + 6)
-        table = None
-        if size <= 8 * len(self.ref) + _DENSE_TABLE_FLOOR:
-            table = np.full(size, -1, dtype=np.intp)
-            table[cell_keys] = np.arange(len(cell_keys))
-        return cell_keys, reps, table
-
     def near_representative(self, queries: np.ndarray, radius: float) -> np.ndarray:
         """Whether a cell representative in the query's 3x3 block is within ``radius``.
 
-        True proves that some reference point is within ``radius`` of the
-        query, by the comparison ``np.abs(q - r) <= radius`` a block minimum
-        would make; False leaves the query open.
+        The representative of a non-empty cell is its first sorted point.
+        An empty cell reads the first point after it, which is still a
+        reference point (or the NaN sentinel), so True proves that some
+        reference point is within ``radius`` of the query, by the comparison
+        ``np.abs(q - r) <= radius`` a block minimum would make; False leaves
+        the query open.
         """
-        cell_keys, reps, table = self._representatives
-        ix, iy = self._cells(queries)
-        width = self.ny + 6
-        base = (ix + 3) * width + iy + 3
+        keys = self._keys(queries)
         near = np.zeros(len(queries), dtype=bool)
         pending = np.arange(len(queries))
         for dx, dy in _BLOCK:
-            keys = base[pending] + (dx * width + dy)
-            if table is not None:
-                slot = table[keys]
-            else:
-                at = np.minimum(np.searchsorted(cell_keys, keys), len(cell_keys) - 1)
-                slot = np.where(cell_keys[at] == keys, at, -1)
-            hit = np.abs(queries[pending] - reps[slot]) <= radius
+            slot = self._first(keys[pending] + (dx * self.width + dy))
+            with np.errstate(over="ignore"):  # an empty cell's far point may be inf away: no hit
+                hit = np.abs(queries[pending] - self.ref[slot]) <= radius
             near[pending[hit]] = True
             pending = pending[~hit]
             if not len(pending):
@@ -1452,34 +1486,38 @@ def _extent(ref: np.ndarray) -> tuple[float, float, float]:
     return xs, ys, 1.0
 
 
-def _brute_nearest(
-    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _brute_nearest(queries: np.ndarray, ref: np.ndarray, positive: bool = False) -> np.ndarray:
     """All-pairs nearest distance, in blocks of at most ``_PAIR_BUDGET`` pairs."""
     out = np.empty(len(queries))
     step = max(1, _PAIR_BUDGET // max(len(ref), 1))
     for i in range(0, len(queries), step):
         d = np.abs(queries[i : i + step, None] - ref[None, :])
-        if skip is not None:
-            d[np.arange(len(d)), skip[i : i + step]] = np.inf
+        if positive:
+            d[d == 0.0] = np.inf
         out[i : i + step] = np.min(d, axis=1)
     return out
 
 
 def _grid_nearest(
-    queries: np.ndarray, ref: np.ndarray, skip: Optional[np.ndarray] = None,
-    enough: Optional[int] = None,
+    queries: np.ndarray, ref: np.ndarray, positive: bool = False, enough: Optional[int] = None
 ) -> np.ndarray:
     """Exact nearest distance through cell indexes of growing side.
 
     The first index has about one reference point per cell of the bounding
-    box.  When its occupied cells hold ``m > 2`` points on average (rings
+    box.  When its occupied cells hold ``m > 1`` points on average (rings
     and curves, as in border clouds), the ladder starts from that side
-    shrunk by ``sqrt(2 / m)``, about two points per occupied cell.  A query
-    is settled once its block minimum is at most the cell side times
-    ``1 - _CELL_SLACK``; the rest retry with cells four times as large, and
-    whatever is left once the side exceeds the extent of ``ref`` (queries
-    far outside the cloud) takes the all-pairs pass.
+    shrunk by ``sqrt(1 / m)``, about one point per occupied cell, near the
+    median spacing of such clouds.  A query is settled once its block
+    minimum is at most the cell side times ``1 - _CELL_SLACK``; the rest
+    retry with cells twice as large, and whatever is left once the side
+    exceeds the extent of ``ref`` (queries far outside the cloud) takes the
+    all-pairs pass.  Neither the start nor the growth changes a distance,
+    only how many cells are tried and how many pairs each one measures.
+
+    With ``positive``, distances of zero are left out.  Two distinct points
+    are never at distance zero (a floating-point difference of distinct
+    values is never zero), so for queries drawn from a ``ref`` without
+    repeated values this is the distance to the nearest other point.
 
     With ``enough``, the ladder stops as soon as that many queries are
     settled and leaves the others at ``inf``.  Every point outside a
@@ -1501,23 +1539,23 @@ def _grid_nearest(
         cell = max(math.sqrt(xs) * math.sqrt(ys / len(ref)), floor)
         index = _CellIndex(ref, cell, scale)
         occupancy = len(ref) / np.count_nonzero(_run_starts(index.keys))
-        if occupancy > 2.0:
-            cell = max(cell * math.sqrt(2.0 / occupancy), span / _MAX_CELLS_PER_AXIS)
+        if occupancy > _LADDER_FILL:
+            cell = max(cell * math.sqrt(_LADDER_FILL / occupancy), span / _MAX_CELLS_PER_AXIS)
             index = None
         while cell <= span:
             if index is None:
                 index = _CellIndex(ref, cell, scale)
-            d = index.block_min(queries[pending], None if skip is None else skip[pending])
+            d = index.block_min(queries[pending], positive)
             settled = d * scale <= cell * (1.0 - _CELL_SLACK)
             out[pending[settled]] = d[settled]
             pending = pending[~settled]
             needed -= int(np.count_nonzero(settled))
             if needed <= 0 or not len(pending):
                 return out
-            cell *= 4.0
+            cell *= _LADDER_GROWTH
             index = None
     if len(pending):
-        out[pending] = _brute_nearest(queries[pending], ref, None if skip is None else skip[pending])
+        out[pending] = _brute_nearest(queries[pending], ref, positive)
     return out
 
 
@@ -1587,8 +1625,8 @@ def _probe_holes(index: _CellIndex, probes: np.ndarray, radius: float) -> np.nda
     per row first: off a curve or an edge that one is usually a hole, which
     settles the row without measuring its other probes.  On the 351- and
     700-point circle clouds of the image-cloud workload this first round
-    settles 97-98% of the open rows, and 412 and 868 probes are measured
-    instead of 3302 and 6582.
+    settles 97-98% of the open rows, and 411 and 828 probes are measured
+    instead of 3304 and 6569.
     """
     open_ = ~index.near_representative(probes.ravel(), radius).reshape(probes.shape)
     rows = np.flatnonzero(open_.any(axis=1))
@@ -1605,8 +1643,8 @@ def _probe_holes(index: _CellIndex, probes: np.ndarray, radius: float) -> np.nda
 def _median_spacing(points: np.ndarray, ref: Optional[np.ndarray] = None) -> float:
     """Median nearest-neighbour distance within the reference set.
 
-    ``ref`` defaults to ``_reference_set(points)``; 1.0 when it holds fewer
-    than two points.  ``np.median`` of ``n`` distances reads only the
+    ``ref`` (distinct values) defaults to ``_reference_set(points)``; 1.0
+    when it holds fewer than two points.  ``np.median`` of ``n`` distances reads only the
     ``n // 2 + 1`` smallest, so the ladder of :func:`_grid_nearest` stops
     once that many are settled; the value is bitwise that of all ``n``.
     """
@@ -1616,7 +1654,7 @@ def _median_spacing(points: np.ndarray, ref: Optional[np.ndarray] = None) -> flo
         return 1.0
     if len(ref) > 4096:  # spacing estimate only; the subsample keeps the value stable
         ref = ref[:: len(ref) // 4096 + 1]
-    nn = _grid_nearest(ref, ref, skip=np.arange(len(ref)), enough=len(ref) // 2 + 1)
+    nn = _grid_nearest(ref, ref, positive=True, enough=len(ref) // 2 + 1)
     return float(np.median(nn))
 
 
@@ -1682,12 +1720,13 @@ def functional_image(
     spacing, and the 16-direction coverage probe of the direct route) is
     grid-indexed: about ``O(n log n)`` for ``n`` evenly spread cloud points
     rather than quadratic, with bounded temporaries.  Both measure against
-    one set of distinct finite points, built once per cloud; the spacing
-    measures only the nearer half of its nearest distances
-    (:func:`_median_spacing`), and the probe runs once per distinct point
-    and settles most probes on cell representatives (see
-    ``_coverage_boundary_flags``).  Labels are formatted when
-    ``RegionCloud.labels`` is first read.
+    one set of distinct finite points, built once per cloud
+    (:func:`_distinct`); the spacing measures only the nearer half of its
+    nearest distances (:func:`_median_spacing`), and the probe runs once per
+    distinct point and settles most probes on cell representatives (see
+    ``_coverage_boundary_flags``).  Each cell grid reads its 3x3 blocks and
+    representatives from one table of cell starts (:class:`_CellIndex`).
+    Labels are formatted when ``RegionCloud.labels`` is first read.
     """
     grid = grid or ParamGrid()
     if not via_border:

@@ -328,7 +328,7 @@ def test_ladder_stopped_early_settles_the_nearer_distances_exactly(points, share
     assume(len(ref) >= 2)
     enough = max(1, int(share * len(ref)))
     with mock.patch.object(duality, "_PAIR_BUDGET", budget):
-        got = duality._grid_nearest(ref, ref, skip=np.arange(len(ref)), enough=enough)
+        got = duality._grid_nearest(ref, ref, positive=True, enough=enough)
     want = _without_self_nearest(ref)
     settled = np.isfinite(got)
     assert settled.sum() >= enough
@@ -430,3 +430,134 @@ def test_overflowing_extent_keeps_the_cell_ladder():
         assert cloud.mesh_spacing == brute_median_spacing(ring)
         np.testing.assert_array_equal(cloud.boundary_flags,
                                       brute_coverage_flags(ring, cloud.mesh_spacing))
+
+
+# -- the cell table: cells, block minima, representatives, the dedupe ------------
+
+
+def _reference_cells(index, pts):
+    """Cells of ``pts`` by ``nan_to_num`` and ``clip``, as before the fmin/fmax form."""
+    if index.scale != 1.0:
+        pts = pts * index.scale
+    fx = np.nan_to_num((pts.real - index.x0) / index.cell, nan=-2.0)
+    fy = np.nan_to_num((pts.imag - index.y0) / index.cell, nan=-2.0)
+    return (np.clip(np.floor(fx), -2, index.nx + 1).astype(np.int64),
+            np.clip(np.floor(fy), -2, index.ny + 1).astype(np.int64))
+
+
+def _block_oracle(index, ref, queries, positive=False):
+    """Minimum of ``|q - r|`` over the reference points within one cell of the
+    query's, leaving out zeros with ``positive``."""
+    qx, qy = _reference_cells(index, queries)
+    rx, ry = _reference_cells(index, ref)
+    inside = (np.abs(qx[:, None] - rx[None, :]) <= 1) & (np.abs(qy[:, None] - ry[None, :]) <= 1)
+    d = np.where(inside, np.abs(queries[:, None] - ref[None, :]), np.inf)
+    if positive:
+        d[d == 0.0] = np.inf
+    return d.min(axis=1, initial=np.inf)
+
+
+edge_queries = st.sampled_from([
+    complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, -math.inf),
+    complex(-math.inf, 1.0), complex(1e308, -1e308), complex(-1.7e308, 2.0), 1e300 + 0j,
+])
+
+
+@st.composite
+def indexed_clouds(draw):
+    """A reference cloud, a cell side, and queries on cell edges, off the grid and special."""
+    ref = draw(st.one_of(_cloud(cpoint, 60), clustered(), collinear(), polar_grids()))
+    ref = ref[np.isfinite(ref)]
+    assume(len(ref) >= 1)
+    xs, ys, scale = duality._extent(ref)
+    span = max(xs, ys)
+    assume(0.0 < span < math.inf)
+    cell = span / draw(st.sampled_from([0.5, 3.0, 17.0, 200.0]))
+    x0, y0 = ref.real.min(), ref.imag.min()
+    ks = np.asarray(draw(st.lists(st.integers(-3, 210), min_size=1, max_size=12)), dtype=float)
+    edges = (x0 + ks * cell) + 1j * (y0 + ks[::-1] * cell)
+    extra = np.asarray(draw(st.lists(edge_queries | cpoint, max_size=8)), dtype=complex)
+    return ref, cell, np.concatenate([ref, edges, extra])
+
+
+@SET
+@given(indexed_clouds(), st.sampled_from([0, duality._DENSE_TABLE_FLOOR]))
+@np.errstate(over="ignore")  # huge queries overflow their cell offsets to inf
+def test_cells_block_minima_and_representatives_match_the_references(case, floor):
+    ref, cell, queries = case
+    with mock.patch.object(duality, "_DENSE_TABLE_FLOOR", floor):
+        index = duality._CellIndex(ref, cell)
+    assert (index.start is not None) == ((index.nx + 6) * (index.ny + 6) <= 8 * len(ref) + floor)
+    for got, want in zip(index._cells(queries), _reference_cells(index, queries)):
+        np.testing.assert_array_equal(got, want)
+    for positive in (False, True):
+        np.testing.assert_array_equal(index.block_min(queries, positive),
+                                      _block_oracle(index, ref, queries, positive))
+    nearest = brute_nearest_distance(queries, ref)
+    for radius in (0.5 * cell, cell, 2.0 * math.sqrt(2.0) * cell):
+        near = index.near_representative(queries, radius)
+        assert np.all(nearest[near] <= radius)  # a True is a proof
+        if radius >= 2.0 * math.sqrt(2.0) * cell:  # every block point is within the radius
+            assert near[np.isfinite(_block_oracle(index, ref, queries))].all()
+
+
+@st.composite
+def large_value_sets(draw):
+    """At least 4096 finite values: spread, conjugate-symmetric, duplicate-heavy,
+    tied in their real parts, or with signed zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "conjugate", "duplicates", "tied", "zeros"]))
+    n = draw(st.integers(4096, 6000))
+    grain = draw(st.sampled_from([1e-3, 0.25, 1.0]))  # coarse grains tie real parts
+    v = np.round(rng.normal(size=n) / grain) * grain + 1j * rng.normal(size=n)
+    if kind == "conjugate":
+        v = np.concatenate([v[: n // 2], np.conj(v[: n // 2]), v[:: 97].real + 0j])
+    elif kind == "duplicates":
+        v = v[rng.integers(0, draw(st.integers(1, 300)), size=n)]
+    elif kind == "tied":
+        v = rng.integers(0, draw(st.integers(1, 40)), size=n) + 1j * v.imag
+    elif kind == "zeros":
+        zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                          complex(-0.0, 1.0), complex(0.0, -1.0)])
+        v[rng.random(n) < 0.3] = 0
+        v = np.concatenate([v, zeros[rng.integers(0, len(zeros), size=n // 3)]])
+    return v[rng.permutation(len(v))]
+
+
+@SET
+@given(large_value_sets())
+def test_distinct_of_large_value_sets_matches_unique(values):
+    want = np.unique(values)  # equal up to the sign of zero
+    got = duality._distinct(values)
+    np.testing.assert_array_equal(got, want)
+    got, inverse = duality._distinct(values, return_inverse=True)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[inverse], values)
+    # conjugate-symmetric sets take the complex sort in _distinct; the
+    # lexicographic order must hold on them as well
+    ordered = values[duality._lexicographic_order(values)]
+    np.testing.assert_array_equal(ordered, np.sort(values))
+
+
+def test_median_spacing_of_the_largest_border_lattice_measures_few_pairs():
+    # the shape of the largest benchmark cloud (52 pencil members on a 577-point
+    # mesh); a ladder that starts at about two points per occupied cell and
+    # grows fourfold measured 81010 pairs here, one that starts at about one
+    # point and doubles measures 50330
+    points = _rotational_lattice(52, 9, 64, 1)
+    pairs = []
+    block_min = duality._CellIndex.block_min
+
+    def counting(index, queries, positive=False):
+        finite = index.ref[np.isfinite(index.ref)]
+        qx, qy = index._cells(queries)
+        rx, ry = index._cells(finite)
+        pairs.append(sum(int(np.count_nonzero((np.abs(qx[i : i + 512, None] - rx) <= 1)
+                                              & (np.abs(qy[i : i + 512, None] - ry) <= 1)))
+                         for i in range(0, len(queries), 512)))
+        return block_min(index, queries, positive)
+
+    with mock.patch.object(duality._CellIndex, "block_min", counting):
+        spacing = _median_spacing(points)
+    assert spacing == brute_median_spacing(points)
+    assert sum(pairs) <= 56000

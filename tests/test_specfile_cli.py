@@ -246,6 +246,26 @@ def test_cli_oversized_grid_exits_three_before_listing_parameters(capsys, tmp_pa
     )
 
 
+@pytest.mark.parametrize("command", ["t-check", "perp-check"])
+def test_cli_oversized_rational_slices_exit_three_before_listing_points(capsys, tmp_path, command):
+    # the same family through the exact x-slices of the pairing: one slice
+    # per y point, refused on their count
+    spec = tmp_path / "rational.spec"
+    spec.write_text(json.dumps({"generators": [
+        {"kind": "rational", "x_domain": {"shape": "circle", "radius": 0.5}, "y_domain": DISK}]}))
+    argv = [command, "--family", str(spec), "--kernel", "1+0.5z", "--grid", "1x30000000"]
+    listed = AssertionError("points listed")
+    start = time.perf_counter()
+    with mock.patch.object(Disk, "points", side_effect=listed), \
+         mock.patch.object(Circle, "points", side_effect=listed):
+        assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: grid would produce more than 1000000 members; "
+        "coarsen the grid or raise max_members\n"
+    )
+
+
 def test_json_syntax_error_reports_line_and_column():
     with pytest.raises(SpecFileError) as exc:
         parse_family('{"generators": [}', source="bad.spec")
