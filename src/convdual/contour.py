@@ -11,6 +11,14 @@ degrades to ``Inconclusive`` rather than guessing.
 Open-disk semantics: zero-freeness on the open unit disk is certified up to
 the outermost certifiable radius of the schedule ``r_j = 1 - 2**-j``; the
 achieved radius is recorded in ``params["r_certified"]``.
+
+One circle pass, :class:`_CirclePass`, owns the tests made on a circle: the
+near-zero scan, the winding pass and the minimum-modulus mesh with the stop
+rule of its doubling, over ``(rows, points)`` arrays.  The scalar walk
+(:func:`nonvanishing_in_disk`, :func:`winding_number`,
+:func:`min_modulus_on_circle`) runs it with one row, :func:`row_margins`
+with many.  Each circle of the walk is evaluated once, at 512 points; only
+doublings, a scan ring of another size and witness refinement evaluate more.
 """
 
 from __future__ import annotations
@@ -171,6 +179,11 @@ def _circle_points(r: float, n: int) -> np.ndarray:
     return r * _unit_ring(n)
 
 
+def _quiet() -> np.errstate:
+    """Non-finite samples are for the certification tests to judge, not to warn about."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _derivative_evaluator(f: Evaluable):
     """Callable z -> f'(z): exact for series blocks, central difference otherwise.
 
@@ -217,7 +230,123 @@ def _refine_root(f: Evaluable, z0: complex, tol: Tolerances, r_limit: float) -> 
     return None
 
 
-# -- winding number -----------------------------------------------------------
+# -- the circle pass -----------------------------------------------------------
+
+_FIRST_MESH = 512  # the walk evaluates each circle here once; its even points are the scan ring
+_MAX_MESH = 2**17
+_ROW_BUDGET = 1 << 14  # values evaluated at once, ~256 KB of complex temporaries
+
+
+def _margin(vals: np.ndarray, errs: Optional[np.ndarray]) -> np.ndarray:
+    return np.abs(vals) if errs is None else np.abs(vals) - errs
+
+
+class _CirclePass:
+    """The tests made on one circle ``|z| = r``, for one row or many.
+
+    ``evaluate(rows, zs)`` gives the values at ``zs`` of the rows that the
+    index ``rows`` picks, and their error bounds (None for exact rows).  The
+    ring of ``n`` points is evaluated once, here; its even half is the ring
+    of ``n / 2`` points, bitwise, as the rings of :func:`_circle_points` nest.
+    """
+
+    @_quiet()
+    def __init__(self, evaluate: Callable, r: float, n: int, tol: Tolerances):
+        self.evaluate, self.r, self.n, self.tol = evaluate, r, n, tol
+        self.vals, self.errs = evaluate(slice(None), _circle_points(r, n))
+        self.margin = _margin(self.vals, self.errs)
+
+    def _ring(self, n: int, rows=slice(None)):
+        """Values, error bounds and margins of ``rows`` on the ``n``-point ring."""
+        if n == self.n or 2 * n == self.n:
+            s = slice(None, None, self.n // n)
+            errs = None if self.errs is None else self.errs[rows, s]
+            return self.vals[rows, s], errs, self.margin[rows, s]
+        vals, errs = self.evaluate(rows, _circle_points(self.r, n))
+        return vals, errs, _margin(vals, errs)
+
+    def scan(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's index of least modulus on the ``n``-point ring, and
+        whether that modulus and its finite error bound sum below ten
+        witness bars: a near-zero to refine."""
+        vals, errs, margin = self._ring(n)
+        mods = margin if errs is None else np.abs(vals)
+        at, every = np.argmin(mods, axis=1), np.arange(len(mods))
+        err = 0.0 if errs is None else errs[every, at]
+        return at, np.isfinite(err) & (mods[every, at] + err < 10 * self.tol.witness_bar)
+
+    @_quiet()
+    def winding(self, n: int, budget: int):
+        """Each row's winding number around 0 (NaN where the pass fails), phase
+        sum in turns (NaN where the steps never settle), last ring size, and
+        whether a sample's modulus failed to clear its error bound there.
+
+        A row's ring doubles from ``n`` points, up to ``budget``, until every
+        adjacent phase step is below ``tol.phase_step``, which pins the
+        argument branch; the sum must be within a quarter turn of an integer.
+        """
+        vals, errs, margin = self._ring(n)
+        rows = np.arange(len(vals))
+        turns, samples, thin = np.empty(len(rows)), np.empty(len(rows), int), np.empty(len(rows), bool)
+        while True:
+            bad = np.min(margin, axis=1) <= 0
+            bad |= errs is not None and ~np.all(np.isfinite(errs), axis=1)
+            steps = np.angle(np.roll(vals, -1, axis=1) / vals)
+            settled = ~bad & (np.max(np.abs(steps), axis=1) < self.tol.phase_step)
+            thin[rows], samples[rows] = bad, n
+            turns[rows] = np.where(settled, np.sum(steps, axis=1) / (2.0 * math.pi), math.nan)
+            more = ~bad & ~settled
+            if 2 * n > budget or not more.any():
+                k = np.round(turns)
+                k[~(np.abs(turns - k) <= 0.25)] = math.nan
+                return k, turns, samples, thin
+            rows, n = rows[more], 2 * n
+            vals, errs, margin = self._ring(n, rows)
+
+    @_quiet()
+    def lower(self, rows: np.ndarray, L: np.ndarray, max_samples: int):
+        """Certified lower bounds for the modulus of ``rows`` on the circle,
+        and the points of their least sampled margins.
+
+        Where ``L`` bounds a row's derivative on the circle, its mesh doubles
+        until the Lipschitz deflation ``L h / 2`` is dominated by the minimum:
+        the bound holds on the whole circle.  Otherwise it doubles once (the
+        minimum of a doubled mesh cannot rise), and the bound is mesh-scoped.
+        Doublings evaluate only the new odd points; ties keep the lowest index.
+        """
+        n, r, bar = self.n, self.r, self.tol.witness_bar
+        margin, every, bounded = self.margin[rows], np.arange(len(rows)), np.isfinite(L)
+        at, low, L = np.argmin(margin, axis=1), margin.min(axis=1), np.where(bounded, L, 0.0)
+        lower, argmin = np.empty(len(rows)), np.empty(len(rows), dtype=complex)
+        while True:
+            deflation = L * (math.pi * r / n)  # half the arc step
+            done = np.where(bounded, deflation <= 0.005 * np.maximum(low, bar), n > self.n)
+            done |= ~np.isfinite(low) | (n >= max_samples)  # non-finite: nothing certifiable
+            if done.any():
+                lower[every[done]] = (low - deflation)[done]
+                argmin[every[done]] = r * _unit_ring(n)[at[done]]
+                if done.all():
+                    return lower, argmin
+                keep = ~done
+                every, L, bounded, low, at = every[keep], L[keep], bounded[keep], low[keep], at[keep]
+            n *= 2
+            zs, step = _circle_points(r, n)[1::2], max(1, _ROW_BUDGET // (n // 2))
+            for s in range(0, len(every), step):
+                part = slice(s, s + step)
+                new = _margin(*self.evaluate(rows[every[part]], zs))
+                j, got, old, old_at = np.argmin(new, axis=1), new.min(axis=1), low[part], at[part]
+                odd = np.where(got == old, j < old_at, ~(got >= old))  # NaN is the least
+                low[part], at[part] = np.where(odd, got, old), np.where(odd, 2 * j + 1, 2 * old_at)
+
+
+def _one_row(f: Evaluable) -> Callable:  # the evaluate of a _CirclePass over f alone
+    return lambda rows, zs: [a[None] for a in eval_samples(f, zs)]
+
+
+def _min_modulus(circle: _CirclePass, f: Evaluable, max_samples: int) -> tuple[float, complex]:
+    L = modulus_derivative_bound(f, circle.r) if isinstance(f, TruncSeries) else math.inf
+    lower, argmin = circle.lower(np.zeros(1, dtype=int), np.array([L]), max_samples)
+    return float(lower[0]), complex(argmin[0])
 
 
 def winding_number(
@@ -227,47 +356,25 @@ def winding_number(
     tol: Tolerances = DEFAULT_TOL,
 ) -> int:
     """Winding number of ``f`` around 0 along ``|z| = r`` (zeros inside, by
-    the argument principle).
-
-    Adaptive phase unwrapping: sample counts double until every adjacent
-    phase increment is below ``tol.phase_step`` (a quarter turn), which pins
-    the continuous argument branch.  Raises :class:`InconclusiveError` when
-    a sample modulus fails to clear its error bound or the budget runs out.
+    the argument principle): the winding pass of :class:`_CirclePass` from
+    ``max(8, min_samples)`` points.  Raises :class:`InconclusiveError` when
+    a sample modulus fails to clear its error bound, the budget runs out or
+    the phase sum is not close to an integer.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     n = max(8, min_samples)
-    while True:
-        zs = _circle_points(r, n)
-        vals, errs = eval_samples(f, zs)
-        mods = np.abs(vals)
-        margin = mods - errs
-        if not np.all(np.isfinite(errs)) or float(np.min(margin)) <= 0:
-            raise InconclusiveError(
-                f"modulus margin insufficient on |z| = {r:.6g} with {n} samples"
-            )
-        steps = np.angle(np.roll(vals, -1) / vals)
-        if float(np.max(np.abs(steps))) < tol.phase_step:
-            total = float(np.sum(steps)) / (2.0 * math.pi)
-            k = round(total)
-            if abs(total - k) > 0.25:
-                raise InconclusiveError(
-                    f"phase sum {total:.6g} not close to an integer on |z| = {r:.6g}"
-                )
-            return int(k)
-        if 2 * n > tol.sample_budget:
-            raise InconclusiveError(
-                f"sample budget {tol.sample_budget} exceeded on |z| = {r:.6g}"
-            )
-        n *= 2
+    k, turns, samples, thin = _CirclePass(_one_row(f), r, n, tol).winding(n, tol.sample_budget)
+    if thin[0]:
+        raise InconclusiveError(f"modulus margin insufficient on |z| = {r:.6g} with {samples[0]} samples")
+    if math.isnan(turns[0]):
+        raise InconclusiveError(f"sample budget {tol.sample_budget} exceeded on |z| = {r:.6g}")
+    if math.isnan(k[0]):
+        raise InconclusiveError(f"phase sum {turns[0]:.6g} not close to an integer on |z| = {r:.6g}")
+    return int(k[0])
 
 
-# -- minimum modulus -----------------------------------------------------------
-
-_FIRST_MESH = 512  # the row pass evaluates this mesh once; its even points are the scan ring
-_MAX_MESH = 2**17
-
-
+@_quiet()
 def min_modulus_on_circle(
     f: Evaluable,
     r: float,
@@ -275,43 +382,17 @@ def min_modulus_on_circle(
     initial_samples: int = _FIRST_MESH,
     max_samples: int = _MAX_MESH,
 ) -> tuple[float, complex]:
-    """Certified lower bound for ``|f|`` on ``|z| = r`` plus the sampled argmin.
-
-    Error bounds are subtracted pointwise; when the series carries tail data
-    the spacing is shrunk until the Lipschitz deflation ``L * h / 2`` (with
-    ``L`` a derivative bound on the circle) is dominated by the observed
-    minimum, making the bound valid for the whole circle rather than just
-    the mesh.  Without derivative data the bound is mesh-scoped.
+    """Certified lower bound for ``|f|`` on ``|z| = r`` plus the sampled
+    argmin: the minimum-modulus mesh of :class:`_CirclePass` from
+    ``initial_samples`` points.  With tail data the bound holds on the whole
+    circle; without derivative data it is mesh-scoped.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:
         vals, errs = eval_samples(f, np.zeros(1, dtype=complex))
         return float(abs(vals[0]) - errs[0]), 0.0 + 0.0j
-    L = modulus_derivative_bound(f, r) if isinstance(f, TruncSeries) else math.inf
-    n = initial_samples
-    prev = -math.inf
-    while True:
-        zs = _circle_points(r, n)
-        vals, errs = eval_samples(f, zs)
-        margin = np.abs(vals) - errs
-        i = int(np.argmin(margin))
-        mesh_min = float(margin[i])
-        argmin = complex(zs[i])
-        if not math.isfinite(mesh_min):
-            return mesh_min, argmin  # error bounds dominate; nothing certifiable here
-        if math.isfinite(L):
-            deflation = L * (math.pi * r / n)  # half the arc step, chord-majorized
-            lower = mesh_min - deflation
-            if deflation <= 0.005 * max(mesh_min, tol.witness_bar) or n >= max_samples:
-                return lower, argmin
-        else:
-            if (mesh_min - prev) <= 1e-3 * max(abs(mesh_min), 1e-30) and n > initial_samples:
-                return mesh_min, argmin  # mesh-scoped: no Lipschitz data
-            if n >= max_samples:
-                return mesh_min, argmin
-            prev = mesh_min
-        n *= 2
+    return _min_modulus(_CirclePass(_one_row(f), r, initial_samples, tol), f, max_samples)
 
 
 # -- zero-freeness on the disk ---------------------------------------------
@@ -347,6 +428,7 @@ def _unbounded_off_origin(f: Evaluable, sched: list[float], tol: Tolerances) -> 
     )
 
 
+@_quiet()
 def nonvanishing_in_disk(
     f: Evaluable,
     r_max: Optional[float] = None,
@@ -356,72 +438,55 @@ def nonvanishing_in_disk(
     """Certify that ``f`` has no zeros in the open disk, up to radius ``r_max``.
 
     Walks the radius schedule outward-in: the outermost circle whose samples
-    clear their error bounds gives the verdict via its winding number.  A
-    positive winding is chased to a concrete witness with Newton refinement;
-    margins below ``tol.margin_floor`` (but above the witness bar) yield
-    Inconclusive rather than an unsound Verified.
+    clear their error bounds gives the verdict via its winding number.  Each
+    circle is evaluated once, at 512 points, for all the tests of
+    :class:`_CirclePass`.  A positive winding is chased to a concrete witness
+    with Newton refinement; margins below ``tol.margin_floor`` (but above
+    the witness bar) yield Inconclusive rather than an unsound Verified.
     """
     sched = _schedule(r_max, schedule)
     limit = r_max if r_max is not None else sched[-1]
     base_params = {"r_max": float(limit), "schedule_depth": len(sched)}
+    skipped: list[float] = []
     if _unbounded_off_origin(f, sched, tol):
         # every sample off the origin has an infinite error bound, so each
         # circle fails its winding pass, and _refine_root accepts only a point
         # with a finite bound: z = 0, where |f| = |c_0| clears the bar
-        return Certificate(
-            CertStatus.INCONCLUSIVE,
-            reason="no certifiable circle in the radius schedule",
-            params={**base_params, "skipped_radii": sched[::-1]},
+        sched, skipped = [], sched[::-1]
+
+    def refined(z: complex, reason: str, winding: Optional[int] = None) -> Optional[Certificate]:
+        """Falsified, where Newton refinement from ``z`` confirms a zero (circle ``r``)."""
+        w, params = _refine_root(f, z, tol, limit), {**base_params, "r_detect": float(r)}
+        return None if w is None else Certificate(
+            CertStatus.FALSIFIED, witness=w, winding=winding, reason=reason, params=params
         )
 
-    skipped: list[float] = []
+    evaluate = _one_row(f)
     for r in reversed(sched):
-        # cheap scan for a near-zero on this circle first
-        zs = _circle_points(r, max(256, tol.initial_samples))
-        vals, errs = eval_samples(f, zs)
-        mods = np.abs(vals)
-        i = int(np.argmin(mods))
-        if math.isfinite(float(errs[i])) and mods[i] + errs[i] < 10 * tol.witness_bar:
-            w = _refine_root(f, complex(zs[i]), tol, limit)
-            if w is not None:
-                return Certificate(
-                    CertStatus.FALSIFIED,
-                    witness=w,
-                    winding=None,
-                    reason="near-zero on sampled circle confirmed by local refinement",
-                    params={**base_params, "r_detect": float(r)},
-                )
-        try:
-            k = winding_number(f, r, tol=tol)
-        except InconclusiveError as exc:
-            w = _refine_root(f, complex(zs[i]), tol, limit)
-            if w is not None:
-                return Certificate(
-                    CertStatus.FALSIFIED,
-                    witness=w,
-                    reason="margin failure traced to a confirmed zero",
-                    params={**base_params, "r_detect": float(r)},
-                )
+        circle = _CirclePass(evaluate, r, _FIRST_MESH, tol)
+        n = max(256, tol.initial_samples)
+        at, near = circle.scan(n)  # the scan for a near-zero on this circle first
+        z_scan = complex(_circle_points(r, n)[at[0]])
+        near_zero = "near-zero on sampled circle confirmed by local refinement"
+        if near[0] and (cert := refined(z_scan, near_zero)):
+            return cert
+        if r <= 0:
+            raise ValueError("radius must be positive")
+        k = circle.winding(_FIRST_MESH // 2, tol.sample_budget)[0][0]
+        if math.isnan(k):
+            if cert := refined(z_scan, "margin failure traced to a confirmed zero"):
+                return cert
             skipped.append(r)
             continue
         if k != 0:
-            cand = _interior_candidate(f, r)
-            w = _refine_root(f, cand, tol, limit)
-            if w is not None:
-                return Certificate(
-                    CertStatus.FALSIFIED,
-                    witness=w,
-                    winding=k,
-                    reason=f"winding {k} on |z| = {r:.6g}",
-                    params={**base_params, "r_detect": float(r)},
-                )
-            return Certificate(
+            k = int(k)
+            return refined(_interior_candidate(f, r), f"winding {k} on |z| = {r:.6g}", k) or Certificate(
                 CertStatus.INCONCLUSIVE,
                 winding=k,
                 reason=f"winding {k} on |z| = {r:.6g} but witness refinement failed",
                 params={**base_params, "r_detect": float(r)},
             )
-        lb, zmin = min_modulus_on_circle(f, r, tol=tol)
+        lb, zmin = _min_modulus(circle, f, _MAX_MESH)
         if lb > tol.margin_floor:
             return Certificate(
                 CertStatus.VERIFIED,
@@ -429,15 +494,8 @@ def nonvanishing_in_disk(
                 winding=0,
                 params={**base_params, "r_certified": float(r), "skipped_radii": skipped},
             )
-        w = _refine_root(f, zmin, tol, limit)
-        if w is not None:
-            return Certificate(
-                CertStatus.FALSIFIED,
-                witness=w,
-                winding=0,
-                reason="thin margin traced to a confirmed zero",
-                params={**base_params, "r_detect": float(r)},
-            )
+        if cert := refined(zmin, "thin margin traced to a confirmed zero", 0):
+            return cert
         skipped.append(r)
     return Certificate(
         CertStatus.INCONCLUSIVE,
@@ -448,76 +506,7 @@ def nonvanishing_in_disk(
 
 # -- row pass over many exact polynomials ------------------------------------
 
-_ROW_BUDGET = 1 << 14  # values evaluated at once, ~256 KB of complex temporaries
 _FIRST_BLOCK = 4  # rows of the first block; blocks double up to the budget
-
-
-def _first_pass(
-    rows: np.ndarray, orders: np.ndarray, r: float, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One evaluation on ``|z| = r`` serving the scan, the first winding pass
-    and the first minimum-modulus mesh of :func:`nonvanishing_in_disk`.
-
-    Returns which rows pass the scan and the winding pass with winding zero,
-    each row's minimum modulus over the 512-point mesh, and its
-    :func:`~convdual.series.modulus_derivative_bound` on the circle.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = horner_rows(rows, _circle_points(r, _FIRST_MESH))
-        mods = np.abs(vals)
-        ring = vals[:, ::2]  # bitwise the 256-point ring of the scan and winding pass
-        steps = np.angle(np.roll(ring, -1, axis=1) / ring)
-        total = np.sum(steps, axis=1) / (2.0 * math.pi)
-        L = np.zeros(len(rows))
-        for n in np.unique(orders):
-            if n >= 1:  # a constant has derivative bound 0
-                sel = orders == n
-                ks = np.arange(1, n + 1, dtype=float)
-                L[sel] = np.sum(ks * np.abs(rows[sel, 1 : n + 1]) * r ** (ks - 1), axis=1)
-    scan = mods[:, ::2].min(axis=1)
-    ok = (
-        np.all(np.isfinite(vals), axis=1)
-        & (scan >= 10 * tol.witness_bar)  # no near-zero for the scan to chase
-        & (scan > 0.0)  # the winding pass's modulus margin
-        & (np.max(np.abs(steps), axis=1) < tol.phase_step)
-        & (np.abs(total) <= 0.25)  # rounds to winding 0 within the pass's tolerance
-        & np.isfinite(L)
-    )
-    return ok, mods.min(axis=1), L
-
-
-def _refine_rows(
-    rows: np.ndarray, mesh: np.ndarray, L: np.ndarray, r: float, tol: Tolerances
-) -> np.ndarray:
-    """:func:`min_modulus_on_circle`'s lower bound for each row, from the
-    minimum ``mesh`` over its first 512 points; NaN where a new point is not
-    finite.
-
-    The mesh doubles as in the scalar loop, but each doubling evaluates only
-    the new odd points: the minimum over the union is exact, so every bound
-    is bitwise the scalar one.
-    """
-    mesh = mesh.copy()
-    lower = np.full(len(rows), math.nan)
-    active = np.arange(len(rows))
-    n = _FIRST_MESH
-    while True:
-        deflation = L[active] * (math.pi * r / n)
-        done = (deflation <= 0.005 * np.maximum(mesh[active], tol.witness_bar)) | (n >= _MAX_MESH)
-        lower[active[done]] = mesh[active[done]] - deflation[done]
-        active = active[~done]
-        if not len(active):
-            return lower
-        n *= 2
-        zs = _circle_points(r, n)[1::2]
-        step = max(1, _ROW_BUDGET // len(zs))
-        for s in range(0, len(active), step):
-            idx = active[s : s + step]
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = np.abs(horner_rows(rows[idx], zs))
-            finite = np.all(np.isfinite(new), axis=1)
-            mesh[idx] = np.where(finite, np.minimum(mesh[idx], new.min(axis=1)), math.nan)
-        active = active[np.isfinite(mesh[active])]
 
 
 def _row_circle(
@@ -544,15 +533,13 @@ def row_margins(
     decision to it.
 
     Row ``i`` holds the coefficients of an exact polynomial of order
-    ``orders[i]`` (later columns zero).  The pass follows the scalar
-    certification on the outermost schedule circle: one Horner pass over the
-    rows at 512 points gives the 256-point scan, the first winding pass, the
-    derivative bound and the first minimum-modulus mesh; the mesh then
-    doubles as in :func:`min_modulus_on_circle`.  A margin is yielded only
-    where :func:`nonvanishing_in_disk` returns Verified at that circle, and
-    it is bitwise its ``min_modulus``.  Near-zeros, winding passes that need
-    more samples, non-zero windings, thin margins (inner radii),
-    non-finite values and rows with a non-finite coefficient yield NaN.
+    ``orders[i]`` (later columns zero).  The walk's own :class:`_CirclePass`
+    runs on the outermost schedule circle with a block of rows, from one
+    Horner pass at 512 points.  A margin is yielded only where
+    :func:`nonvanishing_in_disk` returns Verified at that circle, bitwise its
+    ``min_modulus``.  Near-zeros, winding passes that need more than 512
+    samples, non-zero windings, thin margins (inner radii) and rows with a
+    non-finite coefficient yield NaN.
 
     Rows are taken in blocks of at most 32 (the first blocks smaller), and
     a run of rows is refined only when the first of them is asked for, so a
@@ -566,17 +553,29 @@ def row_margins(
         return
     start, size = 0, _FIRST_BLOCK
     while start < len(rows):
-        block = rows[start : start + size]
-        ok, mesh, L = _first_pass(block, orders[start : start + size], r, tol)
+        block, order = rows[start : start + size], orders[start : start + size]
+        circle = _CirclePass(
+            lambda idx, zs, b=block: (horner_rows(b[idx], zs), None), r, _FIRST_MESH, tol
+        )
+        near = circle.scan(_FIRST_MESH // 2)[1]
+        k = circle.winding(_FIRST_MESH // 2, min(tol.sample_budget, _FIRST_MESH))[0]
+        L = np.zeros(len(block))  # modulus_derivative_bound of each row, bitwise
+        with _quiet():
+            for n in np.unique(order):
+                if n >= 1:  # a constant has derivative bound 0
+                    sel = order == n
+                    ks = np.arange(1, n + 1, dtype=float)
+                    L[sel] = np.sum(ks * np.abs(block[sel, 1 : n + 1]) * r ** (ks - 1), axis=1)
+        ok = np.all(np.isfinite(block), axis=1) & ~near & (k == 0)
         i = 0
         for good, run in itertools.groupby(ok.tolist()):
-            k = i + len(list(run))
+            j = i + len(list(run))
             if good:
-                lb = _refine_rows(block[i:k], mesh[i:k], L[i:k], r, tol)
+                lb = circle.lower(np.arange(i, j), L[i:j], _MAX_MESH)[0]
                 yield from np.where((lb > tol.margin_floor) & (lb > 0.0), lb, math.nan).tolist()
             else:
-                yield from itertools.repeat(math.nan, k - i)
-            i = k
+                yield from itertools.repeat(math.nan, j - i)
+            i = j
         start += size
         size = min(2 * size, _ROW_BUDGET // _FIRST_MESH)
 

@@ -555,3 +555,252 @@ def per_member_pairing(kernel, family, grid=None, tol=None):
     return _oracle_verdict(
         worst, gray, {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
     )
+
+
+# -- the scalar circle walk ------------------------------------------------------
+# ``convdual.contour``'s winding_number, min_modulus_on_circle and
+# nonvanishing_in_disk, with their helpers _refine_root and
+# _interior_candidate, verbatim as they were before one circle pass served
+# both the walk and the row pass.  Each radius is sampled three times here:
+# the scan ring, the winding ring and the minimum-modulus mesh.  They are
+# the reference the circle pass is checked against, bitwise.
+
+import math  # noqa: E402
+from typing import Optional, Sequence  # noqa: E402
+
+from convdual.contour import (  # noqa: E402
+    DEFAULT_TOL,
+    Certificate,
+    CertStatus,
+    Evaluable,
+    InconclusiveError,
+    Tolerances,
+    _circle_points,
+    _derivative_evaluator,
+    _schedule,
+    _unbounded_off_origin,
+)
+from convdual.series import TruncSeries, eval_samples, modulus_derivative_bound  # noqa: E402
+
+_FIRST_MESH = 512
+_MAX_MESH = 2**17
+
+
+def _refine_root(f: Evaluable, z0: complex, tol: Tolerances, r_limit: float) -> Optional[complex]:
+    """Damped Newton iteration from ``z0``; returns a witness meeting the bar.
+
+    Success requires ``|f(z)| + err < witness_bar`` and ``|z| <= r_limit``.
+    """
+    deriv = _derivative_evaluator(f)
+    z = complex(z0)
+    for _ in range(tol.newton_iterations):
+        vals, errs = eval_samples(f, np.asarray([z], dtype=complex))
+        v, e = complex(vals[0]), float(errs[0])
+        if math.isfinite(e) and abs(v) + e < tol.witness_bar:
+            return z if abs(z) <= r_limit else None
+        dv = deriv(z)
+        if dv == 0 or not math.isfinite(abs(dv)):
+            return None
+        step = -v / dv
+        if abs(step) > 0.25:
+            step *= 0.25 / abs(step)
+        z = z + step
+        if abs(z) > 2.0:
+            return None
+    return None
+
+
+def winding_number(
+    f: Evaluable,
+    r: float,
+    min_samples: int = 256,
+    tol: Tolerances = DEFAULT_TOL,
+) -> int:
+    """Winding number of ``f`` around 0 along ``|z| = r`` (zeros inside, by
+    the argument principle).
+
+    Adaptive phase unwrapping: sample counts double until every adjacent
+    phase increment is below ``tol.phase_step`` (a quarter turn), which pins
+    the continuous argument branch.  Raises :class:`InconclusiveError` when
+    a sample modulus fails to clear its error bound or the budget runs out.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    n = max(8, min_samples)
+    while True:
+        zs = _circle_points(r, n)
+        vals, errs = eval_samples(f, zs)
+        mods = np.abs(vals)
+        margin = mods - errs
+        if not np.all(np.isfinite(errs)) or float(np.min(margin)) <= 0:
+            raise InconclusiveError(
+                f"modulus margin insufficient on |z| = {r:.6g} with {n} samples"
+            )
+        steps = np.angle(np.roll(vals, -1) / vals)
+        if float(np.max(np.abs(steps))) < tol.phase_step:
+            total = float(np.sum(steps)) / (2.0 * math.pi)
+            k = round(total)
+            if abs(total - k) > 0.25:
+                raise InconclusiveError(
+                    f"phase sum {total:.6g} not close to an integer on |z| = {r:.6g}"
+                )
+            return int(k)
+        if 2 * n > tol.sample_budget:
+            raise InconclusiveError(
+                f"sample budget {tol.sample_budget} exceeded on |z| = {r:.6g}"
+            )
+        n *= 2
+
+
+def min_modulus_on_circle(
+    f: Evaluable,
+    r: float,
+    tol: Tolerances = DEFAULT_TOL,
+    initial_samples: int = _FIRST_MESH,
+    max_samples: int = _MAX_MESH,
+) -> tuple[float, complex]:
+    """Certified lower bound for ``|f|`` on ``|z| = r`` plus the sampled argmin.
+
+    Error bounds are subtracted pointwise; when the series carries tail data
+    the spacing is shrunk until the Lipschitz deflation ``L * h / 2`` (with
+    ``L`` a derivative bound on the circle) is dominated by the observed
+    minimum, making the bound valid for the whole circle rather than just
+    the mesh.  Without derivative data the bound is mesh-scoped.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if r == 0:
+        vals, errs = eval_samples(f, np.zeros(1, dtype=complex))
+        return float(abs(vals[0]) - errs[0]), 0.0 + 0.0j
+    L = modulus_derivative_bound(f, r) if isinstance(f, TruncSeries) else math.inf
+    n = initial_samples
+    prev = -math.inf
+    while True:
+        zs = _circle_points(r, n)
+        vals, errs = eval_samples(f, zs)
+        margin = np.abs(vals) - errs
+        i = int(np.argmin(margin))
+        mesh_min = float(margin[i])
+        argmin = complex(zs[i])
+        if not math.isfinite(mesh_min):
+            return mesh_min, argmin  # error bounds dominate; nothing certifiable here
+        if math.isfinite(L):
+            deflation = L * (math.pi * r / n)  # half the arc step, chord-majorized
+            lower = mesh_min - deflation
+            if deflation <= 0.005 * max(mesh_min, tol.witness_bar) or n >= max_samples:
+                return lower, argmin
+        else:
+            if (mesh_min - prev) <= 1e-3 * max(abs(mesh_min), 1e-30) and n > initial_samples:
+                return mesh_min, argmin  # mesh-scoped: no Lipschitz data
+            if n >= max_samples:
+                return mesh_min, argmin
+            prev = mesh_min
+        n *= 2
+
+
+def _interior_candidate(f: Evaluable, r: float) -> complex:
+    """Coarse polar-mesh argmin of |f| over the closed disk of radius r."""
+    radii = np.linspace(0.0, r, 17)[1:]
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    grid = np.concatenate([[0.0 + 0.0j], (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()])
+    vals, _ = eval_samples(f, grid)
+    return complex(grid[int(np.argmin(np.abs(vals)))])
+
+
+def nonvanishing_in_disk(
+    f: Evaluable,
+    r_max: Optional[float] = None,
+    schedule: Optional[Sequence[float]] = None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> Certificate:
+    """Certify that ``f`` has no zeros in the open disk, up to radius ``r_max``.
+
+    Walks the radius schedule outward-in: the outermost circle whose samples
+    clear their error bounds gives the verdict via its winding number.  A
+    positive winding is chased to a concrete witness with Newton refinement;
+    margins below ``tol.margin_floor`` (but above the witness bar) yield
+    Inconclusive rather than an unsound Verified.
+    """
+    sched = _schedule(r_max, schedule)
+    limit = r_max if r_max is not None else sched[-1]
+    base_params = {"r_max": float(limit), "schedule_depth": len(sched)}
+    if _unbounded_off_origin(f, sched, tol):
+        # every sample off the origin has an infinite error bound, so each
+        # circle fails its winding pass, and _refine_root accepts only a point
+        # with a finite bound: z = 0, where |f| = |c_0| clears the bar
+        return Certificate(
+            CertStatus.INCONCLUSIVE,
+            reason="no certifiable circle in the radius schedule",
+            params={**base_params, "skipped_radii": sched[::-1]},
+        )
+
+    skipped: list[float] = []
+    for r in reversed(sched):
+        # cheap scan for a near-zero on this circle first
+        zs = _circle_points(r, max(256, tol.initial_samples))
+        vals, errs = eval_samples(f, zs)
+        mods = np.abs(vals)
+        i = int(np.argmin(mods))
+        if math.isfinite(float(errs[i])) and mods[i] + errs[i] < 10 * tol.witness_bar:
+            w = _refine_root(f, complex(zs[i]), tol, limit)
+            if w is not None:
+                return Certificate(
+                    CertStatus.FALSIFIED,
+                    witness=w,
+                    winding=None,
+                    reason="near-zero on sampled circle confirmed by local refinement",
+                    params={**base_params, "r_detect": float(r)},
+                )
+        try:
+            k = winding_number(f, r, tol=tol)
+        except InconclusiveError as exc:
+            w = _refine_root(f, complex(zs[i]), tol, limit)
+            if w is not None:
+                return Certificate(
+                    CertStatus.FALSIFIED,
+                    witness=w,
+                    reason="margin failure traced to a confirmed zero",
+                    params={**base_params, "r_detect": float(r)},
+                )
+            skipped.append(r)
+            continue
+        if k != 0:
+            cand = _interior_candidate(f, r)
+            w = _refine_root(f, cand, tol, limit)
+            if w is not None:
+                return Certificate(
+                    CertStatus.FALSIFIED,
+                    witness=w,
+                    winding=k,
+                    reason=f"winding {k} on |z| = {r:.6g}",
+                    params={**base_params, "r_detect": float(r)},
+                )
+            return Certificate(
+                CertStatus.INCONCLUSIVE,
+                winding=k,
+                reason=f"winding {k} on |z| = {r:.6g} but witness refinement failed",
+                params={**base_params, "r_detect": float(r)},
+            )
+        lb, zmin = min_modulus_on_circle(f, r, tol=tol)
+        if lb > tol.margin_floor:
+            return Certificate(
+                CertStatus.VERIFIED,
+                min_modulus=lb,
+                winding=0,
+                params={**base_params, "r_certified": float(r), "skipped_radii": skipped},
+            )
+        w = _refine_root(f, zmin, tol, limit)
+        if w is not None:
+            return Certificate(
+                CertStatus.FALSIFIED,
+                witness=w,
+                winding=0,
+                reason="thin margin traced to a confirmed zero",
+                params={**base_params, "r_detect": float(r)},
+            )
+        skipped.append(r)
+    return Certificate(
+        CertStatus.INCONCLUSIVE,
+        reason="no certifiable circle in the radius schedule",
+        params={**base_params, "skipped_radii": skipped},
+    )

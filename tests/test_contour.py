@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from convdual.contour import (
 )
 from convdual.series import Tail, TruncSeries, from_rational, const_one, ones
 
+import oracles
 from oracles import count_roots_inside, dense_min_modulus, planted_polynomial
 
 RNG = np.random.default_rng(42)
@@ -275,3 +277,169 @@ def test_no_bound_shortcut_skips_the_walk():
     assert cert.status is CertStatus.INCONCLUSIVE
     assert cert.reason == "no certifiable circle in the radius schedule"
     assert cert.params["skipped_radii"] == [0.75, 0.5, 0.25]
+
+
+# -- the circle pass against the walk it replaced -------------------------------
+
+R = radius_schedule(12)[-1]  # the outermost circle of the default schedule
+
+
+def _answer(call):
+    """What a call gives, as text: a certificate's JSON, a value's repr, or
+    the error it raises (type and message)."""
+    try:
+        out = call()
+    except Exception as exc:  # every error the walk raised must be raised again
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(out.to_dict(), sort_keys=True) if isinstance(out, Certificate) else repr(out)
+
+
+def _same_as_walk(new, old, *args, **kwargs):
+    with np.errstate(all="ignore"):  # the walk warned on non-finite samples
+        want = _answer(lambda: old(*args, **kwargs))
+    assert _answer(lambda: new(*args, **kwargs)) == want
+
+
+def _pointwise(z):
+    if np.ndim(z):
+        raise TypeError("one point at a time")
+    return z * z + 0.25
+
+
+def _nan_off_the_first_ring(z):
+    """``1 + z / 2``, but NaN at the second point of the 1024-point ring: a
+    mesh doubling meets a NaN where the first 512 points had none."""
+    return np.where(np.abs(np.angle(z) - np.pi / 512) < 1e-9, np.nan, 1.0 + 0.5 * z)
+
+
+CALLABLES = [
+    lambda z: z**3 - 0.1 * z,
+    lambda z: np.exp(z) - 2.0,  # a zero at log 2
+    lambda z: 1.0 + 0.5 * z,
+    lambda z: z - 0.5,
+    _pointwise,
+    _nan_off_the_first_ring,
+]
+walk_coeffs = st.sampled_from([1.0, -0.5j, 0.0, 0.3, 1e300, 1e-320, 1e-9]) | st.builds(
+    complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)
+)
+walk_tails = st.sampled_from([
+    Tail(0.0, math.inf), None, Tail(math.inf, 2.0), Tail(1e-3, 4.0), Tail(0.5, 1.5), Tail(1.0, 1.01),
+])
+
+
+def _odd_point_zero(m, r=R):
+    """``z - z_m``, ``z_m`` the odd point ``2 m + 1`` of the 512-point mesh of ``|z| = r``."""
+    return TruncSeries.polynomial([-_circle_points(r, 512)[2 * m + 1], 1.0])
+
+
+def _symmetric(k, c):
+    """``1 + c z^k``: its mesh minima tie on every ring of a multiple of ``k`` points."""
+    return TruncSeries.polynomial([1.0] + [0.0] * (k - 1) + [c])
+
+
+@st.composite
+def walk_inputs(draw):
+    kind = draw(st.sampled_from(["series", "series", "series", "callable", "odd zero", "symmetric"]))
+    if kind == "callable":
+        return draw(st.sampled_from(CALLABLES))
+    if kind == "odd zero":
+        return _odd_point_zero(draw(st.integers(0, 255)), draw(st.sampled_from([R, 0.5])))
+    if kind == "symmetric":
+        k = draw(st.sampled_from([2, 4, 8]))
+        return _symmetric(k, draw(st.sampled_from([0.5, -1.0, 2.0, 1.0 / R**k, 1.0 / 0.5**k])))
+    f = TruncSeries(draw(st.lists(walk_coeffs, min_size=1, max_size=6)), draw(walk_tails))
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from([math.nan, math.inf, complex(1.0, math.inf)]))
+        f = _with_coeff(f, draw(st.integers(0, f.order)), bad)
+    return f
+
+
+walk_radii = st.sampled_from([0.0, -0.25, 5e-324, 1e-310, 0.3, 0.5, 0.9, R, 1.0])
+walk_radii |= st.floats(0.01, 0.999)
+walk_tols = st.sampled_from([
+    DEFAULT_TOL,
+    DEFAULT_TOL.with_bar(1e-3),
+    Tolerances(initial_samples=512),
+    Tolerances(initial_samples=1024),
+    Tolerances(initial_samples=300),
+    Tolerances(phase_step=0.3),
+    Tolerances(phase_step=0.05, sample_budget=4096),
+    Tolerances(sample_budget=512),
+    Tolerances(sample_budget=64),
+    Tolerances(witness_bar=1e-12, margin_floor=1e-10, newton_iterations=5),
+])
+WALK = settings(max_examples=150, deadline=None)
+
+
+@WALK
+@given(walk_inputs(), shortcut_schedules | st.sampled_from([{"schedule": [0.5]}]), walk_tols)
+@example(_odd_point_zero(7), {}, DEFAULT_TOL)
+@example(_odd_point_zero(7, 0.5), {"schedule": [0.5]}, DEFAULT_TOL)
+@example(_symmetric(4, 0.5), {}, DEFAULT_TOL)
+@example(_symmetric(4, 1.0 / R**4), {}, DEFAULT_TOL)
+@example(TruncSeries([1.0, 0.5, 0.1], Tail(1e-3, 4.0)), {}, Tolerances(phase_step=0.05))
+@example(CALLABLES[1], {}, DEFAULT_TOL)
+@example(_pointwise, {"r_max": 0.9}, Tolerances(initial_samples=512))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_walk_bitwise_equal_to_the_three_pass_walk(f, sched, tol):
+    _same_as_walk(nonvanishing_in_disk, oracles.nonvanishing_in_disk, f, tol=tol, **sched)
+
+
+@WALK
+@given(walk_inputs(), walk_radii, st.sampled_from([256, 1, 8, 100, 512]), walk_tols)
+@example(_symmetric(4, 1.0 / R**4), R, 256, Tolerances(phase_step=0.3))
+@example(CALLABLES[3], 0.5, 256, DEFAULT_TOL)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_winding_number_bitwise_equal_to_the_walk(f, r, min_samples, tol):
+    _same_as_walk(winding_number, oracles.winding_number, f, r, min_samples, tol)
+
+
+@WALK
+@given(
+    walk_inputs(),
+    walk_radii,
+    walk_tols,
+    st.sampled_from([512, 1, 7, 64, 2048]),
+    st.sampled_from([2**17, 512, 1024, 16]),
+)
+@example(_symmetric(4, 0.5), R, DEFAULT_TOL, 512, 2**17)
+@example(_symmetric(8, 1.0 / R**8), R, DEFAULT_TOL, 512, 2**17)
+@example(_odd_point_zero(100), R, DEFAULT_TOL, 512, 2**17)
+@example(CALLABLES[0], 0.7, DEFAULT_TOL, 512, 2**17)
+@example(_nan_off_the_first_ring, R, DEFAULT_TOL, 512, 2**17)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_min_modulus_bitwise_equal_to_the_walk(f, r, tol, initial, most):
+    _same_as_walk(min_modulus_on_circle, oracles.min_modulus_on_circle, f, r, tol, initial, most)
+
+
+def test_walk_evaluates_a_verified_circle_once():
+    f = TruncSeries([1.0, 0.1, -0.05j], Tail(1e-3, 4.0))
+    with mock.patch.object(contour, "eval_samples", wraps=contour.eval_samples) as spy:
+        cert = nonvanishing_in_disk(f)
+    assert cert.verified and cert.params["r_certified"] == R
+    assert [len(call.args[1]) for call in spy.call_args_list] == [512]
+    assert _answer(lambda: cert) == _answer(lambda: oracles.nonvanishing_in_disk(f))
+
+
+def test_no_warnings_on_non_finite_samples():
+    # the inputs that made the walk warn: tail-less and non-finite series
+    # with the no-bound shortcut off, and values near overflow or subnormal
+    cases = [
+        (TruncSeries([1.0, 0.5, 0.25], None), DEFAULT_TOL),
+        (TruncSeries([1.0, -0.5j], Tail(math.inf, 1.0)), DEFAULT_TOL),
+        (_with_coeff(TruncSeries([1.0, 0.5], None), 1, math.nan), DEFAULT_TOL),
+        (_with_coeff(TruncSeries([1.0, 0.5], Tail(1e-3, 4.0)), 0, math.inf), DEFAULT_TOL),
+        (TruncSeries.polynomial([1.2e308 + 0.9e308j, 1e307]), Tolerances(sample_budget=2048)),
+        (TruncSeries.polynomial([3.308738e-317, -1.763814e-321 + 5.3e-322j]),
+         Tolerances(witness_bar=0.0, margin_floor=0.0, sample_budget=2048)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with mock.patch.object(contour, "_unbounded_off_origin", return_value=False):
+            for f, tol in cases:
+                for sched in ({}, {"schedule": [0.0, 0.5]}, {"schedule": [5e-324, 1e-310, 0.4]}):
+                    answer = _outcome(lambda: nonvanishing_in_disk(f, tol=tol, **sched))
+                    assert "Verified" not in answer
+        rows = np.array([[1.0, np.inf], [np.nan, 0.0], [1.2e308 + 0.9e308j, 1e307]], dtype=complex)
+        assert all(math.isnan(m) for m in contour.row_margins(rows, [1, 1, 1]))

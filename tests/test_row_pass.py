@@ -232,20 +232,28 @@ def test_row_margins_cases_outside_the_pass():
 def test_rows_after_an_undecided_row_are_refined_only_when_asked():
     on_circle = 1.0 / (1.0 - 2.0**-12)
     rows = np.array([[1.0, 0.5], [1.0, on_circle], [1.0, 0.5], [1.0, 0.25]], dtype=complex)
-    with mock.patch.object(contour, "_refine_rows", wraps=contour._refine_rows) as spy:
+    lower = contour._CirclePass.lower
+    with mock.patch.object(contour._CirclePass, "lower", autospec=True, side_effect=lower) as spy:
         margins = row_margins(rows, [1, 1, 1, 1])
         assert not math.isnan(next(margins))
         assert math.isnan(next(margins))
         assert spy.call_count == 1
         assert not math.isnan(next(margins))
-        assert spy.call_count == 2 and len(spy.call_args[0][0]) == 2
+        assert spy.call_count == 2 and len(spy.call_args.args[1]) == 2
+
+
+def _first_rings(spy):
+    """Rows per evaluation of a block's first ring, from a spy on horner_rows:
+    the 512 points from ``z = r`` (a doubling's odd points start off the axis)."""
+    calls = spy.call_args_list
+    return [len(c.args[0]) for c in calls if len(c.args[1]) == 512 and c.args[1][0].imag == 0]
 
 
 def test_row_blocks_stay_within_the_budget():
     rows = np.tile(np.array([[1.0, 0.5, 0.1]], dtype=complex), (200, 1))
-    with mock.patch.object(contour, "_first_pass", wraps=contour._first_pass) as spy:
+    with mock.patch.object(contour, "horner_rows", wraps=contour.horner_rows) as spy:
         assert not any(math.isnan(m) for m in row_margins(rows, np.full(200, 2)))
-    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    sizes = _first_rings(spy)
     assert sizes[:4] == [4, 8, 16, 32] and sum(sizes) == 200
     assert max(sizes) * 512 <= contour._ROW_BUDGET
 
@@ -537,10 +545,10 @@ def test_in_dual_evaluates_only_the_proven_rows_that_can_be_worst():
     V = FamilySpec((Rational(Disk(0.4), Disk(0.3)),))
     g = TruncSeries.polynomial([1.0, 0.6])
     grid = ParamGrid(2, 8)
-    with mock.patch.object(contour, "_first_pass", wraps=contour._first_pass) as first:
+    with mock.patch.object(contour, "horner_rows", wraps=contour.horner_rows) as spy:
         cert = in_dual(g, V, grid)
     assert cert.verified and cert.params["members_checked"] == 17**2
-    assert sum(len(call.args[0]) for call in first.call_args_list) < 17**2 // 4
+    assert sum(_first_rings(spy)) < 17**2 // 4
     assert _text(cert) == _text(per_member_dual(g, V, grid))
 
 
