@@ -3,7 +3,8 @@
 Whatever the expression, radius or spec text, ``cli.main`` answers with an
 exit code 0-3 and a readable message, never an ``internal error``, and
 ``parse_family`` raises nothing but :class:`SpecFileError`, each call
-within two seconds.
+within two seconds of CPU time (wall time on a shared machine would
+measure its neighbours too).
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ truncs = st.integers(8, 64)
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
+    start = time.process_time()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert code in (0, 1, 2, 3), (argv, code)
     assert "internal error" not in err.getvalue(), (argv, err.getvalue())
     assert elapsed < CALL_SECONDS, (argv, elapsed)
@@ -126,9 +127,9 @@ specs = st.one_of(
 @example('{"generators": [{"kind": "pencil", "exponents": [1], "domains": [{"shape": "disk",'
          ' "radius": NaN}]}]}')
 def test_parse_family_raises_only_spec_errors(text):
-    start = time.perf_counter()
+    start = time.process_time()
     try:
         parse_family(text)
     except SpecFileError:
         pass
-    assert time.perf_counter() - start < CALL_SECONDS
+    assert time.process_time() - start < CALL_SECONDS
