@@ -20,6 +20,8 @@ import re
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .contour import (
     DEFAULT_TOL,
     Certificate,
@@ -335,7 +337,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: csv format applies to the image command only", file=sys.stderr)
         return 3
     try:
-        report, code = _RUNNERS[ns.command](ns)
+        # an overflow ends in a non-finite check's ValueError, reported below without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, code = _RUNNERS[ns.command](ns)
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 3

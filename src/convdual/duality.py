@@ -66,14 +66,12 @@ from .family import (
     default_kernel_family,
     dilation_points,
     leading_rows,
-    member_labels,
     pairing_interval,
     pairing_margin,
     pairing_zero_weights,
     pencil_family,
     pencil_margin_rows,
     pencil_term_radii,
-    sample,
     sigma_search,
 )
 from .series import (
@@ -365,10 +363,11 @@ def _exact_products(gen: Generator, g: TruncSeries) -> bool:
 
 def _sampled_table(
     V: FamilySpec, gens: Sequence[int], g: TruncSeries, grid: ParamGrid
-) -> tuple[FamilySpec, LeadingRows, np.ndarray, np.ndarray, Iterator[range]]:
-    """The sampled members of V's generators ``gens``, as rows for ``g``.
+) -> tuple[LeadingRows, np.ndarray, np.ndarray, Iterator[range]]:
+    """The sampled members of V's generators ``gens`` (ascending), as rows for ``g``.
 
-    Returns the sub-family of those generators, its :func:`leading_rows`
+    Returns their :func:`leading_rows`, with ``gen_index`` in V's
+    numbering so ``table.member(V, i)`` and ``table.tag(V, i)`` read them,
     as wide as the longest exact product with ``g`` (the rows of the other
     members are never read, so they cost no width), each member's product
     order (the truncation :func:`convolve` applies), whether that product
@@ -376,22 +375,18 @@ def _sampled_table(
     order.  Past a member's stored block a row is zero for an exact
     member and NaN otherwise, so such a product is left to the per-member
     path.  ``grid.max_members`` counts the members of all ``gens``
-    together, as :func:`sample` does.
+    together.
     """
-    sub = FamilySpec(tuple(V.generators[i] for i in gens), V.dilation_slot)
-    gen_orders = np.array([min(gen.order, g.order) for gen in sub.generators])
-    gen_exact = np.array([_exact_products(gen, g) for gen in sub.generators])
-    table = leading_rows(sub, grid, int(gen_orders[gen_exact].max(initial=0)) + 1)
+    gens = np.asarray(gens, dtype=int)
+    gen_orders = np.array([min(V.generators[i].order, g.order) for i in gens])
+    gen_exact = np.array([_exact_products(V.generators[i], g) for i in gens])
+    sampled = FamilySpec(tuple(V.generators[i] for i in gens), V.dilation_slot)
+    table = leading_rows(sampled, grid, int(gen_orders[gen_exact].max(initial=0)) + 1)
     orders = gen_orders[table.gen_index]
     exact = gen_exact[table.gen_index]
     bounds = np.searchsorted(table.gen_index, np.arange(len(gens) + 1)).tolist()
-    return sub, table, orders, exact, map(range, bounds[:-1], bounds[1:])
-
-
-def _tag_of(table: LeadingRows, sub: FamilySpec, i: int, gi: int) -> MemberTag:
-    """Tag of row ``i`` of a :func:`_sampled_table`, under generator ``gi``
-    of the whole family."""
-    return replace(table.tag(sub, i), gen_index=gi)
+    table = table._replace(gen_index=gens[table.gen_index])
+    return table, orders, exact, map(range, bounds[:-1], bounds[1:])
 
 
 def _table_products(
@@ -506,27 +501,27 @@ def _pairing_certificate(
                     or (isinstance(h, Pencil) and pencil_term_radii(h, kernel, 1.0) is None)
                 )
             ]
-            sub, table, orders, exact, ranges = _sampled_table(family, sampled, kernel, grid)
+            table, orders, exact, ranges = _sampled_table(family, sampled, kernel, grid)
             values, filled = _table_products(table, orders, exact, kernel, _AT_ONE)
         for i in next(ranges):
             members_checked += 1
             if filled[i]:
                 v = EvalResult(complex(values[i, 0]), 0.0)
             else:
-                v = _pairing_value(kernel, table.member(sub, i))
+                v = _pairing_value(kernel, table.member(family, i))
             if not math.isfinite(v.error_bound):
                 verdict.gray(
-                    lambda: f"{_tag_of(table, sub, i, gi).label()}: "
+                    lambda: f"{table.tag(family, i).label()}: "
                     "pairing bound unusable (tail radius <= 1)"
                 )
                 continue
             if abs(v.value) + v.error_bound < tol.witness_bar:
-                tag = _tag_of(table, sub, i, gi)
+                tag = table.tag(family, i)
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
             margin = abs(v.value) - v.error_bound
             if margin <= tol.margin_floor:
                 verdict.gray(
-                    lambda: f"{_tag_of(table, sub, i, gi).label()}: "
+                    lambda: f"{table.tag(family, i).label()}: "
                     f"pairing margin {margin:.3e} below the floor"
                 )
                 continue
@@ -718,7 +713,7 @@ def in_dual(
                     not isinstance(h, Pencil) or pencil_term_radii(h, g, 1.0) is None
                 )
             ]
-            sub, table, orders, exact, ranges = _sampled_table(base, sampled, g, grid)
+            table, orders, exact, ranges = _sampled_table(base, sampled, g, grid)
             with np.errstate(over="ignore", invalid="ignore"):
                 products = table.coeffs * g.coeffs[: table.coeffs.shape[1]]
             products[~exact] = np.nan  # left to the per-member path, as wide as the table
@@ -735,10 +730,10 @@ def in_dual(
             if not math.isnan(margin):
                 verdict.margin(margin)
                 continue
-            f = table.member(sub, i)
+            f = table.member(base, i)
             inner = nonvanishing_in_disk(convolve(f, g), r_max=r_max, schedule=schedule, tol=tol)
             if inner.falsified:
-                tag = _tag_of(table, sub, i, gi)
+                tag = table.tag(base, i)
                 return Certificate(
                     status=CertStatus.FALSIFIED,
                     witness=inner.witness,
@@ -751,7 +746,7 @@ def in_dual(
                     },
                 )
             if inner.status is CertStatus.INCONCLUSIVE:
-                verdict.gray(lambda: f"{_tag_of(table, sub, i, gi).label()}: {inner.reason}")
+                verdict.gray(lambda: f"{table.tag(base, i).label()}: {inner.reason}")
                 continue
             verdict.margin(inner.min_modulus)
     if table is not None and not verdict.gray_count:
@@ -1205,7 +1200,9 @@ class RegionCloud:
     settles most probes on one representative point per cell.  A cell grid
     finds its cells in a dense start table when that has at most
     ``8 * len(ref) + 2**16`` entries, and in the sorted cell keys otherwise.
-    ``labels`` built by ``functional_image`` are formatted on first access.
+    ``labels`` built by ``functional_image`` are formatted on first access,
+    from the tags of the member table (:func:`~convdual.family.leading_rows`)
+    listed again then, so unread labels keep no member arrays.
     ``nearest_distance`` measures every point on each call.
     """
 
@@ -1666,25 +1663,29 @@ def _image_rows(
     Returns the values and error bounds, one row per member in sample
     order and one column per point, and the labels of their flattened
     values (each member's label once per point), formatted on first read
-    by :func:`~convdual.family.member_labels`, so they keep no member
-    arrays.  The members are one :func:`_sampled_table` and take the row
-    pass of :func:`_table_products`; the first other member whose bound is
-    not finite at some point raises ValueError.
+    from the tags of ``leading_rows(V, grid, 1)``, so unread labels keep no
+    member arrays.  The members are one :func:`_sampled_table` and
+    take the row pass of :func:`_table_products`; the first other member
+    whose bound is not finite at some point raises ValueError.
     """
-    sub, table, orders, exact, _ = _sampled_table(V, range(len(V.generators)), lam.kernel, grid)
+    table, orders, exact, _ = _sampled_table(V, range(len(V.generators)), lam.kernel, grid)
     values, filled = _table_products(table, orders, exact, lam.kernel, zs)
     bounds = np.zeros(values.shape)
     for i in np.flatnonzero(~filled):
-        values[i], bounds[i] = evaluate_many(convolve(table.member(sub, i), lam.kernel), zs)
+        values[i], bounds[i] = evaluate_many(convolve(table.member(V, i), lam.kernel), zs)
         if not np.all(np.isfinite(bounds[i])):
             raise ValueError(
-                f"{route} bound unusable on member {table.tag(sub, i).label()} "
+                f"{route} bound unusable on member {table.tag(V, i).label()} "
                 "(convolution tail radius does not exceed one)"
             )
     per_member = len(zs)
-    labels = _DeferredLabels(len(values) * per_member, lambda: itertools.chain.from_iterable(
-        itertools.repeat(label, per_member) for label in member_labels(V, grid)))
-    return values, bounds, labels
+
+    def labels() -> Iterator[str]:
+        tags = leading_rows(V, grid, 1)
+        for i in range(len(tags.gen_index)):
+            yield from itertools.repeat(tags.tag(V, i).label(), per_member)
+
+    return values, bounds, _DeferredLabels(len(values) * per_member, labels)
 
 
 def functional_image(
@@ -1842,26 +1843,25 @@ def _report(theorem: str, checks: Sequence[CheckRecord], cfg: VerifierConfig) ->
 
 
 def _kernel_pool(cfg: VerifierConfig) -> list[tuple[TruncSeries, MemberTag]]:
+    """The suites' kernels: the sampled kernel family, capped at
+    ``cfg.max_kernels`` by a stride within each generator's rows so every
+    kernel kind (and the boundary rings of each block) stays represented.
+    Only the kept kernels are built, in sample order."""
     kernels = cfg.kernels or default_kernel_family()
     kgrid = cfg.kernel_grid or ParamGrid(disk_radial=4, disk_angular=6, circle=12, segment=6)
-    pool = sample(kernels, kgrid)
-    if len(pool) <= cfg.max_kernels:
-        return pool
-    # stride within each generator block so every kernel kind (and the
-    # boundary rings of each block) stays represented after capping
-    blocks: dict[int, list[tuple[TruncSeries, MemberTag]]] = {}
-    for g, tag in pool:
-        blocks.setdefault(tag.gen_index, []).append((g, tag))
-    budget = max(1, cfg.max_kernels // len(blocks))
-    out: list[tuple[TruncSeries, MemberTag]] = []
-    for gi in sorted(blocks):
-        block = blocks[gi]
-        if len(block) <= budget:
-            out.extend(block)
-            continue
-        step = (len(block) - 1) / max(budget - 1, 1)
-        out.extend(block[min(int(round(i * step)), len(block) - 1)] for i in range(budget))
-    return out
+    rows = leading_rows(kernels, kgrid, 1)
+    keep: Iterable[int] = range(len(rows.gen_index))
+    if len(rows.gen_index) > cfg.max_kernels:
+        bounds = np.searchsorted(rows.gen_index, np.arange(len(kernels.generators) + 1)).tolist()
+        budget = max(1, cfg.max_kernels // len(kernels.generators))
+        keep = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo <= budget:
+                keep.extend(range(lo, hi))
+                continue
+            step = (hi - lo - 1) / max(budget - 1, 1)
+            keep.extend(lo + min(int(round(i * step)), hi - lo - 1) for i in range(budget))
+    return [(rows.member(kernels, i), rows.tag(kernels, i)) for i in keep]
 
 
 def _status_cert(cert: Certificate) -> str:

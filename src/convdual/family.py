@@ -11,7 +11,8 @@ domains:
 
 ``dilation_slot=True`` closes the family under dilations ``P_x`` with
 ``|x| <= 1`` (the complete hull ``cm``).  Sampling is deterministic: grids
-nest under refinement and members carry stable tags.
+nest under refinement and members carry stable tags.  :func:`leading_rows`
+lists a family's members; :func:`sample` builds the same members as series.
 
 The module also contains the exact geometry used for pencil pairings: the
 set of values ``sum_j x_j c_j`` over independent disk/circle parameter
@@ -22,7 +23,7 @@ a distance computation, with constructive witnesses when zero is attained.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -57,9 +58,7 @@ __all__ = [
     "MemberTag",
     "LeadingRows",
     "sample",
-    "sample_generator",
     "leading_rows",
-    "member_labels",
     "complete_hull",
     "border_elements",
     "border_decompose",
@@ -80,6 +79,12 @@ class UnsupportedFamilyError(ValueError):
 # -- parameter domains -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_roots(n: int) -> tuple[complex, ...]:
+    """``exp(2 pi i j / n)`` for ``j < n``, shared by the disk and circle grids."""
+    return tuple(cmath.exp(2j * math.pi * j / n) for j in range(n))
+
+
 @dataclass(frozen=True)
 class Disk:
     """Closed disk ``|x| <= radius`` centered at the origin."""
@@ -93,8 +98,8 @@ class Disk:
     kind = "disk"
 
     def points(self, grid: "ParamGrid") -> list[complex]:
-        nr, na = grid.disk_radial, grid.disk_angular
-        units = [cmath.exp(2j * math.pi * j / na) for j in range(na)]
+        nr = grid.disk_radial
+        units = _unit_roots(grid.disk_angular)
         pts: list[complex] = [0.0 + 0.0j]
         for i in range(1, nr + 1):
             r = self.radius * i / nr
@@ -125,8 +130,7 @@ class Circle:
     kind = "circle"
 
     def points(self, grid: "ParamGrid") -> list[complex]:
-        n = grid.circle
-        return [self.radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
+        return [self.radius * u for u in _unit_roots(grid.circle)]
 
     def point_count(self, grid: "ParamGrid") -> int:
         return grid.circle
@@ -347,25 +351,17 @@ class MemberTag:
     dilation: Optional[complex] = None
 
     def label(self) -> str:
-        base = _label(self.gen_index, self.kind, [_cfmt(p) for p in self.params])
-        return base if self.dilation is None else base + _dilation_suffix(self.dilation)
+        base = f"g{self.gen_index}:{self.kind}({','.join(_cfmt(p) for p in self.params)})"
+        return base if self.dilation is None else f"{base}@P[{_cfmt(self.dilation)}]"
 
 
 def _cfmt(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
 
 
-def _label(gen_index: int, kind: str, param_texts: Sequence[str]) -> str:
-    return f"g{gen_index}:{kind}({','.join(param_texts)})"
-
-
-def _dilation_suffix(w: complex) -> str:
-    return f"@P[{_cfmt(w)}]"
-
-
 def _member_count(V: FamilySpec, gen: Generator, grid: ParamGrid) -> int:
-    """How many members :func:`sample` draws from ``gen``, a generator of
-    ``V``, counted without listing a parameter."""
+    """How many members :func:`leading_rows` lists for ``gen``, a generator
+    of ``V``, counted without listing a parameter."""
     dilations = Disk(1.0).point_count(grid) if V.dilation_slot else 1
     return math.prod(d.point_count(grid) for d in gen.domains) * dilations
 
@@ -391,54 +387,36 @@ def _check_table_budget(members: int, width: int) -> None:
 
 
 def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncSeries, MemberTag]]:
-    """Deterministic finite sample of the family over the grid.
+    """The members of ``leading_rows(V, grid, 1)`` as series, with their tags.
 
-    When the family carries a dilation slot every base member is paired with
-    every dilation parameter from the unit-disk grid.
+    Bitwise ``LeadingRows.member`` and ``.tag`` of each row, but each base
+    member is built once and then dilated by every dilation parameter.
+    Budgets are checked as :func:`leading_rows` checks them, one generator
+    at a time, before its members are built.
     """
     grid = grid or ParamGrid()
     out: list[tuple[TruncSeries, MemberTag]] = []
-    for gi in range(len(V.generators)):
-        out.extend(sample_generator(V, gi, grid, sampled_before=len(out)))
-    return out
-
-
-def sample_generator(
-    V: FamilySpec, gen_index: int, grid: ParamGrid, sampled_before: int = 0
-) -> list[tuple[TruncSeries, MemberTag]]:
-    """The members :func:`sample` draws from one generator of ``V``.
-
-    ``sampled_before`` members of earlier generators count against
-    ``grid.max_members``, which is checked before any parameter is listed.
-    """
-    gen = V.generators[gen_index]
-    _check_member_budget(sampled_before + _member_count(V, gen, grid), grid)
-    out: list[tuple[TruncSeries, MemberTag]] = []
-    dil_points = dilation_points(grid) if V.dilation_slot else [None]
-    lists = gen.param_lists(grid)
-    combos = itertools.product(*lists) if lists else iter([()])
-    for params in combos:
-        member = gen.instantiate(params)
-        for w in dil_points:
-            if w is None:
-                out.append((member, MemberTag(gen_index, gen.kind, tuple(params))))
+    for gi, (gen, (params, dil)) in enumerate(zip(V.generators, _param_blocks(V, grid, 1))):
+        for p in params.tolist():
+            member, p = gen.instantiate(p), tuple(p)
+            if dil is None:
+                out.append((member, MemberTag(gi, gen.kind, p)))
             else:
-                out.append(
-                    (dilate(member, w), MemberTag(gen_index, gen.kind, tuple(params), dilation=w))
-                )
+                out.extend((dilate(member, w), MemberTag(gi, gen.kind, p, w)) for w in dil)
     return out
 
 
 class LeadingRows(NamedTuple):
-    """Sampled members as leading-coefficient rows, in :func:`sample` order.
+    """A family's sampled members as leading-coefficient rows (:func:`leading_rows`).
 
     ``coeffs[i]`` is :func:`~convdual.series.leading_block` of member ``i``
     and ``regular[i]`` says whether that member is regular beyond the
     closed disk (exact, or tail radius above one).  Member ``i`` comes from
-    generator ``gen_index[i]`` with the parameters in ``params[i]``
-    (NaN-padded to the widest generator) and, in a family with a dilation
-    slot, the dilation ``dilations[i]``; :meth:`member` and :meth:`tag`
-    rebuild what :func:`sample` gives for it.
+    generator ``gen_index[i]`` with the parameters in ``params[i]`` (one
+    per domain of the generator, then NaN-padded to the widest) and, in a
+    family with a dilation slot, the dilation ``dilations[i]``;
+    :meth:`member` and :meth:`tag` give it as a series and its tag, which
+    is what :func:`sample` gives for it.
     """
 
     coeffs: np.ndarray  # (members, width)
@@ -455,10 +433,10 @@ class LeadingRows(NamedTuple):
         )
 
     def tag(self, V: FamilySpec, i: int) -> MemberTag:
-        gi = int(self.gen_index[i])
-        p = self.params[i]
+        gen = V.generators[int(self.gen_index[i])]
+        params = tuple(self.params[i, : len(gen.domains)].tolist())
         dil = None if self.dilations is None else complex(self.dilations[i])
-        return MemberTag(gi, V.generators[gi].kind, tuple(p[~np.isnan(p)].tolist()), dil)
+        return MemberTag(int(self.gen_index[i]), gen.kind, params, dil)
 
     def member(self, V: FamilySpec, i: int) -> TruncSeries:
         tag = self.tag(V, i)
@@ -467,51 +445,63 @@ class LeadingRows(NamedTuple):
 
 
 def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
-    """The members :func:`sample` draws, as their first ``width`` coefficients.
+    """The family's sampled members, as their first ``width`` coefficients.
 
-    Each generator gives its members' rows at once (``base_rows``), and a
-    dilation slot scales them by ``w ** k`` (:func:`_dilated_rows`); no
-    series is built.  Raises the ``max_members`` error :func:`sample`
-    raises, and, before allocating them, refuses rows that would take the
-    table past ``_MAX_TABLE_ENTRIES`` coefficients; both are checked on
-    member counts, before a generator's parameters are listed.
+    The one lister of a family's members: generators in order, parameter
+    combinations with the last domain varying fastest, each base member
+    followed by its dilations.  Each generator gives its members' rows at
+    once (``base_rows``), and a dilation slot scales them by ``w ** k``
+    (:func:`_dilated_rows`); no series is built.  Raises the budget errors
+    of :func:`_param_blocks`.
     """
-    counts = [_member_count(V, gen, grid) for gen in V.generators]
-    _check_member_budget(counts[0], grid)  # the loop's first check, before dilations are listed
-    dil = np.asarray(dilation_points(grid), dtype=complex) if V.dilation_slot else None
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (params, coeffs, regular)
-    total = 0
-    for gen, count in zip(V.generators, counts):
-        total += count
-        _check_member_budget(total, grid)
-        _check_table_budget(total, width)
-        params = _param_rows(gen.param_lists(grid))
+    for gen, (params, dil) in zip(V.generators, _param_blocks(V, grid, width)):
         rows, radius = gen.base_rows(params, width)
         if dil is not None:
+            dil = np.asarray(dil, dtype=complex)
             params = np.repeat(params, len(dil), axis=0)
             rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
         blocks.append((params, rows, radius > 1.0))
-    params = np.full((total, max(p.shape[1] for p, _, _ in blocks)), np.nan, dtype=complex)
-    for (p, _, _), end in zip(blocks, itertools.accumulate(counts)):
-        params[end - len(p) : end, : p.shape[1]] = p
+    counts = [len(p) for p, _, _ in blocks]
+    params = np.full((sum(counts), max(p.shape[1] for p, _, _ in blocks)), np.nan, dtype=complex)
+    end = 0
+    for p, _, _ in blocks:
+        params[end : end + len(p), : p.shape[1]] = p
+        end += len(p)
     return LeadingRows(
         np.concatenate([c for _, c, _ in blocks]),
         np.concatenate([r for _, _, r in blocks]),
         np.repeat(np.arange(len(blocks)), counts),
         params,
-        None if dil is None else np.tile(dil, total // len(dil)),
+        None if dil is None else np.tile(dil, end // len(dil)),
     )
 
 
-def _param_rows(lists: list[list[complex]]) -> np.ndarray:
-    """Every combination of the sampled parameter values, one row each, in
-    :func:`sample`'s order (the last list varies fastest)."""
-    shape = [len(ps) for ps in lists]
-    params = np.empty((math.prod(shape), len(lists)), dtype=complex)
-    for j, ps in enumerate(lists):
-        column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
-        params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
-    return params
+def _param_blocks(
+    V: FamilySpec, grid: ParamGrid, width: int
+) -> Iterator[tuple[np.ndarray, Optional[list[complex]]]]:
+    """Each generator's parameter combinations, one row each (the last
+    domain varying fastest), with the dilation parameters of a slot family.
+
+    Before a generator's rows are listed, its members and those before it
+    are counted against ``grid.max_members`` and, as rows ``width`` wide,
+    against the table limit; the dilations are listed after the first check.
+    """
+    total = 0
+    dil = None
+    for gen in V.generators:
+        total += _member_count(V, gen, grid)
+        _check_member_budget(total, grid)
+        _check_table_budget(total, width)
+        if V.dilation_slot and dil is None:
+            dil = dilation_points(grid)
+        lists = gen.param_lists(grid)
+        shape = [len(ps) for ps in lists]
+        params = np.empty((math.prod(shape), len(lists)), dtype=complex)
+        for j, ps in enumerate(lists):
+            column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
+            params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
+        yield params, dil
 
 
 def _dilated_rows(
@@ -535,17 +525,6 @@ def _dilated_rows(
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(zero, math.inf, radius[:, None] / np.hypot(w.real, w.imag))
     return out.reshape(m * len(w), width), radius.ravel()
-
-
-def member_labels(V: FamilySpec, grid: ParamGrid) -> Iterator[str]:
-    """The tag labels of the members :func:`sample` draws, in order, formatted
-    one at a time from the parameter lists; no member is built."""
-    suffixes = [_dilation_suffix(w) for w in dilation_points(grid)] if V.dilation_slot else [""]
-    for gi, gen in enumerate(V.generators):
-        texts = [[_cfmt(p) for p in ps] for ps in gen.param_lists(grid)]
-        for params in itertools.product(*texts):
-            label = _label(gi, gen.kind, params)
-            yield from (label + s for s in suffixes)
 
 
 def complete_hull(V: FamilySpec) -> FamilySpec:
@@ -876,12 +855,15 @@ def _pairing_margin_at(
     g: TruncSeries,
     t: float,
     grid: ParamGrid,
+    products: dict[int, list[TruncSeries]],
 ) -> Optional[float]:
     """Certified lower bound for ``|(f*g)(t)|`` over the family, or None.
 
     Exact for pencil generators via the annulus distance; sampled members of
     other generators contribute their evaluated margins (None when any
-    evaluation there has an unusable bound).
+    evaluation there has an unusable bound).  The first call samples each
+    generator against its own member budget and convolves the members as
+    they are judged; ``products`` keeps the products for later calls.
     """
     worst = math.inf
     for gi, gen in enumerate(V.generators):
@@ -892,8 +874,12 @@ def _pairing_margin_at(
         if radii is not None:
             worst = min(worst, pairing_margin(radii, V.dilation_slot))
             continue
-        for member, _tag in sample_generator(V, gi, grid):
-            h = convolve(member, g)
+        hs = products.setdefault(gi, [])
+        members = None if hs else sample(FamilySpec((gen,), V.dilation_slot), grid)
+        for j in range(len(hs) if members is None else len(members)):
+            if members is not None:
+                hs.append(convolve(members[j][0], g))
+            h = hs[j]
             if h.tail_radius <= t and not h.is_exact:
                 return None
             v = evaluate(h, t)
@@ -933,14 +919,15 @@ def sigma_search(
     grid = grid or COARSE_GRID
 
     cap = math.inf if g.is_exact else g.tail.rho
-    base = _pairing_margin_at(V, g, 1.0, grid)
+    products: dict[int, list[TruncSeries]] = {}  # filled at z = 1, read by every probe
+    base = _pairing_margin_at(V, g, 1.0, grid, products)
     if base is None or base <= 0.0:
         raise ValueError("pairing at z = 1 is not certifiably nonvanishing for this kernel")
 
     def ok(s: float) -> bool:
         if s >= cap:
             return False
-        m = _pairing_margin_at(V, g, s, grid)
+        m = _pairing_margin_at(V, g, s, grid, products)
         return m is not None and m > margin_floor
 
     lo = None

@@ -7,7 +7,68 @@ that agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import itertools
+from typing import Optional
+
 import numpy as np
+
+from convdual.family import (
+    FamilySpec,
+    MemberTag,
+    ParamGrid,
+    _check_member_budget,
+    _member_count,
+    dilation_points,
+)
+from convdual.series import TruncSeries, dilate
+
+# -- the member lister -------------------------------------------------------------
+# ``sample`` and ``sample_generator`` as ``convdual.family`` had them before
+# ``leading_rows`` became its only lister: ``itertools.product`` over each
+# generator's parameter lists and one series per member, copied verbatim.
+# The oracles below list members with them.
+
+
+def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncSeries, MemberTag]]:
+    """Deterministic finite sample of the family over the grid.
+
+    When the family carries a dilation slot every base member is paired with
+    every dilation parameter from the unit-disk grid.
+    """
+    grid = grid or ParamGrid()
+    out: list[tuple[TruncSeries, MemberTag]] = []
+    for gi in range(len(V.generators)):
+        out.extend(sample_generator(V, gi, grid, sampled_before=len(out)))
+    return out
+
+
+def sample_generator(
+    V: FamilySpec, gen_index: int, grid: ParamGrid, sampled_before: int = 0
+) -> list[tuple[TruncSeries, MemberTag]]:
+    """The members :func:`sample` draws from one generator of ``V``.
+
+    ``sampled_before`` members of earlier generators count against
+    ``grid.max_members``, which is checked before any parameter is listed.
+    """
+    gen = V.generators[gen_index]
+    _check_member_budget(sampled_before + _member_count(V, gen, grid), grid)
+    out: list[tuple[TruncSeries, MemberTag]] = []
+    dil_points = dilation_points(grid) if V.dilation_slot else [None]
+    lists = gen.param_lists(grid)
+    combos = itertools.product(*lists) if lists else iter([()])
+    for params in combos:
+        member = gen.instantiate(params)
+        for w in dil_points:
+            if w is None:
+                out.append((member, MemberTag(gen_index, gen.kind, tuple(params))))
+            else:
+                out.append(
+                    (dilate(member, w), MemberTag(gen_index, gen.kind, tuple(params), dilation=w))
+                )
+    return out
+
+
+# -- first-principles values and searches ----------------------------------------
 
 
 def contour_convolution_value(f_coeffs, g_coeffs, z: complex, rho: float = 1.0, nodes: int = 256) -> complex:
@@ -159,7 +220,6 @@ def per_member_image(lam, V, grid, mesh_spacing=None, boundary: bool = True) -> 
     import math
 
     from convdual.duality import apply
-    from convdual.family import sample
 
     pts, errs, labels = [], [], []
     for f, tag in sample(V, grid):
@@ -197,7 +257,7 @@ def per_member_border_image(lam, V, grid, mesh_depth: int = 8, mesh_angles: int 
     ValueError where that loop does, with its message.
     """
     from convdual.contour import radius_schedule
-    from convdual.family import border_elements, sample
+    from convdual.family import border_elements
     from convdual.series import convolve, evaluate_many
 
     radii = list(radius_schedule(mesh_depth)) + [1.0]
@@ -264,7 +324,7 @@ def per_kernel_pool(V, kernels=None, kernel_grid=None, grid=None, tol=None) -> d
     """
     from convdual.contour import DEFAULT_TOL
     from convdual.duality import _POOL_KMAX, in_T
-    from convdual.family import COARSE_GRID, default_kernel_family, sample
+    from convdual.family import COARSE_GRID, default_kernel_family
 
     tol = tol or DEFAULT_TOL
     kernels = kernels or default_kernel_family()
@@ -423,7 +483,7 @@ def per_member_dual(g, V, grid=None, r_max=None, schedule=None, tol=None):
 
     from convdual.contour import DEFAULT_TOL, Certificate, CertStatus, nonvanishing_in_disk
     from convdual.duality import _pencil_dual_certificate
-    from convdual.family import ParamGrid, Pencil, sample_generator
+    from convdual.family import Pencil
     from convdual.series import convolve
 
     tol = tol or DEFAULT_TOL
@@ -488,7 +548,7 @@ def per_member_pairing(kernel, family, grid=None, tol=None):
         _pencil_pairing_at_one,
         _rational_slice,
     )
-    from convdual.family import ParamGrid, Pencil, Rational, dilation_points, sample_generator
+    from convdual.family import Pencil, Rational
 
     tol = tol or DEFAULT_TOL
     grid = grid or ParamGrid()

@@ -26,7 +26,6 @@ from convdual.family import (
     complete_hull,
     counterexample_family,
     leading_rows,
-    member_labels,
     sample,
 )
 from convdual.series import (
@@ -41,6 +40,7 @@ from convdual.series import (
 from convdual.specfile import dump_family, load_family, parse_series
 
 from oracles import per_member_border_image, per_member_dual, per_member_image
+from oracles import sample as reference_sample
 
 SET = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -186,7 +186,7 @@ def test_pencil_members_skip_the_series_route():
         with mock.patch.object(duality, "apply", side_effect=AssertionError("apply called")), \
              mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
              mock.patch.object(family, "dilate", side_effect=AssertionError("dilated")), \
-             mock.patch.object(family, "sample_generator", side_effect=AssertionError("sampled")):
+             mock.patch.object(Pencil, "instantiate", side_effect=AssertionError("built")):
             cloud = functional_image(lam, V, grid)
         assert len(cloud.points) == 2 * (1 + 3 * 8) * dilations
         assert not np.any(cloud.errors)
@@ -210,7 +210,8 @@ def test_members_left_to_the_series_route_cost_the_table_no_width():
          mock.patch.object(family, "_MAX_TABLE_ENTRIES", 100):
         _assert_matches_oracle(Functional(g), V, grid)
         cert = in_dual(g, V, grid)
-    assert shapes == [(25, 1), (25, 1)]
+    # the image's table, the same rows listed again when its labels are read, in_dual's table
+    assert shapes == [(25, 1), (25, 1), (25, 1)]
     assert json.dumps(cert.to_dict(), sort_keys=True) == json.dumps(
         per_member_dual(g, V, grid).to_dict(), sort_keys=True)
 
@@ -221,13 +222,12 @@ def test_member_rows_follow_sample_order():
     V = FamilySpec((Fixed(TruncSeries.polynomial([1.0])),) * 3 + (gen,))
     table = leading_rows(V, grid, max(gen.exponents) + 1)
     rows = table.take(table.gen_index == 3)
-    labels = list(member_labels(V, grid))[3:]
-    members = sample(V, grid)[3:]
-    assert len(labels) == len(members) == 7 * 4 * 3
+    members = reference_sample(V, grid)[3:]
+    assert len(rows.coeffs) == len(members) == 7 * 4 * 3
     for i, (f, tag) in enumerate(members):
         assert rows.params[i].tobytes() == np.asarray(tag.params, dtype=complex).tobytes()
         assert rows.coeffs[i].tobytes() == f.coeffs.tobytes()
-        assert labels[i] == tag.label()
+        assert table.tag(V, 3 + i).label() == tag.label()
 
 
 def test_convolve_rows_rejects_non_exact_products():
@@ -442,7 +442,7 @@ def test_border_pencils_skip_the_series_route():
     V = counterexample_family()
     lam = Functional(from_rational(0.5, 0.2))
     with mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
-         mock.patch.object(family, "sample_generator", side_effect=AssertionError("sampled")):
+         mock.patch.object(Pencil, "instantiate", side_effect=AssertionError("built")):
         cloud = functional_image(lam, V, ParamGrid(circle=12), via_border=True, mesh_depth=4,
                                  mesh_angles=8)
     assert len(cloud.points) == 2 * 12 * (1 + 5 * 8)
@@ -454,7 +454,7 @@ def test_border_pencils_skip_the_series_route():
     mesh = np.concatenate([[0j], 0.5 * np.exp(2j * np.pi * np.arange(8) / 8), [1 + 0j, -1j]])
     with mock.patch.object(duality, "convolve", side_effect=AssertionError("convolved")), \
          mock.patch.object(family, "dilate", side_effect=AssertionError("dilated")), \
-         mock.patch.object(family, "sample_generator", side_effect=AssertionError("sampled")):
+         mock.patch.object(Pencil, "instantiate", side_effect=AssertionError("built")):
         values, bounds, labels = duality._image_rows(lam, V, grid, mesh, "border-route")
     members = sample(V, grid)
     assert values.shape == (len(members), len(mesh)) == (2 * 6 * (1 + 2 * 4), 11)

@@ -56,7 +56,7 @@ def test_domain_point_counts_are_arithmetic(grid):
         assert d.point_count(grid) == len(d.points(grid))
 
 
-@pytest.mark.parametrize("radius", [0.8, 1e-310, 5e-324])
+@pytest.mark.parametrize("radius", [0.8, 1e-310, 5e-324, 1.0, 1.5e308])
 def test_disk_points_bitwise_the_per_point_formula(radius):
     for nr, na in [(1, 1), (3, 6), (8, 16), (5, 7), (16, 128)]:
         want = [0.0 + 0.0j] + [
@@ -65,6 +65,14 @@ def test_disk_points_bitwise_the_per_point_formula(radius):
             for j in range(na)
         ]
         got = Disk(radius).points(ParamGrid(nr, na))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.3, 1.0, 1.5e308, 5e-324])
+def test_circle_points_bitwise_the_per_point_formula(radius):
+    for n in (1, 2, 3, 7, 16, 32, 100):
+        want = [radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
+        got = Circle(radius).points(ParamGrid(circle=n))
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

@@ -1,10 +1,12 @@
 """Hostile input at the entry points: the command line and spec parsing.
 
-Whatever the expression, radius or spec text, ``cli.main`` answers with an
-exit code 0-3 and a readable message, never an ``internal error``, and
-``parse_family`` raises nothing but :class:`SpecFileError`, each call
-within two seconds of CPU time (wall time on a shared machine would
-measure its neighbours too).
+Whatever the expression, radius, grid or spec text, ``cli.main`` answers
+with an exit code 0-3 and a readable message, never an ``internal error``
+or a numpy warning, and ``parse_family`` raises nothing but
+:class:`SpecFileError`, each call within two seconds of CPU time (wall
+time on a shared machine would measure its neighbours too).  The
+membership commands and ``border`` read their families from spec files
+written by the same generators.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 import time
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -52,11 +55,14 @@ truncs = st.integers(8, 64)
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.process_time()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+         warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
     elapsed = time.process_time() - start
     assert code in (0, 1, 2, 3), (argv, code)
     assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+    assert not caught, (argv, [str(w.message) for w in caught])
     assert elapsed < CALL_SECONDS, (argv, elapsed)
 
 
@@ -70,6 +76,7 @@ def test_zeros_command_survives_any_expression(expr, r, trunc):
 
 @FUZZ
 @given(expressions, expressions, truncs, st.none() | st.complex_numbers(max_magnitude=2.0))
+@example("1+1e300z", "1+1e300z", 8, None)  # the product overflows: an error message, no numpy warning
 def test_convolve_command_survives_any_expressions(f, g, trunc, at):
     argv = ["convolve", "--f", f, "--g", g, "--trunc", str(trunc)]
     if at is not None:
@@ -133,3 +140,28 @@ def test_parse_family_raises_only_spec_errors(text):
     except SpecFileError:
         pass
     assert time.process_time() - start < CALL_SECONDS
+
+
+grids = st.sampled_from([None, "1x30000000", "2000x2000", "30000000x1", "3x5", "1x1"])
+
+
+@settings(FUZZ, max_examples=80)
+@given(st.sampled_from(["dual-check", "t-check", "perp-check", "border"]),
+       specs.map(json.dumps) | st.text(max_size=40), expressions, grids)
+@example("dual-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "circle",'
+         ' "radius": 0.5}, "y_domain": {"shape": "circle", "radius": 0.5}}]}', "rat(0.5, 0.3)",
+         "2000x2000")  # 4 million members: the budget error before a parameter is listed
+@example("border", '{"generators": [{"kind": "pencil", "exponents": [1], "domains":'
+         ' [{"shape": "disk", "radius": 1}]}], "dilation_slot": true}', "1", "1x30000000")
+@example("t-check", '{"generators": [{"kind": "pencil", "exponents": [2], "domains": [{"shape":'
+         ' "segment", "from": 0, "to": 1}]}, {"kind": "fixed", "coeffs": [1, 1e300]}]}',
+         "1+1e300z", "3x5")  # a fixed member whose pairing overflows
+def test_membership_commands_survive_any_spec(tmp_path_factory, command, text, kernel, grid):
+    path = tmp_path_factory.mktemp("spec") / "family.json"
+    path.write_text(text)
+    argv = [command, "--family", str(path)]
+    if command != "border":
+        argv += ["--kernel", kernel]
+    if grid is not None:
+        argv += ["--grid", grid]
+    _run(argv)
