@@ -377,15 +377,14 @@ def _sampled_table(
     path.  ``grid.max_members`` counts the members of all ``gens``
     together.
     """
-    gens = np.asarray(gens, dtype=int)
-    gen_orders = np.array([min(V.generators[i].order, g.order) for i in gens])
-    gen_exact = np.array([_exact_products(V.generators[i], g) for i in gens])
     sampled = FamilySpec(tuple(V.generators[i] for i in gens), V.dilation_slot)
+    gen_orders = np.array([min(gen.order, g.order) for gen in sampled.generators])
+    gen_exact = np.array([_exact_products(gen, g) for gen in sampled.generators])
     table = leading_rows(sampled, grid, int(gen_orders[gen_exact].max(initial=0)) + 1)
     orders = gen_orders[table.gen_index]
     exact = gen_exact[table.gen_index]
     bounds = np.searchsorted(table.gen_index, np.arange(len(gens) + 1)).tolist()
-    table = table._replace(gen_index=gens[table.gen_index])
+    table = table._replace(gen_index=np.asarray(gens, dtype=int)[table.gen_index])
     return table, orders, exact, map(range, bounds[:-1], bounds[1:])
 
 
