@@ -346,7 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # abs() of a huge complex overflows
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # contract: never a traceback

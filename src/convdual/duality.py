@@ -1200,8 +1200,8 @@ class RegionCloud:
     finds its cells in a dense start table when that has at most
     ``8 * len(ref) + 2**16`` entries, and in the sorted cell keys otherwise.
     ``labels`` built by ``functional_image`` are formatted on first access,
-    from the tags of the member table (:func:`~convdual.family.leading_rows`)
-    listed again then, so unread labels keep no member arrays.
+    from the member table (:func:`~convdual.family.leading_rows`) listed
+    again then, so unread labels keep no member arrays.
     ``nearest_distance`` measures every point on each call.
     """
 
@@ -1662,10 +1662,11 @@ def _image_rows(
     Returns the values and error bounds, one row per member in sample
     order and one column per point, and the labels of their flattened
     values (each member's label once per point), formatted on first read
-    from the tags of ``leading_rows(V, grid, 1)``, so unread labels keep no
-    member arrays.  The members are one :func:`_sampled_table` and
-    take the row pass of :func:`_table_products`; the first other member
-    whose bound is not finite at some point raises ValueError.
+    by :meth:`~convdual.family.LeadingRows.labels` of the members listed
+    again, so unread labels keep no member arrays.  The members are one
+    :func:`_sampled_table` and take the row pass of :func:`_table_products`;
+    the first other member whose bound is not finite at some point raises
+    ValueError.
     """
     table, orders, exact, _ = _sampled_table(V, range(len(V.generators)), lam.kernel, grid)
     values, filled = _table_products(table, orders, exact, lam.kernel, zs)
@@ -1678,13 +1679,9 @@ def _image_rows(
                 "(convolution tail radius does not exceed one)"
             )
     per_member = len(zs)
-
-    def labels() -> Iterator[str]:
-        tags = leading_rows(V, grid, 1)
-        for i in range(len(tags.gen_index)):
-            yield from itertools.repeat(tags.tag(V, i).label(), per_member)
-
-    return values, bounds, _DeferredLabels(len(values) * per_member, labels)
+    labels = _DeferredLabels(len(values) * per_member, lambda: itertools.chain.from_iterable(
+        itertools.repeat(label, per_member) for label in leading_rows(V, grid, 1).labels(V)))
+    return values, bounds, labels
 
 
 def functional_image(

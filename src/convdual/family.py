@@ -351,12 +351,28 @@ class MemberTag:
     dilation: Optional[complex] = None
 
     def label(self) -> str:
-        base = f"g{self.gen_index}:{self.kind}({','.join(_cfmt(p) for p in self.params)})"
-        return base if self.dilation is None else f"{base}@P[{_cfmt(self.dilation)}]"
+        base = _label(self.gen_index, self.kind, [_cfmt(p) for p in self.params])
+        return base if self.dilation is None else base + _dilation_suffix(self.dilation)
 
 
 def _cfmt(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
+
+
+def _label(gen_index: int, kind: str, param_texts: Sequence[str]) -> str:
+    return f"g{gen_index}:{kind}({','.join(param_texts)})"
+
+
+def _dilation_suffix(w: complex) -> str:
+    return f"@P[{_cfmt(w)}]"
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first index of each distinct row of ``a``, compared by its bytes
+    (so ``-0.0`` is not ``0.0``), and the number of every row's pattern."""
+    keys = np.ascontiguousarray(a).view(f"V{a.itemsize * a.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first.tolist(), inverse.tolist()
 
 
 def _member_count(V: FamilySpec, gen: Generator, grid: ParamGrid) -> int:
@@ -437,6 +453,17 @@ class LeadingRows(NamedTuple):
         params = tuple(self.params[i, : len(gen.domains)].tolist())
         dil = None if self.dilations is None else complex(self.dilations[i])
         return MemberTag(int(self.gen_index[i]), gen.kind, params, dil)
+
+    def labels(self, V: FamilySpec) -> list[str]:
+        """``tag(V, i).label()`` of every row, in order; each distinct base
+        member and each distinct dilation is formatted once."""
+        first, base = _distinct_rows(np.column_stack([self.gen_index.astype(complex), self.params]))
+        texts = [replace(self.tag(V, i), dilation=None).label() for i in first]
+        if self.dilations is None:
+            return [texts[k] for k in base]
+        first, dil = _distinct_rows(self.dilations[:, None])
+        suffixes = [_dilation_suffix(complex(self.dilations[i])) for i in first]
+        return [texts[k] + suffixes[j] for k, j in zip(base, dil)]
 
     def member(self, V: FamilySpec, i: int) -> TruncSeries:
         tag = self.tag(V, i)

@@ -156,6 +156,9 @@ grids = st.sampled_from([None, "1x30000000", "2000x2000", "30000000x1", "3x5", "
 @example("t-check", '{"generators": [{"kind": "pencil", "exponents": [2], "domains": [{"shape":'
          ' "segment", "from": 0, "to": 1}]}, {"kind": "fixed", "coeffs": [1, 1e300]}]}',
          "1+1e300z", "3x5")  # a fixed member whose pairing overflows
+@example("dual-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "segment",'
+         ' "from": 0, "to": [1.5e308, 1.5e308]}, "y_domain": {"shape": "disk", "radius": 5e-324},'
+         ' "order": 4}]}', "1+0.5z", "1x1")  # |x - y| past the float range: abs() overflows
 def test_membership_commands_survive_any_spec(tmp_path_factory, command, text, kernel, grid):
     path = tmp_path_factory.mktemp("spec") / "family.json"
     path.write_text(text)

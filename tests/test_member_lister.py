@@ -83,7 +83,7 @@ def _members_or_error(build):
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # both listers overflow alike
             return build(), None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # abs() of a complex past the float range overflows
         return None, (type(exc), str(exc))
 
 
@@ -106,6 +106,9 @@ def _tag_bytes(tag):
 @example(  # a disk of infinite radius has non-finite points
     FamilySpec((Pencil((2,), (Disk(float("inf")),)),)), ParamGrid(1, 2), None,
 )
+@example(  # |x - y| past the float range: both listers raise abs()'s OverflowError
+    FamilySpec((Rational(Segment(0.0, 1.5e308 + 1.5e308j), Disk(5e-324), 0),)), ParamGrid(1, 1, 1, 1), None,
+)
 @example(  # real segment endpoints give real parameters
     FamilySpec((Pencil((1, 3), (Segment(-0.0, 1.0), Circle(0.5))), Rational(Disk(0.5), Circle(5e-324)))),
     ParamGrid(2, 3, 2, 2), 0,
@@ -124,6 +127,20 @@ def test_sample_is_the_reference_lister(V, grid, short):
     for (f, tag), (f0, tag0) in zip(got, want):
         assert _series_bytes(f) == _series_bytes(f0)
         assert _tag_bytes(tag) == _tag_bytes(tag0)  # a parameter may be NaN: compared as bytes
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert leading_rows(V, grid, 1).labels(V) == [tag.label() for _, tag in want]
+
+
+def test_table_labels_tell_signed_zeros_apart():
+    # -0.0 == 0.0, but the two format differently; so do parameterless generators
+    V = FamilySpec((Pencil((1,), (Circle(0.0),)), Fixed(TruncSeries.polynomial([1.0]))),
+                   dilation_slot=True)
+    grid = ParamGrid(1, 2, circle=2)
+    want = [tag.label() for _, tag in reference_sample(V, grid)]
+    assert "g0:pencil(-0+0j)@P[0+0j]" in want and "g0:pencil(0+0j)@P[0+0j]" in want
+    assert leading_rows(V, grid, 1).labels(V) == want
+    fixed_only = FamilySpec((Fixed(TruncSeries.polynomial([1.0])),) * 2)
+    assert leading_rows(fixed_only, grid, 1).labels(fixed_only) == ["g0:fixed()", "g1:fixed()"]
 
 
 def test_table_tags_keep_non_finite_parameters():
