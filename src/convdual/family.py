@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -351,7 +352,7 @@ class MemberTag:
     dilation: Optional[complex] = None
 
     def label(self) -> str:
-        base = _label(self.gen_index, self.kind, [_cfmt(p) for p in self.params])
+        base = f"g{self.gen_index}:{self.kind}({','.join(_cfmt(p) for p in self.params)})"
         return base if self.dilation is None else base + _dilation_suffix(self.dilation)
 
 
@@ -359,20 +360,8 @@ def _cfmt(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
 
 
-def _label(gen_index: int, kind: str, param_texts: Sequence[str]) -> str:
-    return f"g{gen_index}:{kind}({','.join(param_texts)})"
-
-
 def _dilation_suffix(w: complex) -> str:
     return f"@P[{_cfmt(w)}]"
-
-
-def _distinct_rows(a: np.ndarray) -> tuple[list[int], list[int]]:
-    """The first index of each distinct row of ``a``, compared by its bytes
-    (so ``-0.0`` is not ``0.0``), and the number of every row's pattern."""
-    keys = np.ascontiguousarray(a).view(f"V{a.itemsize * a.shape[1]}").ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first.tolist(), inverse.tolist()
 
 
 def _member_count(V: FamilySpec, gen: Generator, grid: ParamGrid) -> int:
@@ -405,14 +394,13 @@ def _check_table_budget(members: int, width: int) -> None:
 def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncSeries, MemberTag]]:
     """The members of ``leading_rows(V, grid, 1)`` as series, with their tags.
 
-    Bitwise ``LeadingRows.member`` and ``.tag`` of each row, but each base
-    member is built once and then dilated by every dilation parameter.
-    Budgets are checked as :func:`leading_rows` checks them, one generator
-    at a time, before its members are built.
+    Bitwise ``LeadingRows.member`` and ``.tag`` of each row, with the same
+    budget errors, but each base member is built once and then dilated.
     """
     grid = grid or ParamGrid()
     out: list[tuple[TruncSeries, MemberTag]] = []
     for gi, (gen, (params, dil)) in enumerate(zip(V.generators, _param_blocks(V, grid, 1))):
+        dil = None if dil is None else dil.tolist()
         for p in params.tolist():
             member, p = gen.instantiate(p), tuple(p)
             if dil is None:
@@ -456,14 +444,16 @@ class LeadingRows(NamedTuple):
 
     def labels(self, V: FamilySpec) -> list[str]:
         """``tag(V, i).label()`` of every row, in order; each distinct base
-        member and each distinct dilation is formatted once."""
-        first, base = _distinct_rows(np.column_stack([self.gen_index.astype(complex), self.params]))
-        texts = [replace(self.tag(V, i), dilation=None).label() for i in first]
+        member and dilation, told apart by its bytes, is formatted once."""
+        keys = np.column_stack([self.gen_index.astype(complex), self.params])
+        _, first, base = np.unique(keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel(),
+                                   return_index=True, return_inverse=True)
+        texts = [replace(self.tag(V, i), dilation=None).label() for i in first.tolist()]
         if self.dilations is None:
-            return [texts[k] for k in base]
-        first, dil = _distinct_rows(self.dilations[:, None])
-        suffixes = [_dilation_suffix(complex(self.dilations[i])) for i in first]
-        return [texts[k] + suffixes[j] for k, j in zip(base, dil)]
+            return [texts[k] for k in base.tolist()]
+        _, first, dil = np.unique(self.dilations.view("V16"), return_index=True, return_inverse=True)
+        suffixes = [_dilation_suffix(w) for w in self.dilations[first].tolist()]
+        return [texts[k] + suffixes[j] for k, j in zip(base.tolist(), dil.tolist())]
 
     def member(self, V: FamilySpec, i: int) -> TruncSeries:
         tag = self.tag(V, i)
@@ -485,34 +475,30 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
     for gen, (params, dil) in zip(V.generators, _param_blocks(V, grid, width)):
         rows, radius = gen.base_rows(params, width)
         if dil is not None:
-            dil = np.asarray(dil, dtype=complex)
             params = np.repeat(params, len(dil), axis=0)
             rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
         blocks.append((params, rows, radius > 1.0))
     counts = [len(p) for p, _, _ in blocks]
     params = np.full((sum(counts), max(p.shape[1] for p, _, _ in blocks)), np.nan, dtype=complex)
-    end = 0
-    for p, _, _ in blocks:
-        params[end : end + len(p), : p.shape[1]] = p
-        end += len(p)
+    for (p, _, _), end in zip(blocks, itertools.accumulate(counts)):
+        params[end - len(p) : end, : p.shape[1]] = p
     return LeadingRows(
         np.concatenate([c for _, c, _ in blocks]),
         np.concatenate([r for _, _, r in blocks]),
         np.repeat(np.arange(len(blocks)), counts),
         params,
-        None if dil is None else np.tile(dil, end // len(dil)),
+        None if dil is None else np.tile(dil, len(params) // len(dil)),
     )
 
 
 def _param_blocks(
     V: FamilySpec, grid: ParamGrid, width: int
-) -> Iterator[tuple[np.ndarray, Optional[list[complex]]]]:
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
     """Each generator's parameter combinations, one row each (the last
     domain varying fastest), with the dilation parameters of a slot family.
-
-    Before a generator's rows are listed, its members and those before it
-    are counted against ``grid.max_members`` and, as rows ``width`` wide,
-    against the table limit; the dilations are listed after the first check.
+    The members so far are counted against ``grid.max_members`` and, as rows
+    ``width`` wide, the table limit before a generator's rows (and, the first
+    time, the dilations) are listed.
     """
     total = 0
     dil = None
@@ -521,7 +507,7 @@ def _param_blocks(
         _check_member_budget(total, grid)
         _check_table_budget(total, width)
         if V.dilation_slot and dil is None:
-            dil = dilation_points(grid)
+            dil = np.asarray(dilation_points(grid), dtype=complex)
         lists = gen.param_lists(grid)
         shape = [len(ps) for ps in lists]
         params = np.empty((math.prod(shape), len(lists)), dtype=complex)
@@ -888,9 +874,8 @@ def _pairing_margin_at(
 
     Exact for pencil generators via the annulus distance; sampled members of
     other generators contribute their evaluated margins (None when any
-    evaluation there has an unusable bound).  The first call samples each
-    generator against its own member budget and convolves the members as
-    they are judged; ``products`` keeps the products for later calls.
+    evaluation there has an unusable bound).  ``products`` keeps the sampled
+    members' products, convolved by the first call as it reaches them.
     """
     worst = math.inf
     for gi, gen in enumerate(V.generators):
