@@ -165,7 +165,7 @@ def test_kernel_pool_builds_only_the_kept_kernels():
         pool = _kernel_pool(VerifierConfig())
     built = pencil.call_count + rational.call_count + fixed.call_count
     assert len(pool) == built == 36 < len(leading_rows(kernels, KERNEL_GRID, 1).gen_index) == 1350
-    # the stride of the former per-block cap, over the reference sample
+    # the per-block stride cap, recomputed over the reference sample
     members = reference_sample(kernels, KERNEL_GRID)
     blocks = {}
     for f, tag in members:
@@ -198,7 +198,7 @@ def test_sigma_search_convolves_each_member_once():
 
 
 def test_sigma_search_keeps_the_first_pass_errors():
-    # each sampled generator is held to max_members on its own, as before
+    # each sampled generator is held to max_members on its own
     P = TruncSeries.polynomial
     V = FamilySpec((Fixed(P([1.0, 0.2])), Rational(Disk(0.5), Disk(0.4))))
     grid = ParamGrid(1, 4, max_members=24)
