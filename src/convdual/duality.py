@@ -1270,6 +1270,9 @@ _LADDER_GROWTH = 2.0
 _REAL_SORT_FROM = 4096
 # the 3x3 block, own cell first: most covered probes settle on it
 _BLOCK = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+# the coverage probe's 16 unit directions, and its cover radius in spacings
+_PROBE_RING = np.exp(2j * np.pi * np.arange(16) / 16)
+_PROBE_COVER = 1.3
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -1347,21 +1350,12 @@ def _reference_set(points: np.ndarray) -> np.ndarray:
     return _distinct(rounded if finite.all() else rounded[finite])
 
 
-class _CellIndex:
-    """Finite reference points bucketed by square cells of side ``cell``.
+class _CellGrid:
+    """Square cells of side ``cell`` over the bounding box of finite ``ref``.
 
     The grid is padded by three cells on each side and cells are keyed
-    ``(ix + 3) * (ny + 6) + iy + 3``; the points are sorted by key, so the
-    three cells of one column of a 3x3 block form one contiguous run.
-    Clipped queries (far, infinite or NaN) have their blocks in the padding,
-    which holds no point, so block keys need no bounds check.  When the
-    padded grid has at most ``8 * len(ref) + _DENSE_TABLE_FLOOR`` cells (at
-    most 64 bytes per point beyond 512 kB) a dense start table, built by
-    ``bincount`` and ``cumsum``, gives the first point of every cell with one
-    lookup; sparse and collinear grids, up to 2**40 cells, look their keys up
-    in the sorted keys by ``searchsorted`` instead.  The grid lies on the
-    points multiplied by ``scale`` (``cell`` is measured there), the
-    distances on the points themselves; see :func:`_extent`.
+    ``(ix + 3) * (ny + 6) + iy + 3``.  It lies on the points multiplied by
+    ``scale`` (``cell`` is measured there); see :func:`_extent`.
     """
 
     def __init__(self, ref: np.ndarray, cell: float, scale: float = 1.0):
@@ -1372,6 +1366,42 @@ class _CellIndex:
         self.nx = int((float(ref.real.max()) * scale - self.x0) / cell) + 1
         self.ny = int((float(ref.imag.max()) * scale - self.y0) / cell) + 1
         self.width = self.ny + 6
+
+    def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # far (and infinite) queries are clipped two cells off the grid, where
+        # their block is empty; fmax parks NaN queries there as well.  A far
+        # offset or its quotient overflows to inf, which is clipped alike.
+        if self.scale != 1.0:
+            pts = pts * self.scale
+        with np.errstate(over="ignore"):
+            ix, iy = (
+                np.fmin(np.fmax(np.floor(offset / self.cell), -2.0), top + 1).astype(np.int64)
+                for offset, top in ((pts.real - self.x0, self.nx), (pts.imag - self.y0, self.ny))
+            )
+        return ix, iy
+
+    def _keys(self, pts: np.ndarray) -> np.ndarray:
+        ix, iy = self._cells(pts)
+        return (ix + 3) * self.width + (iy + 3)
+
+
+class _CellIndex(_CellGrid):
+    """Finite reference points bucketed by the cells of a :class:`_CellGrid`.
+
+    The points are sorted by key, so the three cells of one column of a 3x3
+    block form one contiguous run.  Clipped queries (far, infinite or NaN)
+    have their blocks in the padding, which holds no point, so block keys
+    need no bounds check.  When the padded grid has at most ``8 * len(ref)
+    + _DENSE_TABLE_FLOOR`` cells (at most 64 bytes per point beyond 512 kB)
+    a dense start table, built by ``bincount`` and ``cumsum``, gives the
+    first point of every cell with one lookup; sparse and collinear grids,
+    up to 2**40 cells, look their keys up in the sorted keys by
+    ``searchsorted`` instead.  Distances are measured on the points
+    themselves.
+    """
+
+    def __init__(self, ref: np.ndarray, cell: float, scale: float = 1.0):
+        super().__init__(ref, cell, scale)
         keys = self._keys(ref)
         # no distance depends on the order of the points within a cell
         order = np.argsort(keys)
@@ -1385,21 +1415,6 @@ class _CellIndex:
             # start[k] counts the points keyed below k
             self.start = np.bincount(self.keys + 1, minlength=size + 1)
             np.cumsum(self.start, out=self.start)
-
-    def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # far (and infinite) queries are clipped two cells off the grid, where
-        # their block is empty; fmax parks NaN queries there as well
-        if self.scale != 1.0:
-            pts = pts * self.scale
-        ix, iy = (
-            np.fmin(np.fmax(np.floor(offset / self.cell), -2.0), top + 1).astype(np.int64)
-            for offset, top in ((pts.real - self.x0, self.nx), (pts.imag - self.y0, self.ny))
-        )
-        return ix, iy
-
-    def _keys(self, pts: np.ndarray) -> np.ndarray:
-        ix, iy = self._cells(pts)
-        return (ix + 3) * self.width + (iy + 3)
 
     def _first(self, keys: np.ndarray) -> np.ndarray:
         """Sorted position of the first point whose key is at least ``keys``."""
@@ -1533,15 +1548,12 @@ def _grid_nearest(
         # piling sqrt(n) points into each cell, and the key range bounded
         floor = span / min(len(ref), _MAX_CELLS_PER_AXIS)
         cell = max(math.sqrt(xs) * math.sqrt(ys / len(ref)), floor)
-        index = _CellIndex(ref, cell, scale)
-        occupancy = len(ref) / np.count_nonzero(_run_starts(index.keys))
+        occupied = np.count_nonzero(_run_starts(np.sort(_CellGrid(ref, cell, scale)._keys(ref))))
+        occupancy = len(ref) / occupied
         if occupancy > _LADDER_FILL:
             cell = max(cell * math.sqrt(_LADDER_FILL / occupancy), span / _MAX_CELLS_PER_AXIS)
-            index = None
         while cell <= span:
-            if index is None:
-                index = _CellIndex(ref, cell, scale)
-            d = index.block_min(queries[pending], positive)
+            d = _CellIndex(ref, cell, scale).block_min(queries[pending], positive)
             settled = d * scale <= cell * (1.0 - _CELL_SLACK)
             out[pending[settled]] = d[settled]
             pending = pending[~settled]
@@ -1549,7 +1561,6 @@ def _grid_nearest(
             if needed <= 0 or not len(pending):
                 return out
             cell *= _LADDER_GROWTH
-            index = None
     if len(pending):
         out[pending] = _brute_nearest(queries[pending], ref, positive)
     return out
@@ -1559,32 +1570,45 @@ def _nearest_in_set(queries: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Distance from each query to the nearest reference point.
 
     Exact: equal, bitwise, to the minimum of ``np.abs(q - ref)`` over all of
-    ``ref`` (``inf`` when ``ref`` is empty).  ``ref`` is deduplicated and
-    bucketed into a uniform cell grid, so queries near the cloud cost about
+    ``ref`` (``inf`` when ``ref`` is empty).  ``ref`` is deduplicated
+    (:func:`_exact_reference`) and bucketed into a uniform cell grid, so
+    queries near the cloud cost about
     ``O(len(ref) log len(ref) + len(queries))`` instead of
     ``O(len(queries) * len(ref))``; queries far outside it fall back to the
     all-pairs pass.  Temporaries stay below ``_PAIR_BUDGET`` query-candidate
     pairs (about 5 MB).
     """
-    queries = np.asarray(queries, dtype=complex)
-    ref = np.unique(np.asarray(ref, dtype=complex))
-    return _grid_nearest(queries, ref)
+    return _grid_nearest(np.asarray(queries, dtype=complex), _exact_reference(ref))
+
+
+def _exact_reference(points) -> np.ndarray:
+    """The distinct finite ``points``, unrounded, then every non-finite one.
+
+    ``np.unique`` alone would merge all values holding a NaN into one, and
+    ``inf + nan j`` is ``inf`` away from a finite query where ``0.5 + nan j``
+    is ``nan``; keeping them all keeps the all-pairs minimum.
+    """
+    points = np.asarray(points, dtype=complex)
+    finite = np.isfinite(points)
+    return np.concatenate([np.unique(points[finite]), points[~finite]])
 
 
 def _coverage_boundary_flags(
-    points: np.ndarray, spacing: float, directions: int = 16, probe: float = 2.0,
-    cover: float = 1.3, ref: Optional[np.ndarray] = None,
+    points: np.ndarray, spacing: float, probe: float = 2.0, ref: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Flag points whose probe circle is not fully backed by the cloud.
 
-    A finite point is flagged when one of its ``directions`` probes at
-    ``probe * spacing`` has no point of the reference set (``ref``, by
-    default ``_reference_set(points)``) within ``cover * spacing``;
-    non-finite points are never flagged.  Flags depend only on a point's
-    value, so each distinct point is probed once, in blocks of at most
-    ``_PAIR_BUDGET`` probes.  With cells just larger than the cover radius
-    every point within it of a probe lies in the probe's 3x3 block, and most
-    probes settle on one representative per cell (``_probe_holes``).
+    A finite point is flagged when one of its 16 probes at ``probe *
+    spacing`` has no point of the reference set (``ref``, by default
+    ``_reference_set(points)``) within ``1.3 * spacing``; non-finite points
+    are never flagged.  Image clouds probe at 2 spacings, C1's falsified
+    candidates at 3 (:func:`_preimage_measures`).  Flags depend only on a
+    point's value, so each distinct point is probed once, in blocks of at
+    most ``_PAIR_BUDGET`` probes.  With cells just larger than the cover
+    radius every point within it of a probe lies in the probe's 3x3 block,
+    and most probes settle on one representative per cell
+    (``_probe_holes``).  A ``ref`` with a non-finite point takes the
+    all-pairs pass, where a NaN distance backs its probe.
     """
     flags = np.zeros(len(points), dtype=bool)
     finite = np.isfinite(points)
@@ -1593,21 +1617,22 @@ def _coverage_boundary_flags(
         return flags
     if ref is None:
         ref = _reference_set(points)
-    steps = probe * spacing * np.exp(2j * np.pi * np.arange(directions) / directions)
-    radius = cover * spacing
+    steps = probe * spacing * _PROBE_RING
+    radius = _PROBE_COVER * spacing
     xs, ys, scale = _extent(ref) if len(ref) else (0.0, 0.0, 1.0)
     span = max(xs, ys)
     index = None
-    if 0.0 < span < math.inf and math.isfinite(radius) and np.all(np.isfinite(steps)):
+    # a non-finite reference point leaves the extent of its axis non-finite
+    if 0.0 < span and np.all(np.isfinite((xs, ys, radius))) and np.all(np.isfinite(steps)):
         cell = max(radius * scale / (1.0 - _CELL_SLACK), span / _MAX_CELLS_PER_AXIS)
         index = _CellIndex(ref, cell, scale)
     hole = np.empty(len(distinct), dtype=bool)
-    block = max(1, _PAIR_BUDGET // directions)
+    block = max(1, _PAIR_BUDGET // len(_PROBE_RING))
     for i in range(0, len(distinct), block):
         probes = distinct[i : i + block, None] + steps
         if index is not None:
             hole[i : i + block] = _probe_holes(index, probes, radius)
-        else:  # at most one reference point, or no finite probe steps: exact distances
+        else:  # at most one or a non-finite reference point, or non-finite steps: all pairs
             dist = _grid_nearest(probes.ravel(), ref).reshape(probes.shape)
             hole[i : i + block] = (dist > radius).any(axis=1)
     flags[finite] = hole[inverse]
@@ -1767,25 +1792,32 @@ def functional_image(
 # -- theorem verifiers -------------------------------------------------------------
 
 
-THEOREM_NAMES = ("T1", "T2", "T3", "T4", "T5", "T6", "L4", "C1", "C2", "C3", "CE")
-
-
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Knobs for the verifier suites; defaults keep each suite under a minute."""
+    """Knobs for the verifier suites; defaults keep each suite under a minute.
+
+    The family grid (default per suite), the kernel pool and its cap, the
+    border mesh depth and the tolerances.  The dilation radii, the band
+    about the unit circle and the candidate lattice are module constants.
+    """
 
     grid: Optional[ParamGrid] = None
     kernel_grid: Optional[ParamGrid] = None
     kernels: Optional[FamilySpec] = None
     max_kernels: int = 40
     mesh_depth: int = 8
-    mesh_angles: int = 64
-    r_list: tuple[float, ...] = (0.9, 0.99, 0.999)
-    sigma_max: float = 8.0
-    band: float = 1e-3
-    hull_extent: float = 2.0
-    hull_steps: int = 21
     tol: Tolerances = DEFAULT_TOL
+
+
+# the coefficient functional a_1, f -> (f * z)(1)
+_A1 = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
+# dilation radii a dual member is taken to on its way into the hull transpose
+_DILATION_RADII = (0.9, 0.99, 0.999)
+# half-width of the band about |c| = 1 that C1 leaves out, and CE's slack
+_BAND = 1e-3
+# candidates 1 + c z of T3 and C1: c on a 21 x 21 lattice over [-2, 2]^2
+_CANDIDATES = tuple(complex(re, im) for re in np.linspace(-2.0, 2.0, 21)
+                    for im in np.linspace(-2.0, 2.0, 21))
 
 
 @dataclass(frozen=True)
@@ -1818,24 +1850,13 @@ class VerifierReport:
         }
 
 
-def _summarize(checks: Sequence[CheckRecord]) -> str:
-    if any(c.status == "fail" for c in checks):
-        return "FAIL"
-    if any(c.status == "inconclusive" for c in checks):
-        return "INCONCLUSIVE"
-    return "PASS"
-
-
 def _report(theorem: str, checks: Sequence[CheckRecord], cfg: VerifierConfig) -> VerifierReport:
-    cfgdict = {
-        "max_kernels": cfg.max_kernels,
-        "mesh_depth": cfg.mesh_depth,
-        "band": cfg.band,
-        "r_list": list(cfg.r_list),
-    }
-    return VerifierReport(
-        theorem=theorem, checks=tuple(checks), summary=_summarize(checks), config=cfgdict
-    )
+    statuses = {c.status for c in checks}
+    summary = "FAIL" if "fail" in statuses else (
+        "INCONCLUSIVE" if "inconclusive" in statuses else "PASS")
+    config = {"max_kernels": cfg.max_kernels, "mesh_depth": cfg.mesh_depth, "band": _BAND,
+              "r_list": list(_DILATION_RADII)}
+    return VerifierReport(theorem, tuple(checks), summary, config)
 
 
 def _kernel_pool(cfg: VerifierConfig) -> list[tuple[TruncSeries, MemberTag]]:
@@ -1860,6 +1881,52 @@ def _kernel_pool(cfg: VerifierConfig) -> list[tuple[TruncSeries, MemberTag]]:
     return [(rows.member(kernels, i), rows.tag(kernels, i)) for i in keep]
 
 
+def _preimage_setup(V: FamilySpec, cfg: VerifierConfig) -> tuple[RegionCloud, float, KernelPool]:
+    """T2's and C1's set-up: the flag-free ``a_1`` image cloud of ``V`` (on a
+    12 x 64 disk grid unless ``cfg.grid``), its reach of three mesh
+    spacings, and the transpose pool of ``V``."""
+    cloud = functional_image(
+        _A1, V, cfg.grid or ParamGrid(disk_radial=12, disk_angular=64), boundary=False
+    )
+    pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
+    return cloud, 3.0 * cloud.mesh_spacing, pool
+
+
+def _direct_and_border(V: FamilySpec, cfg: VerifierConfig) -> tuple[RegionCloud, RegionCloud]:
+    """T5's and CE's clouds: the ``a_1`` image of ``V`` by the direct route,
+    flagged at the grid's structural spacing, and by the border route (on a
+    16 x 128 disk and 64-point circle grid unless ``cfg.grid``)."""
+    grid = cfg.grid or ParamGrid(disk_radial=16, disk_angular=128, circle=64)
+    direct = functional_image(_A1, V, grid, mesh_spacing=_structural_spacing(V, grid))
+    return direct, functional_image(_A1, V, grid, via_border=True, mesh_depth=cfg.mesh_depth)
+
+
+def _structural_spacing(V: FamilySpec, grid: ParamGrid) -> float:
+    """Image-space mesh spacing of ``a_1`` from the parameter grid geometry.
+
+    ``a_1`` maps the members of a pencil ``1 + x z + ...`` to circles of
+    radius ``|x|`` (and pencils without a ``z`` term to zero); the grid
+    spacing maps through that scaling, so the max of radial and angular
+    steps bounds the true gap.
+    """
+    scale = max([0.0] + [d.max_abs for gen in V.generators if isinstance(gen, Pencil)
+                         for k, d in zip(gen.exponents, gen.domains) if k == 1]) or 1.0
+    radial = scale / max(grid.disk_radial, 1)
+    angular = 2.0 * math.pi * scale / max(grid.disk_angular, 1)
+    return max(radial, angular)
+
+
+def _nested_pairs() -> list[tuple[str, FamilySpec, FamilySpec, bool]]:
+    """L4's and C2's pairs: a family inside a larger one, and whether the
+    two should be indistinguishable."""
+    base = pencil_family()
+    return [
+        ("pencil-vs-hull", base, complete_hull(base), True),
+        ("circled-vs-pencil", FamilySpec((Pencil((1,), (Circle(1.0),)),)), base, False),
+        ("half-vs-full-radius", pencil_family(radius=0.5), base, False),
+    ]
+
+
 def _status_cert(cert: Certificate) -> str:
     if cert.verified:
         return "pass"
@@ -1878,24 +1945,21 @@ def _verify_T1(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
         dcert = in_dual(g, V, cfg.grid, tol=cfg.tol)
         if dcert.verified:
             forward += 1
-            bad = None
-            for r in cfg.r_list:
+            check_id = f"dual-dilates-into-hull-transpose[{tag.label()}]"
+            for r in _DILATION_RADII:
                 tcert = in_T(dilate(g, r), hull, cfg.grid, cfg.tol)
                 if not tcert.verified:
-                    bad = (r, tcert)
-                    break
-            if bad is None:
-                checks.append(CheckRecord(f"dual-dilates-into-hull-transpose[{tag.label()}]", "pass"))
-            else:
-                status = "fail" if bad[1].falsified else "inconclusive"
-                checks.append(
-                    CheckRecord(
-                        f"dual-dilates-into-hull-transpose[{tag.label()}]",
-                        status,
-                        detail=f"r = {bad[0]}: {bad[1].status.value}: {bad[1].reason or ''}",
-                        witness=bad[1].params or None,
+                    checks.append(
+                        CheckRecord(
+                            check_id,
+                            _status_cert(tcert),
+                            detail=f"r = {r}: {tcert.status.value}: {tcert.reason or ''}",
+                            witness=tcert.params or None,
+                        )
                     )
-                )
+                    break
+            else:
+                checks.append(CheckRecord(check_id, "pass"))
         try:
             tcert = in_T(g, hull, cfg.grid, cfg.tol)
         except ValueError:
@@ -1920,25 +1984,20 @@ def _verify_T1(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     return _report("T1", checks, cfg)
 
 
-def _verify_T2(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
+def _verify_T2(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Duality principle: the hull does not change certified images.
 
     On the two-pencil family the double dual strictly contains the family,
     yet every certified image value of a double-dual candidate must sit
     inside the image cloud of the family itself.
     """
-    V = V or counterexample_family()
     checks: list[CheckRecord] = []
-    lam = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
-    grid = cfg.grid or ParamGrid(disk_radial=12, disk_angular=64)
-    cloud = functional_image(lam, V, grid, boundary=False)
-    spacing_tol = 3.0 * cloud.mesh_spacing
-    candidates = []
-    for al, be in itertools.product((0.0, 0.35, 0.6), (0.0, 0.3, 0.39)):
-        if al == be == 0.0 or al + be >= 1.0:
-            continue
-        candidates.append(TruncSeries.polynomial([1.0, al, be * 1j]))
-    pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
+    cloud, tolr, pool = _preimage_setup(V, cfg)
+    candidates = [
+        TruncSeries.polynomial([1.0, al, be * 1j])
+        for al, be in itertools.product((0.0, 0.35, 0.6), (0.0, 0.3, 0.39))
+        if not (al == be == 0.0 or al + be >= 1.0)
+    ]
     for i, h in enumerate(candidates):
         hull_cert = in_dual_hull(h, V, grid=cfg.grid, tol=cfg.tol, pool=pool)
         if not hull_cert.verified:
@@ -1950,14 +2009,13 @@ def _verify_T2(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
                 )
             )
             continue
-        val = apply(lam, h)
+        val = apply(_A1, h)
         dist = cloud.nearest_distance(val.value)
-        ok = dist <= spacing_tol + val.error_bound
         checks.append(
             CheckRecord(
                 f"candidate-{i}-image-in-family-image",
-                "pass" if ok else "fail",
-                detail=f"distance {dist:.3e} vs tolerance {spacing_tol:.3e}",
+                "pass" if dist <= tolr + val.error_bound else "fail",
+                detail=f"distance {dist:.3e} vs tolerance {tolr:.3e}",
             )
         )
     return _report("T2", checks, cfg)
@@ -1965,38 +2023,28 @@ def _verify_T2(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
 
 def _verify_T3(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Double dual equals the perp of the transpose, on a candidate grid."""
-    checks: list[CheckRecord] = []
     pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
     if not len(pool.coeffs):
-        checks.append(CheckRecord("coverage", "inconclusive", detail="empty transpose sample"))
-        return _report("T3", checks, cfg)
+        empty = CheckRecord("coverage", "inconclusive", detail="empty transpose sample")
+        return _report("T3", [empty], cfg)
     step = max(1, len(pool.coeffs) // cfg.max_kernels)
     tfam = FamilySpec(tuple(Fixed(pool.kernel(i)) for i in range(0, len(pool.coeffs), step)))
-    n = cfg.hull_steps
-    xs = np.linspace(-cfg.hull_extent, cfg.hull_extent, n)
-    mismatches = 0
-    gray = 0
-    total = 0
-    for re in xs:
-        for im in xs:
-            h = TruncSeries.polynomial([1.0, complex(re, im)])
-            hull_cert = in_dual_hull(h, V, grid=cfg.grid, tol=cfg.tol, pool=pool)
-            perp_cert = in_perp(h, tfam, tol=cfg.tol)
-            total += 1
-            a, b = _status_cert(hull_cert), _status_cert(perp_cert)
-            if "inconclusive" in (a, b):
-                gray += 1
-            elif a == "pass" and b == "fail":
-                # relative Verified must never contradict a conclusive perp zero
-                mismatches += 1
-    checks.append(
-        CheckRecord(
-            "double-dual-agrees-with-transpose-perp",
-            "fail" if mismatches else "pass",
-            detail=f"{total} candidates, {mismatches} contradictions, {gray} inconclusive",
-        )
+    mismatches = gray = 0
+    for c in _CANDIDATES:
+        h = TruncSeries.polynomial([1.0, c])
+        a = _status_cert(in_dual_hull(h, V, grid=cfg.grid, tol=cfg.tol, pool=pool))
+        b = _status_cert(in_perp(h, tfam, tol=cfg.tol))
+        if "inconclusive" in (a, b):
+            gray += 1
+        elif a == "pass" and b == "fail":
+            # relative Verified must never contradict a conclusive perp zero
+            mismatches += 1
+    check = CheckRecord(
+        "double-dual-agrees-with-transpose-perp",
+        "fail" if mismatches else "pass",
+        detail=f"{len(_CANDIDATES)} candidates, {mismatches} contradictions, {gray} inconclusive",
     )
-    return _report("T3", checks, cfg)
+    return _report("T3", [check], cfg)
 
 
 def _verify_T4(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
@@ -2013,7 +2061,7 @@ def _verify_T4(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
             continue
         hits += 1
         try:
-            sig = sigma_search(V, g, sigma_max=cfg.sigma_max, grid=cfg.grid)
+            sig = sigma_search(V, g, grid=cfg.grid)
         except ValueError as exc:
             checks.append(
                 CheckRecord(f"dilation-margin[{tag.label()}]", "inconclusive", detail=str(exc))
@@ -2042,72 +2090,30 @@ def _verify_T4(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     return _report("T4", checks, cfg)
 
 
-def _verify_T5(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
+def _verify_T5(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Region boundary is carried by border-element images of the unit circle."""
-    V = V or counterexample_family()
-    checks: list[CheckRecord] = []
-    lam = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
-    grid = cfg.grid or ParamGrid(disk_radial=16, disk_angular=128, circle=64)
-    spacing = _structural_spacing(V, lam, grid)
-    direct = functional_image(lam, V, grid, mesh_spacing=spacing)
-    border = functional_image(
-        lam, V, grid, via_border=True, mesh_depth=cfg.mesh_depth, mesh_angles=cfg.mesh_angles
-    )
+    direct, border = _direct_and_border(V, cfg)
     cand = direct.boundary_candidates()
     ring = border.boundary_candidates()
     if len(cand) == 0 or len(ring) == 0:
-        checks.append(
-            CheckRecord(
-                "coverage",
-                "inconclusive",
-                detail=f"{len(cand)} direct candidates, {len(ring)} border-ring images",
-            )
-        )
-        return _report("T5", checks, cfg)
-    dist = _nearest_in_set(cand, ring)
+        detail = f"{len(cand)} direct candidates, {len(ring)} border-ring images"
+        return _report("T5", [CheckRecord("coverage", "inconclusive", detail)], cfg)
     tolr = 3.0 * direct.mesh_spacing
-    worst = float(np.max(dist))
-    checks.append(
+    worst = float(np.max(_nearest_in_set(cand, ring)))
+    worst_in = float(np.max(_nearest_in_set(ring, direct.points)))
+    checks = [
         CheckRecord(
             "boundary-candidates-near-border-circle-images",
             "pass" if worst <= tolr else "fail",
             detail=f"max distance {worst:.3e} vs tolerance {tolr:.3e} over {len(cand)} candidates",
-        )
-    )
-    inside = _nearest_in_set(ring, direct.points)
-    worst_in = float(np.max(inside))
-    checks.append(
+        ),
         CheckRecord(
             "border-images-inside-region-cloud",
             "pass" if worst_in <= tolr else "fail",
             detail=f"max distance {worst_in:.3e} vs tolerance {tolr:.3e}",
-        )
-    )
+        ),
+    ]
     return _report("T5", checks, cfg)
-
-
-def _structural_spacing(V: FamilySpec, lam: Functional, grid: ParamGrid) -> float:
-    """Image-space mesh spacing from the parameter grid geometry.
-
-    For pencil generators the functional image of one generator is a union
-    of circles of radius ``|x||a_k|``; the grid spacing maps through that
-    scaling, so the max of radial and angular steps bounds the true gap.
-    """
-    scale = 0.0
-    for gen in V.generators:
-        if not isinstance(gen, Pencil):
-            continue
-        for k, d in zip(gen.exponents, gen.domains):
-            try:
-                a = abs(lam.kernel.coefficient(k))
-            except ValueError:
-                a = 0.0
-            scale = max(scale, d.max_abs * a)
-    if scale == 0.0:
-        scale = 1.0
-    radial = scale / max(grid.disk_radial, 1)
-    angular = 2.0 * math.pi * scale / max(grid.disk_angular, 1)
-    return max(radial, angular)
 
 
 def _verify_T6(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
@@ -2125,12 +2131,11 @@ def _verify_T6(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
         if dcert.verified and tcert.falsified:
             # a dual member off the hull transpose: some dilation must enter it
             outside += 1
-            entered = None
-            for r in cfg.r_list:
-                rc = in_T(dilate(g, r), hull, cfg.grid, cfg.tol)
-                if rc.verified:
-                    entered = r
-                    break
+            entered = next(
+                (r for r in _DILATION_RADII
+                 if in_T(dilate(g, r), hull, cfg.grid, cfg.tol).verified),
+                None,
+            )
             checks.append(
                 CheckRecord(
                     f"border-member-dilates-inside[{tag.label()}]",
@@ -2177,22 +2182,15 @@ def _t_filter_labels(
     return labels, gray
 
 
-def _verify_L4(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
+def _verify_L4(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Image equality across nested families tracks transpose equality."""
     checks: list[CheckRecord] = []
-    base = pencil_family()
-    pairs = [
-        ("pencil-vs-hull", base, complete_hull(base), True),
-        ("circled-vs-pencil", _circled(base), base, False),
-        ("half-vs-full-radius", pencil_family(radius=0.5), base, False),
-    ]
-    lam = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
     grid = cfg.grid or ParamGrid(disk_radial=6, disk_angular=24, circle=32)
     pool = _kernel_pool(cfg)
-    for name, small, big, expect_equal in pairs:
+    for name, small, big, expect_equal in _nested_pairs():
         # smaller family inside the larger one; clouds compared without flags
-        cloud_small = functional_image(lam, small, grid, boundary=False)
-        cloud_big = functional_image(lam, big, grid, boundary=False)
+        cloud_small = functional_image(_A1, small, grid, boundary=False)
+        cloud_big = functional_image(_A1, big, grid, boundary=False)
         d_sb = float(np.max(_nearest_in_set(cloud_small.points, cloud_big.points)))
         d_bs = float(np.max(_nearest_in_set(cloud_big.points, cloud_small.points)))
         tolr = 3.0 * max(cloud_small.mesh_spacing, cloud_big.mesh_spacing)
@@ -2216,29 +2214,19 @@ def _verify_L4(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
     return _report("L4", checks, cfg)
 
 
-def _circled(V: FamilySpec) -> FamilySpec:
-    gens = []
-    for gen in V.generators:
-        if isinstance(gen, Pencil):
-            gens.append(
-                Pencil(gen.exponents, tuple(Circle(d.max_abs) for d in gen.domains))
-            )
-        else:
-            gens.append(gen)
-    return FamilySpec(tuple(gens), V.dilation_slot)
-
-
-def _deep_interior(c: complex, cloud: RegionCloud, radius: float) -> bool:
-    """Every probe direction at the given radius is backed by the cloud.
-
-    A cloud only resolves the region up to its mesh, so points outside but
-    within one mesh of it are indistinguishable from members; this test
-    picks out candidates that sit at least a probe radius inside.
-    """
-    for a in np.exp(2j * np.pi * np.arange(16) / 16):
-        if cloud.nearest_distance(c + radius * a) > 1.3 * cloud.mesh_spacing:
-            return False
-    return True
+def _preimage_measures(
+    cloud: RegionCloud, verified: Sequence[complex], falsified: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray]:
+    """C1's measures: each verified candidate's distance to the cloud, and
+    whether each finite falsified one sits deep inside it (every probe at
+    three mesh spacings backed within 1.3).  Both read every distinct point
+    (:func:`_exact_reference`), so each distance is bitwise the minimum of
+    ``np.abs(points - q)`` over the whole cloud."""
+    ref = _exact_reference(cloud.points)
+    deep = ~_coverage_boundary_flags(
+        np.asarray(falsified, dtype=complex), cloud.mesh_spacing, probe=3.0, ref=ref
+    )
+    return _grid_nearest(np.asarray(verified, dtype=complex), ref), deep
 
 
 def _verify_C1(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
@@ -2249,83 +2237,61 @@ def _verify_C1(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     the unresolved shell around the cloud boundary are out of reach of the
     mesh and are not counted either way.
     """
-    checks: list[CheckRecord] = []
-    lam = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
-    grid = cfg.grid or ParamGrid(disk_radial=12, disk_angular=64)
-    cloud = functional_image(lam, V, grid, boundary=False)
-    tolr = 3.0 * cloud.mesh_spacing
-    pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
-    n = cfg.hull_steps
-    xs = np.linspace(-cfg.hull_extent, cfg.hull_extent, n)
-    bad = gray = total = 0
-    for re in xs:
-        for im in xs:
-            c = complex(re, im)
-            if abs(abs(c) - 1.0) <= cfg.band:
-                continue
-            h = TruncSeries.polynomial([1.0, c])
-            cert = in_dual_hull(h, V, grid=cfg.grid, tol=cfg.tol, pool=pool)
-            total += 1
-            if cert.verified and cloud.nearest_distance(c) > tolr:
-                bad += 1
-            elif cert.falsified and _deep_interior(c, cloud, tolr):
-                bad += 1
-            elif not cert.verified and not cert.falsified:
-                gray += 1
-    checks.append(
-        CheckRecord(
-            "double-dual-matches-image-preimage",
-            "fail" if bad else ("inconclusive" if gray else "pass"),
-            detail=f"{total} candidates off the band, {bad} disagreements, {gray} inconclusive",
-        )
+    cloud, tolr, pool = _preimage_setup(V, cfg)
+    verified: list[complex] = []
+    falsified: list[complex] = []
+    total = gray = 0
+    for c in _CANDIDATES:
+        if abs(abs(c) - 1.0) <= _BAND:
+            continue
+        total += 1
+        cert = in_dual_hull(TruncSeries.polynomial([1.0, c]), V, grid=cfg.grid, tol=cfg.tol,
+                            pool=pool)
+        if cert.verified:
+            verified.append(c)
+        elif cert.falsified:
+            falsified.append(c)
+        else:
+            gray += 1
+    dist, deep = _preimage_measures(cloud, verified, falsified)
+    bad = int(np.count_nonzero(dist > tolr)) + int(np.count_nonzero(deep))
+    check = CheckRecord(
+        "double-dual-matches-image-preimage",
+        "fail" if bad else ("inconclusive" if gray else "pass"),
+        detail=f"{total} candidates off the band, {bad} disagreements, {gray} inconclusive",
     )
-    return _report("C1", checks, cfg)
+    return _report("C1", [check], cfg)
 
 
-def _verify_C2(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
+def _verify_C2(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Equal double duals, equal transposes, equal duals ride together."""
     checks: list[CheckRecord] = []
-    base = pencil_family()
-    pairs = [
-        ("pencil-vs-hull", base, complete_hull(base), True),
-        ("half-vs-full-radius", pencil_family(radius=0.5), base, False),
-    ]
     pool = _kernel_pool(cfg)
-    for name, A, B, expect_equal in pairs:
+    for name, A, B, expect_equal in _nested_pairs():
+        if name == "circled-vs-pencil":
+            continue
         ta, gray_a = _t_filter_labels(A, pool, cfg)
         tb, gray_b = _t_filter_labels(B, pool, cfg)
         da = {tag.label() for g, tag in pool if in_dual(g, A, cfg.grid, tol=cfg.tol).verified}
         db = {tag.label() for g, tag in pool if in_dual(g, B, cfg.grid, tol=cfg.tol).verified}
         t_eq, d_eq = ta == tb, da == db
         if t_eq == d_eq == expect_equal:
-            checks.append(CheckRecord(f"consistency[{name}]", "pass"))
+            status, detail = "pass", ""
         elif gray_a or gray_b:
-            checks.append(
-                CheckRecord(
-                    f"consistency[{name}]",
-                    "inconclusive",
-                    detail=f"{gray_a + gray_b} kernels inconclusive",
-                )
-            )
+            status, detail = "inconclusive", f"{gray_a + gray_b} kernels inconclusive"
         else:
-            checks.append(
-                CheckRecord(
-                    f"consistency[{name}]",
-                    "fail",
-                    detail=f"transpose equality {t_eq}, dual equality {d_eq}, expected {expect_equal}",
-                )
-            )
+            status = "fail"
+            detail = f"transpose equality {t_eq}, dual equality {d_eq}, expected {expect_equal}"
+        checks.append(CheckRecord(f"consistency[{name}]", status, detail=detail))
     return _report("C2", checks, cfg)
 
 
 def _verify_C3(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Border elements have the same dual as the full family."""
-    checks: list[CheckRecord] = []
     try:
         B = border_elements(V)
     except Exception as exc:
-        checks.append(CheckRecord("border-construction", "inconclusive", detail=str(exc)))
-        return _report("C3", checks, cfg)
+        return _report("C3", [CheckRecord("border-construction", "inconclusive", str(exc))], cfg)
     pool = _kernel_pool(cfg)
     mismatches = gray = 0
     for g, tag in pool:
@@ -2336,17 +2302,15 @@ def _verify_C3(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
             gray += 1
         elif a != b:
             mismatches += 1
-    checks.append(
-        CheckRecord(
-            "dual-certificates-match-on-border",
-            "fail" if mismatches else ("inconclusive" if gray else "pass"),
-            detail=f"{len(pool)} kernels, {mismatches} mismatches, {gray} inconclusive",
-        )
+    check = CheckRecord(
+        "dual-certificates-match-on-border",
+        "fail" if mismatches else ("inconclusive" if gray else "pass"),
+        detail=f"{len(pool)} kernels, {mismatches} mismatches, {gray} inconclusive",
     )
-    return _report("C3", checks, cfg)
+    return _report("C3", [check], cfg)
 
 
-def _verify_CE(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
+def _verify_CE(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Two-pencil counterexample: border images over-cover the boundary.
 
     The coefficient functional sends the second pencil to zero, so the
@@ -2354,46 +2318,51 @@ def _verify_CE(V: Optional[FamilySpec], cfg: VerifierConfig) -> VerifierReport:
     boundary circle; the boundary candidates themselves still trace the
     circle.  This is the one-sidedness of the border representation.
     """
-    V = V or counterexample_family()
-    checks: list[CheckRecord] = []
-    lam = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
-    grid = cfg.grid or ParamGrid(disk_radial=16, disk_angular=128, circle=64)
-    spacing = _structural_spacing(V, lam, grid)
-    direct = functional_image(lam, V, grid, mesh_spacing=spacing)
-    border = functional_image(
-        lam, V, grid, via_border=True, mesh_depth=cfg.mesh_depth, mesh_angles=cfg.mesh_angles
-    )
+    direct, border = _direct_and_border(V, cfg)
     cand = direct.boundary_candidates()
     if len(cand) == 0:
-        checks.append(CheckRecord("coverage", "inconclusive", detail="no boundary candidates"))
-        return _report("CE", checks, cfg)
+        empty = CheckRecord("coverage", "inconclusive", detail="no boundary candidates")
+        return _report("CE", [empty], cfg)
     radial_err = float(np.max(np.abs(np.abs(cand) - 1.0)))
     tolr = 3.0 * direct.mesh_spacing
-    checks.append(
+    zero_dist = border.nearest_distance(0.0)
+    zero_to_boundary = float(np.min(np.abs(cand)))
+    checks = [
         CheckRecord(
             "boundary-candidates-on-unit-circle",
             "pass" if radial_err <= tolr else "fail",
             detail=f"max radial error {radial_err:.3e} vs tolerance {tolr:.3e}",
-        )
-    )
-    zero_dist = border.nearest_distance(0.0)
-    checks.append(
+        ),
         CheckRecord(
             "border-image-union-contains-zero",
             "pass" if zero_dist <= 1e-12 else "fail",
             detail=f"distance {zero_dist:.3e}",
             witness={"value": [0.0, 0.0], "distance": zero_dist},
-        )
-    )
-    zero_to_boundary = float(np.min(np.abs(cand)))
-    checks.append(
+        ),
         CheckRecord(
             "zero-is-interior-to-the-region",
-            "pass" if zero_to_boundary >= 1.0 - cfg.band else "fail",
+            "pass" if zero_to_boundary >= 1.0 - _BAND else "fail",
             detail=f"nearest boundary candidate at {zero_to_boundary:.6f}",
-        )
-    )
+        ),
+    ]
     return _report("CE", checks, cfg)
+
+
+# suite and default family of each verifier; L4 and C2 build their own families
+_SUITES = {
+    "T1": (_verify_T1, pencil_family),
+    "T2": (_verify_T2, counterexample_family),
+    "T3": (_verify_T3, pencil_family),
+    "T4": (_verify_T4, pencil_family),
+    "T5": (_verify_T5, counterexample_family),
+    "T6": (_verify_T6, pencil_family),
+    "L4": (_verify_L4, pencil_family),
+    "C1": (_verify_C1, pencil_family),
+    "C2": (_verify_C2, pencil_family),
+    "C3": (_verify_C3, pencil_family),
+    "CE": (_verify_CE, counterexample_family),
+}
+THEOREM_NAMES = tuple(_SUITES)
 
 
 def verify_theorem(
@@ -2401,24 +2370,15 @@ def verify_theorem(
 ) -> VerifierReport:
     """Run one verifier suite and return its per-check report.
 
-    ``V`` defaults to the single-coefficient pencil family except for the
-    suites built around the two-pencil counterexample (T2, T5, CE), which
-    default to that family.
+    ``V`` defaults to the suite's family in ``_SUITES``: the
+    single-coefficient pencil family, except for the suites built around
+    the two-pencil counterexample (T2, T5, CE), which default to that
+    family.  L4 and C2 compare nested pencil families of their own and
+    ignore ``V``.
     """
     cfg = config or VerifierConfig()
     name = name.upper()
-    if name not in THEOREM_NAMES:
+    if name not in _SUITES:
         raise ValueError(f"unknown verifier {name!r}; expected one of {THEOREM_NAMES}")
-    if name in ("T2", "T5", "CE"):
-        return {"T2": _verify_T2, "T5": _verify_T5, "CE": _verify_CE}[name](V, cfg)
-    fam = V or pencil_family()
-    return {
-        "T1": _verify_T1,
-        "T3": _verify_T3,
-        "T4": _verify_T4,
-        "T6": _verify_T6,
-        "L4": _verify_L4,
-        "C1": _verify_C1,
-        "C2": _verify_C2,
-        "C3": _verify_C3,
-    }[name](fam, cfg)
+    suite, default_family = _SUITES[name]
+    return suite(V or default_family(), cfg)

@@ -209,6 +209,28 @@ def brute_coverage_flags(points, spacing: float, directions: int = 16,
     return flags
 
 
+def cloud_nearest_distance(cloud, c: complex) -> float:
+    """Distance from ``c`` to the nearest point of a ``RegionCloud``: one scan
+    of every point (the body of ``RegionCloud.nearest_distance``)."""
+    if len(cloud.points) == 0:
+        return math.inf
+    return float(np.min(np.abs(cloud.points - c)))
+
+
+def deep_interior(c: complex, cloud, radius: float) -> bool:
+    """Every probe direction at the given radius is backed by the cloud.
+
+    A cloud only resolves the region up to its mesh, so points outside but
+    within one mesh of it are indistinguishable from members; this test
+    picks out candidates that sit at least a probe radius inside.  (The
+    per-candidate probe C1 used before its batched pass.)
+    """
+    for a in np.exp(2j * np.pi * np.arange(16) / 16):
+        if cloud_nearest_distance(cloud, c + radius * a) > 1.3 * cloud.mesh_spacing:
+            return False
+    return True
+
+
 def per_member_image(lam, V, grid, mesh_spacing=None, boundary: bool = True) -> dict:
     """Direct-route ``functional_image`` fields by the member-by-member loop.
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from convdual import duality
 from convdual.duality import (
     Functional,
+    RegionCloud,
     _coverage_boundary_flags,
     _median_spacing,
     _nearest_in_set,
@@ -27,7 +29,13 @@ from convdual.family import (
 )
 from convdual.series import TruncSeries
 
-from oracles import brute_coverage_flags, brute_median_spacing, brute_nearest_distance
+from oracles import (
+    brute_coverage_flags,
+    brute_median_spacing,
+    brute_nearest_distance,
+    cloud_nearest_distance,
+    deep_interior,
+)
 
 SET = settings(max_examples=60, deadline=None)
 
@@ -501,6 +509,30 @@ def test_cells_block_minima_and_representatives_match_the_references(case, floor
             assert near[np.isfinite(_block_oracle(index, ref, queries))].all()
 
 
+def test_far_query_cells_are_clipped_without_overflow_warnings():
+    # 1e307 / 0.01 overflows the divide, -1.7e308 - 1e308 the subtraction
+    queries = np.array([1e307 + 0j, -1.7e308 + 0j, complex(1.0, 1e307), 0.5 + 0.5j])
+    def as_errors():
+        return np.errstate(over="warn", divide="warn", invalid="warn")
+
+    for ref in (np.array([0j, 1 + 1j]), np.array([1e308 + 0j, 1e308 + 1j])):
+        index = duality._CellIndex(ref, 0.01)
+        with warnings.catch_warnings(), as_errors():
+            warnings.simplefilter("error")
+            cells = index._cells(queries)
+            index.block_min(queries)
+        with np.errstate(over="ignore"):
+            want = _reference_cells(index, queries)
+        for got, w in zip(cells, want):
+            np.testing.assert_array_equal(got, w)
+    # the whole ladder, on cells of side about 0.01, ends in the all-pairs pass
+    ref, far = np.arange(5) * 0.01 + 0j, np.array([1e307 + 0j, -1e307j])
+    with warnings.catch_warnings(), as_errors():
+        warnings.simplefilter("error")
+        got = _nearest_in_set(far, ref)
+    np.testing.assert_array_equal(got, brute_nearest_distance(far, ref))
+
+
 @st.composite
 def large_value_sets(draw):
     """At least 4096 finite values: spread, conjugate-symmetric, duplicate-heavy,
@@ -561,3 +593,69 @@ def test_median_spacing_of_the_largest_border_lattice_measures_few_pairs():
         spacing = _median_spacing(points)
     assert spacing == brute_median_spacing(points)
     assert sum(pairs) <= 56000
+
+
+# -- C1's measures: the nearest pass and the probe at three spacings ------------
+
+
+def _bare_cloud(points, spacing):
+    n = len(points)
+    return RegionCloud(points=points, errors=np.zeros(n), labels=("",) * n,
+                       eval_points=np.ones(n, dtype=complex),
+                       boundary_flags=np.zeros(n, dtype=bool), mesh_spacing=spacing,
+                       route="direct")
+
+
+c1_clouds = st.one_of(
+    with_specials(), duplicate_heavy(), collinear(), _cloud(cpoint, 1),
+    st.tuples(cpoint | special, st.integers(1, 30)).map(
+        lambda t: np.full(t[1], t[0], dtype=complex)),  # all points equal
+    st.lists(special, min_size=1, max_size=4).map(lambda zs: np.asarray(zs, dtype=complex)),
+    st.lists(st.sampled_from([complex(math.inf, math.nan), complex(math.nan, -math.inf),
+                              complex(-math.inf, math.nan), complex(math.nan, 1.0), 1.0 + 0j]),
+             min_size=1, max_size=5).map(lambda zs: np.asarray(zs, dtype=complex)),
+)
+
+
+@SET
+@given(c1_clouds, st.lists(cpoint, max_size=25), st.lists(cpoint, max_size=25),
+       st.sampled_from([1e-3, 0.05, 0.3, 1.0, None]), budgets)
+def test_c1_measures_match_the_per_candidate_scans(points, verified, falsified, spacing, budget):
+    """C1's batched distances and deep-interior flags against one scan of the
+    cloud per candidate and per probe, as C1 measured before."""
+    finite = points[np.isfinite(points)]
+    # candidates on cloud points and half a spacing off them as well
+    spacing = _median_spacing(points) if spacing is None else spacing
+    falsified = falsified + list(finite[:8]) + list(finite[:8] + 0.5 * spacing)
+    verified = verified + list(finite[:8])
+    cloud = _bare_cloud(points, spacing)
+    with mock.patch.object(duality, "_PAIR_BUDGET", budget):
+        dist, deep = duality._preimage_measures(cloud, verified, falsified)
+    want = np.array([cloud_nearest_distance(cloud, c) for c in verified], dtype=float)
+    np.testing.assert_array_equal(dist, want)  # exact; NaN where the scan reads NaN
+    assert [bool(d) for d in deep] == [deep_interior(c, cloud, 3.0 * spacing) for c in falsified]
+
+
+@SET
+@given(c1_clouds, clouds)
+def test_nearest_matches_brute_force_on_non_finite_references(ref, queries):
+    # every NaN-holding reference value is kept: inf + nan j is inf away, 1 + nan j NaN
+    np.testing.assert_array_equal(_nearest_in_set(queries, ref),
+                                  brute_nearest_distance(queries, ref))
+
+
+@pytest.mark.parametrize("family", [pencil_family(), counterexample_family(),
+                                    pencil_family(2, 0.8),
+                                    FamilySpec((Pencil((1,), (Circle(0.7),)),))],
+                         ids=["pencil", "counterexample", "z2-pencil", "circled"])
+def test_c1_measures_on_the_suite_clouds(family):
+    """On C1's own clouds, over a 61 x 61 lattice of candidates on [-2, 2]^2."""
+    cloud = functional_image(A1, family, ParamGrid(disk_radial=12, disk_angular=64),
+                             boundary=False)
+    xs = np.linspace(-2.0, 2.0, 61)
+    lattice = [complex(re, im) for re in xs for im in xs]
+    dist, deep = duality._preimage_measures(cloud, lattice, lattice)
+    want = np.array([cloud_nearest_distance(cloud, c) for c in lattice])
+    assert dist.tobytes() == want.tobytes()
+    tolr = 3.0 * cloud.mesh_spacing
+    assert [bool(d) for d in deep] == [deep_interior(c, cloud, tolr) for c in lattice]
