@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a structural verifier suite")
     p.add_argument("--theorem", required=True, help="one of " + ", ".join(THEOREM_NAMES))
-    p.add_argument("--family", help="family spec file (defaults per suite)")
+    p.add_argument("--family", help="family spec file (defaults per suite; L4 and C2 take none)")
     p.add_argument("--mesh-depth", type=_depth_arg, default=8)
     add_common(p, kernels=True)
 

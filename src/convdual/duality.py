@@ -20,6 +20,7 @@ re-checked against the witness bar before the certificate is emitted).
 The procedures, and ``is_complete_T``, collect their margins and undecidable
 cases in one accumulator, so the Verified and Inconclusive forms are the
 same everywhere; sampled members are tagged with their own generator index.
+``sigma_search`` bisects a transpose member's dilation margin with ``in_T``.
 
 ``verify_theorem`` reduces the structural identities between these sets
 (dual = closure of hull-transpose, duality principle, double-dual as perp,
@@ -72,7 +73,6 @@ from .family import (
     pencil_family,
     pencil_margin_rows,
     pencil_term_radii,
-    sigma_search,
 )
 from .series import (
     EvalResult,
@@ -95,6 +95,7 @@ __all__ = [
     "in_perp",
     "in_dual_hull",
     "is_complete_T",
+    "sigma_search",
     "KernelPool",
     "build_transpose_pool",
     "RegionCloud",
@@ -255,7 +256,7 @@ def _pencil_pairing_at_one(
     With ``slot`` the member ranges over all dilations ``P_u``, which sweeps
     the annulus inner edge through one whenever the outer edge reaches it.
     """
-    radii = pencil_term_radii(gen, kernel, 1.0)
+    radii = pencil_term_radii(gen, kernel)
     if radii is None:
         return None
     dist = pairing_margin(radii, slot)
@@ -497,7 +498,7 @@ def _pairing_certificate(
             sampled = [gi] + [
                 j for j, h in enumerate(family.generators) if j > gi and (
                     isinstance(h, Fixed)
-                    or (isinstance(h, Pencil) and pencil_term_radii(h, kernel, 1.0) is None)
+                    or (isinstance(h, Pencil) and pencil_term_radii(h, kernel) is None)
                 )
             ]
             table, orders, exact, ranges = _sampled_table(family, sampled, kernel, grid)
@@ -552,6 +553,71 @@ def in_T(
     return _pairing_certificate(g, V, grid, tol)
 
 
+def sigma_search(
+    V: FamilySpec,
+    g: TruncSeries,
+    sigma_max: float = 8.0,
+    grid: Optional[ParamGrid] = None,
+    margin_floor: float = 1e-12,
+    refine_gap: float = 2e-4,
+) -> Optional[float]:
+    """Largest certifiable ``sigma`` in ``(1, sigma_max)`` for the pairing.
+
+    Since ``(f*g)(sigma) = (f*P_sigma g)(1)``, a probe ``s`` is certified
+    when it lies below the kernel's tail radius (the dilated kernel must
+    stay regular on the closed disk) and :func:`in_T` verifies
+    ``dilate(g, s)`` over ``V`` with a margin above ``margin_floor``; a
+    dilation or product that overflows leaves the probe uncertified.
+    Walks the shrinking schedule ``sigma_j = 1 + (sigma_max - 1) 2^-j``,
+    ``j >= 1``, until a probe is certified, then bisects upward against
+    ``sigma_{j-1}`` so the result is within ``refine_gap`` of the supremum
+    on families where certifiability is an interval (pencils, for one).
+    Raises when :func:`in_T` does not verify ``g`` itself; returns None
+    when nothing above one certifies.
+    """
+    if sigma_max <= 1.0:
+        raise ValueError("sigma_max must exceed one")
+    if not is_normalized(g):
+        raise ValueError("kernel must be normalized (constant term one)")
+    if g.tail is None:
+        raise ValueError("kernel needs tail data certifying regularity beyond the closed disk")
+    if not g.is_exact and g.tail.rho <= 1.0:
+        raise ValueError("kernel tail radius must exceed one")
+    grid = grid or COARSE_GRID
+    if not in_T(g, V, grid).verified:
+        raise ValueError("pairing at z = 1 is not certifiably nonvanishing for this kernel")
+    cap = math.inf if g.is_exact else g.tail.rho
+
+    def ok(s: float) -> bool:
+        if s >= cap:
+            return False
+        try:  # a dilated coefficient or a product that overflows raises, silently
+            with np.errstate(over="ignore", invalid="ignore"):
+                cert = in_T(dilate(g, s), V, grid)
+        except ValueError:
+            return False
+        return cert.verified and cert.min_modulus > margin_floor
+
+    lo = None
+    hi = None
+    for j in range(1, 49):
+        s = 1.0 + (sigma_max - 1.0) * 2.0**-j
+        if ok(s):
+            lo = s
+            hi = 1.0 + (sigma_max - 1.0) * 2.0 ** -(j - 1)
+            break
+    if lo is None:
+        return None
+    hi = min(hi, cap, sigma_max)
+    while hi - lo > refine_gap:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def in_perp(
     h: TruncSeries,
     U: FamilySpec,
@@ -587,7 +653,7 @@ def _pencil_dual_certificate(
     ``r -> 1`` exceeds one; the inner edge never protects (it crosses one
     on the way out).  The dilation slot is absorbed by the same sweep.
     """
-    radii = pencil_term_radii(gen, g, 1.0)
+    radii = pencil_term_radii(gen, g)
     if radii is None:
         return None
     hi = sum(s for s, _ in radii)
@@ -709,7 +775,7 @@ def in_dual(
             # this generator and every later one the closed form leaves to sampling
             sampled = [gi] + [
                 j for j, h in enumerate(V.generators) if j > gi and (
-                    not isinstance(h, Pencil) or pencil_term_radii(h, g, 1.0) is None
+                    not isinstance(h, Pencil) or pencil_term_radii(h, g) is None
                 )
             ]
             table, orders, exact, ranges = _sampled_table(base, sampled, g, grid)
@@ -1232,7 +1298,8 @@ class RegionCloud:
     def nearest_distance(self, c: complex) -> float:
         if len(self.points) == 0:
             return math.inf
-        return float(np.min(np.abs(self.points - c)))
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, as numpy gives it
+            return float(np.min(np.abs(self.points - c)))
 
     def to_csv(self, path) -> None:
         import csv
@@ -1502,7 +1569,8 @@ def _brute_nearest(queries: np.ndarray, ref: np.ndarray, positive: bool = False)
     out = np.empty(len(queries))
     step = max(1, _PAIR_BUDGET // max(len(ref), 1))
     for i in range(0, len(queries), step):
-        d = np.abs(queries[i : i + step, None] - ref[None, :])
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN distance, as numpy gives it
+            d = np.abs(queries[i : i + step, None] - ref[None, :])
         if positive:
             d[d == 0.0] = np.inf
         out[i : i + step] = np.min(d, axis=1)
@@ -2182,7 +2250,7 @@ def _t_filter_labels(
     return labels, gray
 
 
-def _verify_L4(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
+def _verify_L4(_: None, cfg: VerifierConfig) -> VerifierReport:
     """Image equality across nested families tracks transpose equality."""
     checks: list[CheckRecord] = []
     grid = cfg.grid or ParamGrid(disk_radial=6, disk_angular=24, circle=32)
@@ -2263,7 +2331,7 @@ def _verify_C1(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     return _report("C1", [check], cfg)
 
 
-def _verify_C2(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
+def _verify_C2(_: None, cfg: VerifierConfig) -> VerifierReport:
     """Equal double duals, equal transposes, equal duals ride together."""
     checks: list[CheckRecord] = []
     pool = _kernel_pool(cfg)
@@ -2349,6 +2417,7 @@ def _verify_CE(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
 
 
 # suite and default family of each verifier; L4 and C2 build their own families
+# and take none
 _SUITES = {
     "T1": (_verify_T1, pencil_family),
     "T2": (_verify_T2, counterexample_family),
@@ -2356,9 +2425,9 @@ _SUITES = {
     "T4": (_verify_T4, pencil_family),
     "T5": (_verify_T5, counterexample_family),
     "T6": (_verify_T6, pencil_family),
-    "L4": (_verify_L4, pencil_family),
+    "L4": (_verify_L4, None),
     "C1": (_verify_C1, pencil_family),
-    "C2": (_verify_C2, pencil_family),
+    "C2": (_verify_C2, None),
     "C3": (_verify_C3, pencil_family),
     "CE": (_verify_CE, counterexample_family),
 }
@@ -2374,11 +2443,15 @@ def verify_theorem(
     single-coefficient pencil family, except for the suites built around
     the two-pencil counterexample (T2, T5, CE), which default to that
     family.  L4 and C2 compare nested pencil families of their own and
-    ignore ``V``.
+    raise when given ``V``.
     """
     cfg = config or VerifierConfig()
     name = name.upper()
     if name not in _SUITES:
         raise ValueError(f"unknown verifier {name!r}; expected one of {THEOREM_NAMES}")
     suite, default_family = _SUITES[name]
+    if default_family is None:
+        if V is not None:
+            raise ValueError(f"{name} compares its own nested pencil pairs and takes no family")
+        return suite(None, cfg)
     return suite(V or default_family(), cfg)

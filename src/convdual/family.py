@@ -34,9 +34,8 @@ import numpy as np
 from .series import (
     DEFAULT_ORDER,
     TruncSeries,
-    convolve,
+    _modulus,
     dilate,
-    evaluate,
     from_rational,
     is_normalized,
     leading_block,
@@ -64,7 +63,6 @@ __all__ = [
     "border_elements",
     "border_decompose",
     "BorderDecomposition",
-    "sigma_search",
     "counterexample_family",
     "default_kernel_family",
     "pencil_family",
@@ -152,6 +150,11 @@ class Segment:
     end: complex
 
     kind = "segment"
+
+    def __post_init__(self) -> None:
+        # max_abs and contains take these moduli; past the float range abs() overflows
+        for z in (self.start, self.end, self.end - self.start):
+            _modulus(z, "segment endpoint or length")
 
     def points(self, grid: "ParamGrid") -> list[complex]:
         n = grid.segment
@@ -695,15 +698,14 @@ def border_decompose(V: FamilySpec, tag: MemberTag, branch: int = 0) -> BorderDe
 # -- exact pencil pairing geometry --------------------------------------------
 
 
-def pencil_term_radii(gen: Pencil, kernel: TruncSeries, t: complex) -> Optional[list[tuple[float, str]]]:
-    """Moduli ``R_j |a_{k_j}(kernel)| |t|^{k_j}`` with domain kinds.
+def pencil_term_radii(gen: Pencil, kernel: TruncSeries) -> Optional[list[tuple[float, str]]]:
+    """Moduli ``R_j |a_{k_j}(kernel)|`` with domain kinds.
 
     Returns None when a needed kernel coefficient is not determined
     (beyond the stored block of a non-exact kernel) or a domain is not
     rotation invariant; callers then fall back to sampling.
     """
     out: list[tuple[float, str]] = []
-    at = abs(t)
     for k, d in zip(gen.exponents, gen.domains):
         if isinstance(d, Segment):
             return None
@@ -711,7 +713,7 @@ def pencil_term_radii(gen: Pencil, kernel: TruncSeries, t: complex) -> Optional[
             c = kernel.coefficient(k)
         except ValueError:
             return None
-        out.append((d.max_abs * abs(c) * at**k, d.kind))
+        out.append((d.max_abs * abs(c), d.kind))
     return out
 
 
@@ -747,11 +749,11 @@ def _max_rows(a, b):
 
 
 def pencil_margin_rows(gen: Pencil, coeffs: np.ndarray, slot: bool) -> np.ndarray:
-    """:func:`pairing_margin` at ``t = 1`` for many kernels at once.
+    """:func:`pairing_margin` for many kernels at once.
 
     Row ``i`` of ``coeffs`` holds the leading coefficients of kernel ``i``
     (NaN where not determined); the result is bitwise the margin
-    ``pairing_margin(pencil_term_radii(gen, kernel_i, 1.0), slot)``, as the
+    ``pairing_margin(pencil_term_radii(gen, kernel_i), slot)``, as the
     same operations run in the same order, and NaN where that route is not
     available to the scalar code (a needed coefficient undetermined) or a
     radius is not finite.  ``gen`` must have disk/circle domains and
@@ -858,108 +860,6 @@ def nearest_member_distance(
         if d < best[0]:
             best = (d, tag)
     return best
-
-
-# -- sigma search --------------------------------------------------------------
-
-
-def _pairing_margin_at(
-    V: FamilySpec,
-    g: TruncSeries,
-    t: float,
-    grid: ParamGrid,
-    products: dict[int, list[TruncSeries]],
-) -> Optional[float]:
-    """Certified lower bound for ``|(f*g)(t)|`` over the family, or None.
-
-    Exact for pencil generators via the annulus distance; sampled members of
-    other generators contribute their evaluated margins (None when any
-    evaluation there has an unusable bound).  ``products`` keeps the sampled
-    members' products, convolved by the first call as it reaches them.
-    """
-    worst = math.inf
-    for gi, gen in enumerate(V.generators):
-        if isinstance(gen, Pencil):
-            radii = pencil_term_radii(gen, g, t)
-        else:
-            radii = None
-        if radii is not None:
-            worst = min(worst, pairing_margin(radii, V.dilation_slot))
-            continue
-        hs = products.setdefault(gi, [])
-        members = None if hs else sample(FamilySpec((gen,), V.dilation_slot), grid)
-        for j in range(len(hs) if members is None else len(members)):
-            if members is not None:
-                hs.append(convolve(members[j][0], g))
-            h = hs[j]
-            if h.tail_radius <= t and not h.is_exact:
-                return None
-            v = evaluate(h, t)
-            if not math.isfinite(v.error_bound):
-                return None
-            worst = min(worst, abs(v.value) - v.error_bound)
-    return worst
-
-
-def sigma_search(
-    V: FamilySpec,
-    g: TruncSeries,
-    sigma_max: float = 8.0,
-    grid: Optional[ParamGrid] = None,
-    margin_floor: float = 1e-12,
-    refine_gap: float = 2e-4,
-) -> Optional[float]:
-    """Largest certifiable ``sigma`` in ``(1, sigma_max)`` for the pairing.
-
-    Certifies ``(f*g)(sigma) != 0`` over the family (exactly for pencil
-    generators, over the sampled members otherwise).  Walks the shrinking
-    schedule ``sigma_j = 1 + (sigma_max - 1) 2^-j``, ``j >= 1``, until a
-    certifiable point appears, then bisects upward against ``sigma_{j-1}``
-    so the result is within ``refine_gap`` of the supremum on families where
-    certifiability is an interval (pencils).  ``sigma`` is additionally
-    capped by the kernel's tail radius (the dilated kernel must stay regular
-    on the closed disk).  Returns None when nothing above one certifies.
-    """
-    if sigma_max <= 1.0:
-        raise ValueError("sigma_max must exceed one")
-    if not is_normalized(g):
-        raise ValueError("kernel must be normalized (constant term one)")
-    if g.tail is None:
-        raise ValueError("kernel needs tail data certifying regularity beyond the closed disk")
-    if not g.is_exact and g.tail.rho <= 1.0:
-        raise ValueError("kernel tail radius must exceed one")
-    grid = grid or COARSE_GRID
-
-    cap = math.inf if g.is_exact else g.tail.rho
-    products: dict[int, list[TruncSeries]] = {}  # filled at z = 1, read by every probe
-    base = _pairing_margin_at(V, g, 1.0, grid, products)
-    if base is None or base <= 0.0:
-        raise ValueError("pairing at z = 1 is not certifiably nonvanishing for this kernel")
-
-    def ok(s: float) -> bool:
-        if s >= cap:
-            return False
-        m = _pairing_margin_at(V, g, s, grid, products)
-        return m is not None and m > margin_floor
-
-    lo = None
-    hi = None
-    for j in range(1, 49):
-        s = 1.0 + (sigma_max - 1.0) * 2.0**-j
-        if ok(s):
-            lo = s
-            hi = 1.0 + (sigma_max - 1.0) * 2.0 ** -(j - 1)
-            break
-    if lo is None:
-        return None
-    hi = min(hi, cap, sigma_max)
-    while hi - lo > refine_gap:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # -- stock families ------------------------------------------------------------

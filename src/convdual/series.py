@@ -387,13 +387,23 @@ def dilate(f: TruncSeries, x: complex) -> TruncSeries:
 _RATIONAL_RHO_CAP = 1e300  # keeps the tail of a tiny pole parameter finite
 
 
+def _modulus(z: complex, what: str) -> float:
+    """``abs(z)``, with a ValueError where the modulus of a finite ``z``
+    passes the float range (``abs`` raises OverflowError there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise ValueError(f"{what} has a modulus beyond the float range") from None
+
+
 def from_rational(x: complex, y: complex, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Expansion of ``(1 + x z) / (1 + y z)`` about the origin, ``|y| < 1``.
 
     Coefficients are ``c_0 = 1`` and ``c_k = (x - y)(-y)^{k-1}`` for
     ``k >= 1``; the tail ``(|x-y|/|y|, 1/|y|)`` is tight.  ``y = 0`` and
     ``x = y`` degenerate to exact polynomials.  For ``|y| < 1e-300`` the
-    radius is capped at ``1e300`` so the tail stays finite.
+    radius is capped at ``1e300`` so the tail stays finite.  A ``|x - y|``
+    past the float range raises ValueError.
     """
     x = complex(x)
     y = complex(y)
@@ -401,6 +411,7 @@ def from_rational(x: complex, y: complex, order: int = DEFAULT_ORDER) -> TruncSe
         raise ValueError("order must be nonnegative")
     if abs(y) >= 1.0:
         raise ValueError("pole parameter must satisfy |y| < 1")
+    gap = _modulus(x - y, "x - y")
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[0] = 1.0
     if x == y:
@@ -415,8 +426,8 @@ def from_rational(x: complex, y: complex, order: int = DEFAULT_ORDER) -> TruncSe
     if rho > _RATIONAL_RHO_CAP:
         # tiny |y| (1/|y| overflows once |y| is subnormal): any radius
         # rho' <= 1/|y| still bounds |a_k| = |x-y| |y|^(k-1) by (|x-y| rho') rho'^-k
-        return TruncSeries(coeffs, Tail(abs(x - y) * _RATIONAL_RHO_CAP, _RATIONAL_RHO_CAP))
-    return TruncSeries(coeffs, Tail(abs(x - y) / abs(y), rho))
+        return TruncSeries(coeffs, Tail(gap * _RATIONAL_RHO_CAP, _RATIONAL_RHO_CAP))
+    return TruncSeries(coeffs, Tail(gap / abs(y), rho))
 
 
 def leading_block(f: TruncSeries, width: int) -> np.ndarray:

@@ -8,19 +8,24 @@ that agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 import numpy as np
 
 from convdual.family import (
+    COARSE_GRID,
     FamilySpec,
     MemberTag,
     ParamGrid,
+    Pencil,
+    Segment,
     _check_member_budget,
     _member_count,
     dilation_points,
+    pairing_margin,
 )
-from convdual.series import TruncSeries, dilate
+from convdual.series import TruncSeries, convolve, dilate, evaluate, is_normalized
 
 # -- the member lister -------------------------------------------------------------
 # ``sample`` and ``sample_generator`` as ``convdual.family`` had them before
@@ -66,6 +71,133 @@ def sample_generator(
                     (dilate(member, w), MemberTag(gen_index, gen.kind, tuple(params), dilation=w))
                 )
     return out
+
+
+# -- the sampled sigma search -----------------------------------------------------
+# ``pencil_term_radii``, ``_pairing_margin_at`` and ``sigma_search`` as
+# ``convdual.family`` had them before ``sigma_search`` decided its probes
+# through ``in_T``, copied verbatim: the pencil closed form at ``|t|`` and
+# every other member sampled, convolved once and evaluated at each probe.
+
+
+def pencil_term_radii(gen: Pencil, kernel: TruncSeries, t: complex) -> Optional[list[tuple[float, str]]]:
+    """Moduli ``R_j |a_{k_j}(kernel)| |t|^{k_j}`` with domain kinds.
+
+    Returns None when a needed kernel coefficient is not determined
+    (beyond the stored block of a non-exact kernel) or a domain is not
+    rotation invariant; callers then fall back to sampling.
+    """
+    out: list[tuple[float, str]] = []
+    at = abs(t)
+    for k, d in zip(gen.exponents, gen.domains):
+        if isinstance(d, Segment):
+            return None
+        try:
+            c = kernel.coefficient(k)
+        except ValueError:
+            return None
+        out.append((d.max_abs * abs(c) * at**k, d.kind))
+    return out
+
+
+
+def _pairing_margin_at(
+    V: FamilySpec,
+    g: TruncSeries,
+    t: float,
+    grid: ParamGrid,
+    products: dict[int, list[TruncSeries]],
+) -> Optional[float]:
+    """Certified lower bound for ``|(f*g)(t)|`` over the family, or None.
+
+    Exact for pencil generators via the annulus distance; sampled members of
+    other generators contribute their evaluated margins (None when any
+    evaluation there has an unusable bound).  ``products`` keeps the sampled
+    members' products, convolved by the first call as it reaches them.
+    """
+    worst = math.inf
+    for gi, gen in enumerate(V.generators):
+        if isinstance(gen, Pencil):
+            radii = pencil_term_radii(gen, g, t)
+        else:
+            radii = None
+        if radii is not None:
+            worst = min(worst, pairing_margin(radii, V.dilation_slot))
+            continue
+        hs = products.setdefault(gi, [])
+        members = None if hs else sample(FamilySpec((gen,), V.dilation_slot), grid)
+        for j in range(len(hs) if members is None else len(members)):
+            if members is not None:
+                hs.append(convolve(members[j][0], g))
+            h = hs[j]
+            if h.tail_radius <= t and not h.is_exact:
+                return None
+            v = evaluate(h, t)
+            if not math.isfinite(v.error_bound):
+                return None
+            worst = min(worst, abs(v.value) - v.error_bound)
+    return worst
+
+
+def sigma_search(
+    V: FamilySpec,
+    g: TruncSeries,
+    sigma_max: float = 8.0,
+    grid: Optional[ParamGrid] = None,
+    margin_floor: float = 1e-12,
+    refine_gap: float = 2e-4,
+) -> Optional[float]:
+    """Largest certifiable ``sigma`` in ``(1, sigma_max)`` for the pairing.
+
+    Certifies ``(f*g)(sigma) != 0`` over the family (exactly for pencil
+    generators, over the sampled members otherwise).  Walks the shrinking
+    schedule ``sigma_j = 1 + (sigma_max - 1) 2^-j``, ``j >= 1``, until a
+    certifiable point appears, then bisects upward against ``sigma_{j-1}``
+    so the result is within ``refine_gap`` of the supremum on families where
+    certifiability is an interval (pencils).  ``sigma`` is additionally
+    capped by the kernel's tail radius (the dilated kernel must stay regular
+    on the closed disk).  Returns None when nothing above one certifies.
+    """
+    if sigma_max <= 1.0:
+        raise ValueError("sigma_max must exceed one")
+    if not is_normalized(g):
+        raise ValueError("kernel must be normalized (constant term one)")
+    if g.tail is None:
+        raise ValueError("kernel needs tail data certifying regularity beyond the closed disk")
+    if not g.is_exact and g.tail.rho <= 1.0:
+        raise ValueError("kernel tail radius must exceed one")
+    grid = grid or COARSE_GRID
+
+    cap = math.inf if g.is_exact else g.tail.rho
+    products: dict[int, list[TruncSeries]] = {}  # filled at z = 1, read by every probe
+    base = _pairing_margin_at(V, g, 1.0, grid, products)
+    if base is None or base <= 0.0:
+        raise ValueError("pairing at z = 1 is not certifiably nonvanishing for this kernel")
+
+    def ok(s: float) -> bool:
+        if s >= cap:
+            return False
+        m = _pairing_margin_at(V, g, s, grid, products)
+        return m is not None and m > margin_floor
+
+    lo = None
+    hi = None
+    for j in range(1, 49):
+        s = 1.0 + (sigma_max - 1.0) * 2.0**-j
+        if ok(s):
+            lo = s
+            hi = 1.0 + (sigma_max - 1.0) * 2.0 ** -(j - 1)
+            break
+    if lo is None:
+        return None
+    hi = min(hi, cap, sigma_max)
+    while hi - lo > refine_gap:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # -- first-principles values and searches ----------------------------------------

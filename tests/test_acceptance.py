@@ -22,6 +22,7 @@ from convdual.duality import (
     in_dual,
     in_dual_hull,
     in_T,
+    sigma_search,
 )
 from convdual.family import (
     Disk,
@@ -33,7 +34,6 @@ from convdual.family import (
     counterexample_family,
     pencil_family,
     sample,
-    sigma_search,
 )
 from convdual.series import TruncSeries, convolve, dilate, evaluate, from_rational, series_distance
 from convdual.specfile import dump_family

@@ -7,8 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from convdual.duality import in_T, sigma_search
 from convdual.family import (
+    COARSE_GRID,
     BorderDecomposition,
     Circle,
     Disk,
@@ -31,11 +34,11 @@ from convdual.family import (
     pencil_family,
     pencil_term_radii,
     sample,
-    sigma_search,
 )
-from convdual.series import TruncSeries, dilate, evaluate, from_rational, series_distance
+from convdual.series import Tail, TruncSeries, dilate, evaluate, from_rational, series_distance
 
 from oracles import brute_force_decompose
+from oracles import sigma_search as reference_sigma_search
 
 
 COARSE = ParamGrid(disk_radial=3, disk_angular=6, circle=8, segment=4)
@@ -74,6 +77,23 @@ def test_circle_points_bitwise_the_per_point_formula(radius):
         want = [radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
         got = Circle(radius).points(ParamGrid(circle=n))
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_moduli_past_the_float_range_are_refused_where_they_enter():
+    # abs() of these raises OverflowError; the library answers with ValueError
+    big = 1.5e308 + 1.5e308j
+    with pytest.raises(ValueError, match="x - y has a modulus beyond the float range"):
+        from_rational(big, 5e-324)
+    with pytest.raises(ValueError, match="x - y has a modulus beyond the float range"):
+        from_rational(big, 0.0)
+    for ends in [(0.0, big), (big, 0.5), (1e308 + 0j, -0.5e308 + 1.5e308j)]:  # the last: its length
+        with pytest.raises(ValueError, match="segment endpoint or length has a modulus beyond"):
+            Segment(*ends)
+    with pytest.raises(ValueError, match="segment endpoint"):  # the family is refused before in_T
+        in_T(TruncSeries.polynomial([1.0, 0.5]), FamilySpec((Rational(Segment(0.0, big), Disk(5e-324)),)))
+    # components that overflow to inf are no overflow of abs(); the largest moduli pass
+    assert Segment(-1e308 - 1e308j, 1e308 + 1e308j).max_abs == abs(1e308 + 1e308j)
+    assert from_rational(1.2e308 + 1.2e308j, 0.5).tail.M == abs(1.2e308 + 1.2e308j - 0.5) / 0.5
 
 
 def test_member_budget_is_checked_before_parameters_are_listed():
@@ -402,14 +422,14 @@ def test_pairing_zero_unreachable_confirmed_by_search():
 def test_pencil_term_radii():
     gen = Pencil((1, 2), (Disk(1.0), Circle(0.5)))
     g = TruncSeries.polynomial([1.0, -0.5, 0.25])
-    radii = pencil_term_radii(gen, g, 2.0)
+    radii = pencil_term_radii(gen, dilate(g, 2.0))
     assert radii is not None
     np.testing.assert_allclose([s for s, _ in radii], [1.0, 0.5 * 0.25 * 4.0])
     assert [k for _, k in radii] == ["disk", "circle"]
     # coefficient beyond a non-exact kernel block is unknown
     g2 = TruncSeries([1.0, 0.5], tail=(2.0, 2.0))
     gen2 = Pencil((3,), (Disk(1.0),))
-    assert pencil_term_radii(gen2, g2, 1.0) is None
+    assert pencil_term_radii(gen2, g2) is None
 
 
 # -- sigma search ----------------------------------------------------------------
@@ -479,6 +499,122 @@ def test_sigma_search_respects_kernel_tail_cap():
     # dilated kernel must stay regular on the closed disk: sigma < 1.05
     assert s is not None
     assert 1.0 < s < 1.05
+
+
+# ``oracles.sigma_search`` is the sampled search that ``in_T`` replaced: the
+# pencil closed form at ``|t|``, every other member convolved once and
+# evaluated at each probe.  On pencils over disks and circles and on exact
+# polynomial members both decide the same probes, so sigma is bitwise the
+# same, as long as ``margin_floor`` is above ``in_T``'s own decision floor
+# (1e-7), below which ``in_T`` is Inconclusive by design.
+SIGMA = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+small = st.floats(-0.9, 0.9)
+small_points = st.builds(complex, small, small)
+sigma_radii = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.2)
+round_domains = st.one_of(st.builds(Disk, sigma_radii), st.builds(Circle, sigma_radii))
+
+
+@st.composite
+def round_pencils(draw):
+    exps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+    return Pencil(tuple(sorted(exps)), tuple(draw(round_domains) for _ in exps))
+
+
+exact_fixeds = st.lists(small_points, min_size=1, max_size=4).map(
+    lambda c: Fixed(TruncSeries.polynomial([1.0] + c))
+)
+exact_families = st.builds(
+    FamilySpec, st.lists(round_pencils() | exact_fixeds, min_size=1, max_size=3).map(tuple), st.booleans()
+)
+sigma_kernels = st.one_of(
+    st.lists(small_points, min_size=1, max_size=5).map(lambda c: TruncSeries.polynomial([1.0] + c)),
+    st.builds(
+        lambda c, rho: TruncSeries([1.0] + c, Tail(1.0, rho)),
+        st.lists(small_points, min_size=4, max_size=6),
+        st.floats(1.1, 6.0),
+    ),
+)
+
+
+def _search_or_error(search, *args, **kw):
+    try:
+        return search(*args, **kw), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@SIGMA
+@given(exact_families, sigma_kernels, st.sampled_from([1.2, 4.0, 8.0]), st.sampled_from([1e-6, 1e-3]))
+@example(pencil_family(), TruncSeries.polynomial([1.0, 0.8]), 8.0, 1e-6)
+@example(  # the sup 20 lies past sigma_max
+    FamilySpec((Pencil((1,), (Disk(1.0),)), Fixed(TruncSeries.polynomial([1.0, 0.2]))), True),
+    TruncSeries.polynomial([1.0, 0.05]), 4.0, 1e-6,
+)
+def test_sigma_search_equals_the_sampled_search_on_exact_families(V, g, sigma_max, floor):
+    got = _search_or_error(sigma_search, V, g, sigma_max, margin_floor=floor)
+    if not in_T(g, V, COARSE_GRID).verified:
+        assert got == (None, "pairing at z = 1 is not certifiably nonvanishing for this kernel")
+        return
+    want = _search_or_error(reference_sigma_search, V, g, sigma_max, margin_floor=floor)
+    assert repr(got) == repr(want)
+
+
+rational_families = st.builds(
+    FamilySpec,
+    st.lists(
+        st.one_of(
+            st.builds(Rational, round_domains, st.builds(Disk, st.floats(0.0, 0.9)), st.integers(4, 12)),
+            st.builds(Rational, round_domains, st.builds(Circle, st.floats(0.0, 0.9)), st.integers(4, 12)),
+            round_pencils(),
+            st.builds(Pencil, st.just((1,)), st.tuples(st.builds(Segment, small_points, small_points))),
+            exact_fixeds,
+            st.builds(lambda c: Fixed(TruncSeries([1.0] + c, Tail(1.0, 2.0))),
+                      st.lists(small_points, min_size=1, max_size=3)),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+    st.booleans(),
+)
+
+
+@SIGMA
+@given(rational_families, sigma_kernels, st.sampled_from([1.2, 4.0, 8.0]))
+@example(  # the family the sampled search over-claimed on: it returned 3.9998
+    FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.2])), Rational(Disk(0.5), Disk(0.4)))),
+    TruncSeries.polynomial([1.0, 0.3]), 4.0,
+)
+def test_sigma_search_returns_a_verified_dilation(V, g, sigma_max):
+    s, error = _search_or_error(sigma_search, V, g, sigma_max)
+    if error is not None:
+        assert not in_T(g, V, COARSE_GRID).verified
+        return
+    if s is not None:
+        assert 1.0 < s < sigma_max
+        assert in_T(dilate(g, s), V, COARSE_GRID).verified
+
+
+@SIGMA
+@given(st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.floats(1.05, 7.9), st.booleans())
+@example(0.5, 0.4, 1 / 0.27, False)  # c = 0.3: the sampled search returned 3.9998 at sigma_max 4
+def test_sigma_search_finds_the_rational_supremum(a, b, s_star, slot):
+    """``(f*g)(s) = 1 + c s (x - y)`` for ``g = 1 + c z``: on rationals over
+    disks it first vanishes at ``x = -rx``, ``y = ry``, so the supremum is
+    ``s* = 1 / (c (rx + ry))``; ``c`` is chosen to put it at ``s_star``.
+
+    ``in_T`` is exact in x and samples y.  Past ``s*`` the pairing vanishes
+    on the y-disk of radius ``rx`` about ``1 / (c s)``; with ``rx >= ry`` it
+    holds ``y = 0`` or ``y = ry``, points of every grid, so no probe past
+    ``s*`` is Verified.  (A smaller x-disk can slip between the sampled y.)
+    """
+    rx, ry = max(a, b), min(a, b)
+    if rx + ry < 1e-3:
+        return
+    c = 1.0 / (s_star * (rx + ry))
+    V = FamilySpec((Rational(Disk(rx), Disk(ry)),), slot)
+    s = sigma_search(V, TruncSeries.polynomial([1.0, c]))
+    s_star = 1.0 / (c * (rx + ry))
+    assert s_star - 1e-3 <= s < s_star
 
 
 # -- stock families --------------------------------------------------------------

@@ -330,7 +330,7 @@ def test_margin_rows_equal_the_scalar_margin(gen, slot, kernels):
     got = pencil_margin_rows(gen, rows, slot)
     for g, m in zip(kernels, got):
         try:
-            radii = pencil_term_radii(gen, g, 1.0)
+            radii = pencil_term_radii(gen, g)
         except OverflowError:  # abs() of a complex beyond float range
             radii = None
         if radii is None or not all(math.isfinite(s) for s, _ in radii):

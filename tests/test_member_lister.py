@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from convdual import family
-from convdual.duality import Functional, VerifierConfig, _kernel_pool, functional_image
+from convdual import duality, family
+from convdual.duality import Functional, VerifierConfig, _kernel_pool, functional_image, sigma_search
 from convdual.family import (
+    COARSE_GRID,
     Circle,
     Disk,
     FamilySpec,
@@ -30,12 +31,13 @@ from convdual.family import (
     Segment,
     default_kernel_family,
     leading_rows,
+    pencil_family,
     sample,
-    sigma_search,
 )
-from convdual.series import Tail, TruncSeries, convolve
+from convdual.series import Tail, TruncSeries, dilate
 
 from oracles import sample as reference_sample
+from oracles import sigma_search as reference_sigma_search
 
 SET = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -45,9 +47,18 @@ cpoint = st.builds(complex, coord, coord)
 radius = st.sampled_from([0.0, 0.5, 1.0, 1.5e308, float("inf")]) | st.floats(0.0, 2.0)
 pole_radius = st.sampled_from([0.0, 5e-324, 0.9]) | st.floats(0.0, 0.95)
 real_or_complex = st.floats(-2.0, 2.0) | cpoint
-domains = st.one_of(
-    st.builds(Disk, radius), st.builds(Circle, radius), st.builds(Segment, real_or_complex, real_or_complex)
-)
+
+
+def _fits(ends):  # a segment whose modulus passes the float range is refused when built
+    try:
+        Segment(*ends)
+    except ValueError:
+        return False
+    return True
+
+
+segments = st.tuples(real_or_complex, real_or_complex).filter(_fits).map(lambda ends: Segment(*ends))
+domains = st.one_of(st.builds(Disk, radius), st.builds(Circle, radius), segments)
 pole_domains = st.one_of(
     st.builds(Disk, pole_radius),
     st.builds(Circle, pole_radius),
@@ -83,7 +94,7 @@ def _members_or_error(build):
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # both listers overflow alike
             return build(), None
-    except (ValueError, OverflowError) as exc:  # abs() of a complex past the float range overflows
+    except ValueError as exc:
         return None, (type(exc), str(exc))
 
 
@@ -105,9 +116,6 @@ def _tag_bytes(tag):
 )
 @example(  # a disk of infinite radius has non-finite points
     FamilySpec((Pencil((2,), (Disk(float("inf")),)),)), ParamGrid(1, 2), None,
-)
-@example(  # |x - y| past the float range: both listers raise abs()'s OverflowError
-    FamilySpec((Rational(Segment(0.0, 1.5e308 + 1.5e308j), Disk(5e-324), 0),)), ParamGrid(1, 1, 1, 1), None,
 )
 @example(  # real segment endpoints give real parameters
     FamilySpec((Pencil((1, 3), (Segment(-0.0, 1.0), Circle(0.5))), Rational(Disk(0.5), Circle(5e-324)))),
@@ -188,29 +196,69 @@ def test_small_kernel_family_is_kept_whole():
     assert [_series_bytes(f) for f, _ in pool] == [_series_bytes(f) for f, _ in want]
 
 
-def test_sigma_search_convolves_each_member_once():
+def test_sigma_search_stays_below_the_true_supremum():
+    # (f*g)(s) = 1 + 0.3 s (x - y) on the rationals first vanishes at x = -0.5,
+    # y = 0.4, s* = 1 / 0.27; every probe is in_T of the dilated kernel, which
+    # pairs the rationals by exact x-slices and the fixed member as a table row
     P = TruncSeries.polynomial
     W = FamilySpec((Fixed(P([1.0, 0.2])), Rational(Disk(0.5), Disk(0.4))))
-    with mock.patch.object(family, "convolve", wraps=convolve) as spy:
-        s = sigma_search(W, P([1.0, 0.3]), sigma_max=4)
-    assert s == 3.99981689453125
-    assert spy.call_count == 1 + 33 * 33 == 1090
+    g = P([1.0, 0.3])
+    fail = AssertionError("sigma_search samples or convolves a member")
+    with mock.patch.object(family, "sample", side_effect=fail), \
+         mock.patch.object(duality, "convolve", side_effect=fail), \
+         mock.patch.object(duality, "in_T", wraps=duality.in_T) as probes:
+        s = sigma_search(W, g, sigma_max=4)
+    assert 1 / 0.27 - 1e-3 <= s < 1 / 0.27
+    assert duality.in_T(dilate(g, s), W, COARSE_GRID).verified
+    # the first pass, then the first schedule point 1 + (4 - 1) / 2
+    assert [_series_bytes(c.args[0]) for c in probes.call_args_list[:2]] == [
+        _series_bytes(g), _series_bytes(dilate(g, 2.5))
+    ]
+
+
+def _error(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_sigma_search_keeps_the_first_pass_errors():
-    # each sampled generator is held to max_members on its own
+    # the first pass is in_T of the kernel itself: its errors are in_T's
     P = TruncSeries.polynomial
     V = FamilySpec((Fixed(P([1.0, 0.2])), Rational(Disk(0.5), Disk(0.4))))
-    grid = ParamGrid(1, 4, max_members=24)
-    with pytest.raises(ValueError, match="more than 24 members"):
-        sigma_search(V, P([1.0, 0.3]), sigma_max=4, grid=grid)
-    assert sigma_search(V, P([1.0, 0.3]), sigma_max=4, grid=replace(grid, max_members=25)) is not None
-    # a product that overflows raises where the member loop reaches it
+    g = P([1.0, 0.3])
+    grid = ParamGrid(1, 4, max_members=4)  # the rational's five pole parameters are one too many
+    assert _error(lambda: sigma_search(V, g, sigma_max=4, grid=grid)) == _error(
+        lambda: duality.in_T(g, V, grid)
+    ) == "grid would produce more than 4 members; coarsen the grid or raise max_members"
+    assert sigma_search(V, g, sigma_max=4, grid=replace(grid, max_members=5)) is not None
+    # a product that overflows raises as in_T raises, after a member with an unusable tail
     big = Fixed(P([1.0, 1e300]))
     g = TruncSeries([1.0, 1e10], Tail(1.0, 2.0))
-    with pytest.raises(ValueError, match="coefficients must be finite"), np.errstate(over="ignore"):
-        sigma_search(FamilySpec((big,)), g, sigma_max=4)
-    # a product with an unusable tail at z = 1 ends the search before the next member
     short = Fixed(TruncSeries([1.0, 0.5], Tail(1.0, 0.25)))
+    with np.errstate(over="ignore"):
+        for V in (FamilySpec((big,)), FamilySpec((short, big))):
+            assert _error(lambda: sigma_search(V, g, sigma_max=4)) == _error(
+                lambda: duality.in_T(g, V)
+            ) == "coefficients must be finite"
+    # an Inconclusive first pass ends the search
     with pytest.raises(ValueError, match="not certifiably nonvanishing"):
-        sigma_search(FamilySpec((short, big)), g, sigma_max=4)
+        sigma_search(FamilySpec((short,)), g, sigma_max=4)
+
+
+def test_sigma_search_leaves_overflowing_probes_uncertified():
+    # (f*g)(s) = 1 + 1e307 s^3 never vanishes, but past s = 2.62 its product
+    # overflows; the sampled search evaluated it to inf and certified up to 8
+    V = FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.0, 0.0, 1e200])),))
+    g = TruncSeries.polynomial([1.0, 0.0, 0.0, 1e107])
+    s = sigma_search(V, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert reference_sigma_search(V, g) > 7.99
+    assert 2.6 < s < (1.7976931348623157e308 / 1e307) ** (1 / 3)
+    assert duality.in_T(dilate(g, s), V, COARSE_GRID).verified
+    # a dilated coefficient that overflows: the pencil reads a_1 only
+    g = TruncSeries.polynomial([1.0, 0.1] + [0.0] * 98 + [1e300])
+    s = sigma_search(pencil_family(), g)
+    assert 1.2 < s < (1.7976931348623157e308 / 1e300) ** (1 / 100)

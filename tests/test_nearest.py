@@ -659,3 +659,22 @@ def test_c1_measures_on_the_suite_clouds(family):
     assert dist.tobytes() == want.tobytes()
     tolr = 3.0 * cloud.mesh_spacing
     assert [bool(d) for d in deep] == [deep_interior(c, cloud, tolr) for c in lattice]
+
+
+def test_infinite_points_measure_without_warnings():
+    # inf - inf is NaN: the distance keeps it, and numpy's invalid warning is not raised
+    inf = math.inf
+    queries = np.array([complex(inf, 2.0), complex(inf, inf), 0.5 + 0j])
+    ref = np.array([complex(inf, 0.0), 1.0 + 0j])
+    cloud = _bare_cloud(ref, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _nearest_in_set(queries, ref)
+        brute = duality._brute_nearest(queries, ref)
+        nearest = [cloud.nearest_distance(q) for q in queries]
+    with np.errstate(invalid="ignore"):
+        want = brute_nearest_distance(queries, ref)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(brute, want)
+    np.testing.assert_array_equal(nearest, want)
+    assert np.isnan(want[0]) and want[1] == inf and want[2] == 0.5  # |nan + inf j| is inf
