@@ -6,7 +6,7 @@ of ``test_verdicts.py`` are (floats to 1e-12 relative, everything else
 exactly).  The suites sample their kernels and members, so the file pins
 which members are listed, in which order and under which labels.
 
-``verify_families_golden.json`` pins every suite again on four families
+``verify_families_golden.json`` pins every suite again on five families
 beyond the defaults (``FAMILIES``), reports that read FAIL or
 INCONCLUSIVE included; a suite that raises on a family is pinned by the
 exception's type and text.
@@ -31,6 +31,7 @@ from convdual.family import (
     FamilySpec,
     Fixed,
     Pencil,
+    Rational,
     counterexample_family,
     pencil_family,
 )
@@ -49,6 +50,8 @@ FAMILIES = {
     "fixed-and-half-disk": lambda: FamilySpec(
         (Fixed(TruncSeries.polynomial([1.0, 0.3])), Pencil((1,), (Disk(0.5),)))
     ),
+    # (1 + xz)/(1 + yz) with |x| = 0.5 and |y| = 0.3
+    "rational-c0.5-c0.3": lambda: FamilySpec((Rational(Circle(0.5), Circle(0.3), order=16),)),
 }
 
 
