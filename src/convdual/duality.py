@@ -61,6 +61,7 @@ from .family import (
     Pencil,
     Rational,
     _check_member_budget,
+    _max_rows,
     border_elements,
     complete_hull,
     counterexample_family,
@@ -76,7 +77,9 @@ from .family import (
 )
 from .series import (
     EvalResult,
+    Tail,
     TruncSeries,
+    _modulus,
     convolve,
     convolve_rows_at,
     dilate,
@@ -283,7 +286,6 @@ def _falsified_pairing(
     params: Sequence[complex],
     value: complex,
     dilation: Optional[complex],
-    extra: Optional[dict] = None,
 ) -> Certificate:
     info = {
         "generator": gen_index,
@@ -293,8 +295,6 @@ def _falsified_pairing(
     }
     if dilation is not None:
         info["dilation"] = [dilation.real, dilation.imag]
-    if extra:
-        info.update(extra)
     return Certificate(
         status=CertStatus.FALSIFIED,
         witness=1.0 + 0.0j,
@@ -303,46 +303,47 @@ def _falsified_pairing(
     )
 
 
-def _rational_slice(
-    gen: Rational, kernel: TruncSeries, y: complex, u: complex
-) -> tuple[float, Optional[tuple[complex, complex, float]]]:
-    """Exact-in-x pairing decision for one ``(y, dilation)`` slice.
+def _x_slices(
+    gen: Rational, kernel: TruncSeries, ys: Sequence[complex], us: Sequence[complex]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact-in-x pairing margins of the ``(y, dilation)`` slices, y-major.
 
-    The pairing of ``P_u((1+xz)/(1+yz))`` with the kernel is affine in x:
-    ``1 + (x - y) S`` with ``S = sum_{k>=1} a_k(kernel) u^k (-y)^{k-1}``
-    computed over the stored block, plus a tail slack for non-exact
-    kernels.  Returns the certified margin over the x-domain and, when the
-    margin is nonpositive, the candidate root ``(x*, pairing, residual
-    bound)`` if it lies in the domain.
+    The pairing of ``P_u((1+xz)/(1+yz))`` with the kernel is affine in x,
+    ``1 + (x - y) S`` with ``S = sum_{k>=1} a_k u^k (-y)^{k-1}`` over the
+    stored block, plus a tail slack (unbounded without tail data, unless
+    ``y = 0`` and the block holds ``a_1``).  Yields per block of slices (at
+    most ``_PAIR_BUDGET`` terms, the first at most 64) its first index,
+    ``S``, the tail and the margin over the x-domain, each bitwise the one
+    of a slice alone: terms are multiplied as contiguous rows and summed per
+    row, and the scalar steps repeat Python's arithmetic on the parts, with
+    ``np.hypot`` for ``abs``.  Where Python's ``abs`` overflows, no margin
+    clears finitely.
     """
-    N = kernel.order
+    N, R, nu = kernel.order, gen.x_domain.max_abs, len(us)
     ks = np.arange(1, N + 1)
-    S = complex(np.sum(kernel.coeffs[1:] * u**ks * (-y) ** (ks - 1))) if N >= 1 else 0.0
-    tail = 0.0
-    if not kernel.is_exact:
-        M, rho = kernel.tail.M, kernel.tail.rho
-        if y == 0:
-            tail = M * abs(u) / rho if N < 1 else 0.0
-        else:
-            t = abs(u) * abs(y) / rho
-            tail = (M / abs(y)) * t ** (N + 1) / (1.0 - t) if t < 1.0 else math.inf
-    R = gen.x_domain.max_abs
-    m0 = 1.0 - y * S
-    reach = R * abs(S)
-    if isinstance(gen.x_domain, Circle):
-        dist = abs(abs(m0) - reach)
-    else:
-        dist = max(0.0, abs(m0) - reach)
-    slack = (R + abs(y)) * tail
-    margin = dist - slack
-    if margin > 0.0 or S == 0:
-        return margin, None
-    xstar = y - 1.0 / S
-    if not gen.x_domain.contains(xstar, 1e-12):
-        return margin, None
-    value = complex(1.0 + (xstar - y) * S)
-    residual = tail / abs(S)
-    return margin, (complex(xstar), value, residual)
+    Y, U = np.array(ys), np.array(us)  # a real y keeps numpy's real power, as alone
+    n, lo, budget = len(ys) * nu, 0, 64
+    while lo < n:
+        iy, iu = np.divmod(np.arange(lo, min(lo + max(1, budget // max(N, 1)), n)), nu)
+        y, u = Y[iy], U[iu]
+        terms = np.repeat(kernel.coeffs[None, 1:], len(iy), axis=0) * np.power(u[:, None], ks)
+        S = (terms * np.power(-y[:, None], ks - 1)).sum(axis=1)
+        yabs = np.hypot(y.real, y.imag)
+        with np.errstate(all="ignore"):
+            tail = np.zeros(len(iy))
+            if not kernel.is_exact:  # no tail data: an unbounded tail constant
+                (M, rho), uabs = kernel.tail or Tail(math.inf, 1.0), np.hypot(u.real, u.imag)
+                t = uabs * yabs / rho
+                power = np.array([v ** (N + 1) if v < 1.0 else 0.0 for v in t.tolist()])
+                tail = np.where(t < 1.0, (M / yabs) * power / (1.0 - t), math.inf)
+                tail[y == 0] = M * uabs[y == 0] / rho if N < 1 else 0.0
+            # Python's y * S, part by part; a part's sign leaves |1 - y S|
+            yS = (y.real * S.real - y.imag * S.imag, y.real * S.imag + y.imag * S.real)
+            gap = np.hypot(1.0 - yS[0], yS[1]) - R * np.hypot(S.real, S.imag)
+            dist = np.abs(gap) if isinstance(gen.x_domain, Circle) else _max_rows(0.0, gap)
+            margin = dist - (R + yabs) * tail
+        yield lo, S, tail, margin
+        lo, budget = lo + len(iy), _PAIR_BUDGET
 
 
 def _exact_products(gen: Generator, g: TruncSeries) -> bool:
@@ -429,16 +430,17 @@ def _pairing_certificate(
 ) -> Certificate:
     """Shared engine: certify ``1 + sum a_k(f) a_k(kernel) != 0`` over the family.
 
-    Pencils over disks and circles are decided in closed form, rational
-    generators by exact x-slices.  The members of the other generators
-    (segment pencils, pencils needing undetermined kernel coefficients,
-    fixed members, all dilated in a slot family) are sampled as one
-    :func:`_sampled_table`; every member whose product with the kernel is
-    an exact polynomial with finite coefficients is paired in one
-    :func:`~convdual.series.convolve_rows_at` pass at ``z = 1``, bitwise the
-    per-member value, and only the others build their series.  Members are
-    then judged in sample order, so the first Falsified member, the gray
-    reasons and ``members_checked`` are those of the per-member loop.
+    Each generator kind is decided by one array pass of its own: pencils
+    over disks and circles in closed form, rational generators by the
+    x-slices of :func:`_x_slices` (only slices that do not clear the floor
+    are visited, for a root in the x-domain or a gray reason), and the
+    members of the other generators (segment pencils, pencils needing
+    undetermined kernel coefficients, fixed members, all dilated in a slot
+    family) as one :func:`_sampled_table`, whose exact products are paired
+    in one :func:`~convdual.series.convolve_rows_at` pass at ``z = 1``; only
+    the other members build their series.  Members are judged in sample
+    order, so the first Falsified member, the gray reasons and
+    ``members_checked`` are those of a per-member loop.
     """
     grid = grid or ParamGrid()
     verdict = _Verdict()
@@ -473,25 +475,34 @@ def _pairing_certificate(
         if isinstance(gen, Rational):
             dilations = Disk(1.0).point_count(grid) if family.dilation_slot else 1
             _check_member_budget(gen.y_domain.point_count(grid) * dilations, grid)
+            ys = gen.y_domain.points(grid)
             us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
-            for y in gen.y_domain.points(grid):
-                for u in us:
-                    members_checked += 1
-                    margin, root = _rational_slice(gen, kernel, y, u)
-                    if margin > tol.margin_floor:
-                        verdict.margin(margin)
+            for lo, S, tail, margin in _x_slices(gen, kernel, ys, us):
+                clear = (margin > tol.margin_floor) & (margin < math.inf)
+                verdict.margin(float(np.min(margin, where=clear, initial=math.inf)))
+                # the other slices in order: abs() as Python takes it (an
+                # infinite margin then clears), a root in the x-domain, or gray
+                for i in (~clear).nonzero()[0].tolist():
+                    y, u = ys[(lo + i) // len(us)], us[(lo + i) % len(us)]
+                    s, m = complex(S[i]), float(margin[i])
+                    _modulus(s, "x-slice sum")
+                    _modulus(1.0 - y * s, "x-slice pairing")
+                    if m == math.inf:
                         continue
-                    if root is not None:
-                        xstar, value, residual = root
-                        if abs(value) + residual < tol.witness_bar:
-                            return _falsified_pairing(
-                                gi, gen, (xstar, y), value,
-                                u if family.dilation_slot else None,
-                            )
+                    if not m > 0.0 and s != 0:
+                        xstar = y - 1.0 / s
+                        if gen.x_domain.contains(xstar, 1e-12):
+                            value = complex(1.0 + (xstar - y) * s)
+                            if abs(value) + float(tail[i]) / abs(s) < tol.witness_bar:
+                                return _falsified_pairing(
+                                    gi, gen, (xstar, y), value,
+                                    u if family.dilation_slot else None,
+                                )
                     verdict.gray(
                         lambda: f"generator {gi} at y = {y:.6g}: x-slice margin "
-                        f"{margin:.3e} not decidable"
+                        f"{m:.3e} not decidable"
                     )
+            members_checked += len(ys) * len(us)
             continue
         if table is None:
             # this generator and every later one the closed forms leave to sampling
@@ -874,9 +885,10 @@ def _knapsack_falsifier(
         gains: dict[int, float] = {}
         for e in kg.exponents:
             try:
-                gains[e] = abs(h.coefficient(e))
+                c = h.coefficient(e)
             except ValueError:
-                gains[e] = 0.0  # coefficient undetermined: cannot be exploited
+                c = 0.0  # coefficient undetermined: cannot be exploited
+            gains[e] = _modulus(c, "series coefficient")
         chosen: dict[int, float] = {}
         total = 0.0
         free = [e for e in kg.exponents if e not in owner]

@@ -713,7 +713,7 @@ def pencil_term_radii(gen: Pencil, kernel: TruncSeries) -> Optional[list[tuple[f
             c = kernel.coefficient(k)
         except ValueError:
             return None
-        out.append((d.max_abs * abs(c), d.kind))
+        out.append((d.max_abs * _modulus(c, "kernel coefficient"), d.kind))
     return out
 
 

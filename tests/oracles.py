@@ -15,17 +15,19 @@ import numpy as np
 
 from convdual.family import (
     COARSE_GRID,
+    Circle,
     FamilySpec,
     MemberTag,
     ParamGrid,
     Pencil,
+    Rational,
     Segment,
     _check_member_budget,
     _member_count,
     dilation_points,
     pairing_margin,
 )
-from convdual.series import TruncSeries, convolve, dilate, evaluate, is_normalized
+from convdual.series import Tail, TruncSeries, convolve, dilate, evaluate, is_normalized
 
 # -- the member lister -------------------------------------------------------------
 # ``sample`` and ``sample_generator`` as ``convdual.family`` had them before
@@ -688,6 +690,51 @@ def per_member_dual(g, V, grid=None, r_max=None, schedule=None, tol=None):
     )
 
 
+def _rational_slice(
+    gen: Rational, kernel: TruncSeries, y: complex, u: complex
+) -> tuple[float, Optional[tuple[complex, complex, float]]]:
+    """Exact-in-x pairing decision for one ``(y, dilation)`` slice.
+
+    ``convdual.duality``'s per-slice engine, as it was before one array
+    pass served every slice.  The pairing of ``P_u((1+xz)/(1+yz))`` with
+    the kernel is affine in x: ``1 + (x - y) S`` with
+    ``S = sum_{k>=1} a_k(kernel) u^k (-y)^{k-1}`` computed over the stored
+    block, plus a tail slack for non-exact kernels.  Returns the certified
+    margin over the x-domain and, when the margin is nonpositive, the
+    candidate root ``(x*, pairing, residual bound)`` if it lies in the
+    domain.  A kernel without tail data has an infinite tail constant, so
+    a slack bound only where ``y = 0`` and the block holds ``a_1``.
+    """
+    N = kernel.order
+    ks = np.arange(1, N + 1)
+    S = complex(np.sum(kernel.coeffs[1:] * u**ks * (-y) ** (ks - 1))) if N >= 1 else 0.0
+    tail = 0.0
+    if not kernel.is_exact:  # no tail data: an unbounded tail constant
+        M, rho = kernel.tail or Tail(math.inf, 1.0)
+        if y == 0:
+            tail = M * abs(u) / rho if N < 1 else 0.0
+        else:
+            t = abs(u) * abs(y) / rho
+            tail = (M / abs(y)) * t ** (N + 1) / (1.0 - t) if t < 1.0 else math.inf
+    R = gen.x_domain.max_abs
+    m0 = 1.0 - y * S
+    reach = R * abs(S)
+    if isinstance(gen.x_domain, Circle):
+        dist = abs(abs(m0) - reach)
+    else:
+        dist = max(0.0, abs(m0) - reach)
+    slack = (R + abs(y)) * tail
+    margin = dist - slack
+    if margin > 0.0 or S == 0:
+        return margin, None
+    xstar = y - 1.0 / S
+    if not gen.x_domain.contains(xstar, 1e-12):
+        return margin, None
+    value = complex(1.0 + (xstar - y) * S)
+    residual = tail / abs(S)
+    return margin, (complex(xstar), value, residual)
+
+
 def per_member_pairing(kernel, family, grid=None, tol=None):
     """``in_T``/``in_perp``'s shared pairing decision by the member loop the
     table pass replaces: every sampled member outside the closed forms is
@@ -696,12 +743,7 @@ def per_member_pairing(kernel, family, grid=None, tol=None):
     import math
 
     from convdual.contour import DEFAULT_TOL
-    from convdual.duality import (
-        _falsified_pairing,
-        _pairing_value,
-        _pencil_pairing_at_one,
-        _rational_slice,
-    )
+    from convdual.duality import _falsified_pairing, _pairing_value, _pencil_pairing_at_one
     from convdual.family import Pencil, Rational
 
     tol = tol or DEFAULT_TOL

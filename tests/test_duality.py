@@ -275,6 +275,42 @@ def test_in_perp_series_only_needs_open_disk():
     assert cert.verified  # pencil pairing uses finitely many coefficients
 
 
+def test_in_perp_rational_family_with_a_tail_less_series():
+    # without tail data a slice is bounded only where the stored block covers
+    # the pairing: at y = 0, which pairs with a_1 alone
+    h = TruncSeries([1.0, 0.5], tail=None)
+    cert = in_perp(h, FamilySpec((Rational(Disk(0.5), Disk(0.3)),)))
+    assert cert.status.name == "INCONCLUSIVE" and cert.params == {"gray_members": 128}
+    assert cert.reason.startswith("generator 0 at y = 0.0375+0j: x-slice margin -inf not decidable")
+    at_zero = in_perp(h, FamilySpec((Rational(Disk(0.5), Disk(0.0)),)))
+    assert at_zero.verified and at_zero.min_modulus == 0.75
+    assert in_perp(h, FamilySpec((Rational(Disk(2.0), Disk(0.0)),))).falsified
+
+
+BIG = P([1.0, 1.5e308 + 1.5e308j])  # abs() of its coefficient overflows
+
+
+@pytest.mark.parametrize("decide", [in_T, in_perp, in_dual, in_dual_hull])
+def test_moduli_past_the_float_range_raise_value_error_on_pencils(decide):
+    with pytest.raises(ValueError, match="coefficient has a modulus beyond the float range"):
+        decide(BIG, pencil_family())
+
+
+@pytest.mark.parametrize("decide", [in_T, in_perp])
+def test_moduli_past_the_float_range_raise_value_error_on_x_slices(decide):
+    V = FamilySpec((Rational(Circle(0.5), Disk(0.3)),))
+    with pytest.raises(ValueError, match="x-slice sum has a modulus beyond the float range"):
+        decide(BIG, V)
+
+
+def test_x_slices_before_an_overflowing_one_still_decide():
+    # dilations 0, 0.5 and 1: at |u| = 0.5 the slice has a root; only the
+    # slices at |u| = 1 overflow, and they come after it
+    V = FamilySpec((Rational(Disk(0.5), Disk(0.0)),), dilation_slot=True)
+    cert = in_T(BIG, V, ParamGrid(disk_radial=2, disk_angular=4))
+    assert cert.falsified and cert.params["dilation"] == [0.5, 0.0]
+
+
 # -- dual hull ---------------------------------------------------------------------
 
 

@@ -1,9 +1,10 @@
 """Every global name the package's code loads is defined in its module.
 
-Walks each code object of every ``convdual`` module with ``dis`` and checks
-that each ``LOAD_GLOBAL`` / ``LOAD_NAME`` resolves to a module global, a
-builtin or (in a class body) a name the body itself binds.  A missing import
-otherwise surfaces only as a ``NameError`` when that line first runs.
+Walks each code object of every ``convdual`` module, and of the test
+oracles, with ``dis`` and checks that each ``LOAD_GLOBAL`` / ``LOAD_NAME``
+resolves to a module global, a builtin or (in a class body) a name the body
+itself binds.  A missing import otherwise surfaces only as a ``NameError``
+when that line first runs.
 """
 
 import builtins
@@ -49,6 +50,15 @@ def test_every_loaded_global_is_defined(name):
     with open(module.__file__) as fh:
         source = fh.read()
     assert unresolved_globals(source, module.__file__, vars(module)) == []
+
+
+def test_every_loaded_global_is_defined_in_the_oracles():
+    # oracles.py takes verbatim copies of library code behind mid-file imports
+    import oracles
+
+    with open(oracles.__file__) as fh:
+        source = fh.read()
+    assert unresolved_globals(source, oracles.__file__, vars(oracles)) == []
 
 
 def test_checker_flags_a_missing_import():

@@ -9,6 +9,7 @@ member-by-member loop gives (``per_member_dual``, ``per_member_pairing``).
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -563,17 +564,65 @@ def test_in_dual_counts_max_members_over_the_sampled_generators():
 # -- in_T / in_perp --------------------------------------------------------------
 
 
+# rationals for the x-slice pass: x over every domain kind, y over disks and
+# circles up to the pole bound, orders up to 64
+pole_radius = st.sampled_from([0.0, 0.3, 0.9]) | st.floats(min_value=0.0, max_value=0.95)
+pairing_rationals = st.builds(
+    Rational,
+    domain,
+    st.one_of(st.builds(Disk, pole_radius), st.builds(Circle, pole_radius)),
+    st.integers(1, 6) | st.integers(7, 64),
+)
 pairing_generators = st.one_of(
     pencils(),
     st.builds(_fixed, st.lists(cpoint, max_size=5), fixed_tail),
     st.builds(Fixed, st.builds(from_rational, cpoint, pole, st.integers(0, 6))),
-    st.builds(Rational, st.builds(Disk, radius), st.builds(Disk, st.floats(0.0, 0.6)),
-              st.integers(1, 6)),
+    pairing_rationals,
+)
+
+
+def _long_kernel(order, seed, tail):
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 2.0) / (1.0 + np.arange(order))
+    c = scale * (rng.standard_normal(order) + 1j * rng.standard_normal(order))
+    return TruncSeries([1.0] + c.tolist(), tail)
+
+
+# the x-slice pass meets order-1 kernels (``1 + cz``), kernels up to order 64,
+# tails whose ratio ``|y u| / rho`` comes near one, and kernels without tails
+pairing_kernels = st.one_of(
+    kernels,
+    st.builds(lambda c: TruncSeries.polynomial([1.0, c]), cpoint),
+    st.builds(
+        _long_kernel,
+        st.integers(0, 64),
+        st.integers(0, 2**32),
+        st.one_of(
+            st.just(Tail(0.0, math.inf)),
+            st.none(),
+            st.builds(Tail, st.floats(0.0, 2.0), st.floats(0.05, 1.2)),
+            st.builds(Tail, st.floats(0.0, 2.0), st.sampled_from([0.3, 0.9, 0.95])),
+        ),
+    ),
+)
+# slot families on these grids list 20 or more slices per rational
+slice_grids = st.builds(
+    ParamGrid,
+    disk_radial=st.integers(2, 3),
+    disk_angular=st.integers(4, 8),
+    circle=st.integers(5, 24),
+    segment=st.integers(4, 12),
 )
 
 
 @MORE
-@given(st.lists(pairing_generators, min_size=1, max_size=3), st.booleans(), kernels, grids, tols)
+@given(
+    st.lists(pairing_generators, min_size=1, max_size=3),
+    st.booleans(),
+    pairing_kernels,
+    grids | slice_grids,
+    tols,
+)
 @example(
     gens=[_fixed([-1.0], Tail(0.0, math.inf)), _fixed([1e300], None)],
     slot=False, kernel=TruncSeries.polynomial([1.0, 1e300]), grid=ParamGrid(), tol=DEFAULT_TOL,
@@ -605,3 +654,20 @@ def test_pairing_builds_no_series_for_exact_products():
         cert = in_perp(h, V)
     assert cert.verified and cert.params["members_checked"] == 5 and spy.call_count == 0
     assert _text(cert) == _text(per_member_pairing(h, V))
+
+
+def test_x_slice_memory_is_bounded():
+    # 2000 slices of an order-4096 kernel: 131 MB as one array of terms
+    rng = np.random.default_rng(3)
+    c = (rng.standard_normal(4096) + 1j * rng.standard_normal(4096)) / np.arange(1, 4097) ** 2
+    h = TruncSeries.polynomial(np.concatenate([[1.0], 0.5 * c]))
+    V = FamilySpec((Rational(Circle(0.5), Circle(0.3)),))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cert = in_T(h, V, ParamGrid(circle=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verified and cert.params["members_checked"] == 2000
+    assert peak < 8e6

@@ -471,6 +471,24 @@ def test_cli_missing_spec_exits_three(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("t-check", "pencil"), ("perp-check", "pencil"), ("dual-check", "pencil"),
+    ("hull-check", "pencil"), ("t-check", "rational"), ("perp-check", "rational"),
+])
+def test_cli_moduli_past_the_float_range_exit_three(capsys, tmp_path, command, kind):
+    # abs() of the kernel's coefficient overflows: the closed forms, the
+    # knapsack and the x-slices answer with an error message
+    gen = {"kind": "pencil", "exponents": [1], "domains": [DISK]}
+    if kind == "rational":
+        gen = {"kind": "rational", "x_domain": {"shape": "circle", "radius": 0.5},
+               "y_domain": DISK}
+    spec = tmp_path / "family.spec"
+    spec.write_text(json.dumps({"generators": [gen]}))
+    argv = [command, "--family", str(spec), "--kernel", "[1, [1.5e308, 1.5e308]]"]
+    assert main(argv) == 3
+    assert "has a modulus beyond the float range" in capsys.readouterr().err
+
+
 def test_cli_usage_errors_exit_three(capsys, pencil_path):
     cases = [
         ["dual-check", "--family", pencil_path],  # missing --kernel
