@@ -321,7 +321,7 @@ def _x_slices(
     """
     N, R, nu = kernel.order, gen.x_domain.max_abs, len(us)
     ks = np.arange(1, N + 1)
-    Y, U = np.array(ys), np.array(us)  # a real y keeps numpy's real power, as alone
+    Y, U = np.array(ys), np.array(us)  # real ys stay real: their powers are a lone slice's
     n, lo, budget = len(ys) * nu, 0, 64
     while lo < n:
         iy, iu = np.divmod(np.arange(lo, min(lo + max(1, budget // max(N, 1)), n)), nu)

@@ -290,16 +290,16 @@ def test_in_perp_rational_family_with_a_tail_less_series():
 BIG = P([1.0, 1.5e308 + 1.5e308j])  # abs() of its coefficient overflows
 
 
-@pytest.mark.parametrize("decide", [in_T, in_perp, in_dual, in_dual_hull])
-def test_moduli_past_the_float_range_raise_value_error_on_pencils(decide):
-    with pytest.raises(ValueError, match="coefficient has a modulus beyond the float range"):
-        decide(BIG, pencil_family())
-
-
-@pytest.mark.parametrize("decide", [in_T, in_perp])
-def test_moduli_past_the_float_range_raise_value_error_on_x_slices(decide):
-    V = FamilySpec((Rational(Circle(0.5), Disk(0.3)),))
-    with pytest.raises(ValueError, match="x-slice sum has a modulus beyond the float range"):
+@pytest.mark.parametrize("decide, V, what", [
+    (in_T, V1, "kernel coefficient"),
+    (in_perp, V1, "kernel coefficient"),
+    (in_dual, V1, "kernel coefficient"),
+    (in_dual_hull, V1, "series coefficient"),
+    (in_T, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
+    (in_perp, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
+])
+def test_moduli_past_the_float_range_raise_value_error(decide, V, what):
+    with pytest.raises(ValueError, match=f"{what} has a modulus beyond the float range"):
         decide(BIG, V)
 
 

@@ -44,21 +44,13 @@ def unresolved_globals(source: str, filename: str, namespace: dict) -> list[str]
     return sorted(missing)
 
 
-@pytest.mark.parametrize("name", MODULES)
+# the test oracles take verbatim copies of library code behind mid-file imports
+@pytest.mark.parametrize("name", MODULES + ["oracles"])
 def test_every_loaded_global_is_defined(name):
     module = importlib.import_module(name)
     with open(module.__file__) as fh:
         source = fh.read()
     assert unresolved_globals(source, module.__file__, vars(module)) == []
-
-
-def test_every_loaded_global_is_defined_in_the_oracles():
-    # oracles.py takes verbatim copies of library code behind mid-file imports
-    import oracles
-
-    with open(oracles.__file__) as fh:
-        source = fh.read()
-    assert unresolved_globals(source, oracles.__file__, vars(oracles)) == []
 
 
 def test_checker_flags_a_missing_import():
