@@ -77,7 +77,6 @@ from .family import (
 )
 from .series import (
     EvalResult,
-    Tail,
     TruncSeries,
     _modulus,
     convolve,
@@ -311,13 +310,11 @@ def _x_slices(
     The pairing of ``P_u((1+xz)/(1+yz))`` with the kernel is affine in x,
     ``1 + (x - y) S`` with ``S = sum_{k>=1} a_k u^k (-y)^{k-1}`` over the
     stored block, plus a tail slack (unbounded without tail data, unless
-    ``y = 0`` and the block holds ``a_1``).  Yields per block of slices (at
-    most ``_PAIR_BUDGET`` terms, the first at most 64) its first index,
-    ``S``, the tail and the margin over the x-domain, each bitwise the one
-    of a slice alone: terms are multiplied as contiguous rows and summed per
-    row, and the scalar steps repeat Python's arithmetic on the parts, with
-    ``np.hypot`` for ``abs``.  Where Python's ``abs`` overflows, no margin
-    clears finitely.
+    ``u = 0`` or ``y = 0`` with ``a_1`` stored).  Yields per block its
+    first slice, ``S``, the tails and the margins, each bitwise a lone
+    slice's under Python's arithmetic (``np.hypot`` for ``abs``; where
+    ``abs`` overflows, no margin is finite).  Blocks hold at most
+    ``_PAIR_BUDGET`` terms, the first 64, so an early root stays cheap.
     """
     N, R, nu = kernel.order, gen.x_domain.max_abs, len(us)
     ks = np.arange(1, N + 1)
@@ -332,11 +329,12 @@ def _x_slices(
         with np.errstate(all="ignore"):
             tail = np.zeros(len(iy))
             if not kernel.is_exact:  # no tail data: an unbounded tail constant
-                (M, rho), uabs = kernel.tail or Tail(math.inf, 1.0), np.hypot(u.real, u.imag)
+                (M, rho), uabs = kernel.tail or (math.inf, 1.0), np.hypot(u.real, u.imag)
                 t = uabs * yabs / rho
                 power = np.array([v ** (N + 1) if v < 1.0 else 0.0 for v in t.tolist()])
                 tail = np.where(t < 1.0, (M / yabs) * power / (1.0 - t), math.inf)
                 tail[y == 0] = M * uabs[y == 0] / rho if N < 1 else 0.0
+                tail[u == 0] = 0.0  # the dilated member is the constant one
             # Python's y * S, part by part; a part's sign leaves |1 - y S|
             yS = (y.real * S.real - y.imag * S.imag, y.real * S.imag + y.imag * S.real)
             gap = np.hypot(1.0 - yS[0], yS[1]) - R * np.hypot(S.real, S.imag)
@@ -460,7 +458,6 @@ def _pairing_certificate(
                         lambda: f"generator {gi}: constructed witness residual "
                         f"{abs(outcome.value):.3e} exceeds the witness bar"
                     )
-                    all_exact = False
                     continue
                 if outcome.margin > tol.margin_floor:
                     verdict.margin(outcome.margin)
@@ -469,7 +466,6 @@ def _pairing_certificate(
                     lambda: f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
                     "below the decision floor"
                 )
-                all_exact = False
                 continue
         all_exact = False
         if isinstance(gen, Rational):
@@ -609,17 +605,11 @@ def sigma_search(
             return False
         return cert.verified and cert.min_modulus > margin_floor
 
-    lo = None
-    hi = None
-    for j in range(1, 49):
-        s = 1.0 + (sigma_max - 1.0) * 2.0**-j
-        if ok(s):
-            lo = s
-            hi = 1.0 + (sigma_max - 1.0) * 2.0 ** -(j - 1)
-            break
-    if lo is None:
+    probes = [1.0 + (sigma_max - 1.0) * 2.0**-j for j in range(49)]
+    j = next((j for j in range(1, 49) if ok(probes[j])), None)
+    if j is None:
         return None
-    hi = min(hi, cap, sigma_max)
+    lo, hi = probes[j], min(probes[j - 1], cap, sigma_max)
     while hi - lo > refine_gap:
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -771,13 +761,11 @@ def in_dual(
                     return cert
                 if cert.status is CertStatus.INCONCLUSIVE:
                     verdict.gray(lambda: cert.reason or f"generator {gi} inconclusive")
-                    all_exact = False
                     continue
                 if cert.min_modulus <= tol.margin_floor:
                     verdict.gray(
                         lambda: f"generator {gi}: dual margin {cert.min_modulus:.3e} below the floor"
                     )
-                    all_exact = False
                     continue
                 verdict.margin(cert.min_modulus)
                 continue
@@ -867,12 +855,10 @@ def _knapsack_falsifier(
     two generators at once fall back to sampling).  Returns the witness
     kernel when the optimum exceeds one.
     """
-    budgets: dict[int, float] = {}
-    for gen in V.generators:
-        if not isinstance(gen, Pencil) or any(not isinstance(d, Disk) for d in gen.domains):
-            return None
     owner: dict[int, tuple[int, float]] = {}
     for i, gen in enumerate(V.generators):
+        if not isinstance(gen, Pencil) or any(not isinstance(d, Disk) for d in gen.domains):
+            return None
         for k, d in zip(gen.exponents, gen.domains):
             if k in owner and owner[k][0] != i:
                 return None  # shared exponent couples the constraints
@@ -882,13 +868,11 @@ def _knapsack_falsifier(
         if not isinstance(kg, Pencil) or any(not isinstance(d, Disk) for d in kg.domains):
             continue
         caps = dict(zip(kg.exponents, (d.radius for d in kg.domains)))
-        gains: dict[int, float] = {}
-        for e in kg.exponents:
-            try:
-                c = h.coefficient(e)
-            except ValueError:
-                c = 0.0  # coefficient undetermined: cannot be exploited
-            gains[e] = _modulus(c, "series coefficient")
+        gains = {  # an undetermined coefficient cannot be exploited
+            e: _modulus(h.coefficient(e), "series coefficient")
+            if e <= h.order or h.is_exact else 0.0
+            for e in kg.exponents
+        }
         chosen: dict[int, float] = {}
         total = 0.0
         free = [e for e in kg.exponents if e not in owner]

@@ -703,7 +703,8 @@ def _rational_slice(
     margin over the x-domain and, when the margin is nonpositive, the
     candidate root ``(x*, pairing, residual bound)`` if it lies in the
     domain.  A kernel without tail data has an infinite tail constant, so
-    a slack bound only where ``y = 0`` and the block holds ``a_1``.
+    a slack is bounded only where ``u = 0`` (the member is the constant
+    one) or ``y = 0`` and the block holds ``a_1``.
     """
     N = kernel.order
     ks = np.arange(1, N + 1)
@@ -716,6 +717,8 @@ def _rational_slice(
         else:
             t = abs(u) * abs(y) / rho
             tail = (M / abs(y)) * t ** (N + 1) / (1.0 - t) if t < 1.0 else math.inf
+        if u == 0:
+            tail = 0.0  # the dilated member is the constant one
     R = gen.x_domain.max_abs
     m0 = 1.0 - y * S
     reach = R * abs(S)

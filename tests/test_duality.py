@@ -287,6 +287,16 @@ def test_in_perp_rational_family_with_a_tail_less_series():
     assert in_perp(h, FamilySpec((Rational(Disk(2.0), Disk(0.0)),))).falsified
 
 
+def test_tail_less_series_pairs_exactly_with_the_constant_dilation():
+    # the dilation u = 0 turns every member into the constant one, which pairs
+    # to one whatever the kernel: those slices clear, the others stay gray
+    h = TruncSeries([1.0, 0.5], tail=None)
+    V = FamilySpec((Rational(Disk(0.5), Circle(0.3)),), dilation_slot=True)
+    cert = in_perp(h, V, ParamGrid(disk_radial=1, disk_angular=4, circle=4))
+    assert cert.status.name == "INCONCLUSIVE" and cert.params == {"gray_members": 4 * 4}
+    assert "nan" not in cert.reason
+
+
 BIG = P([1.0, 1.5e308 + 1.5e308j])  # abs() of its coefficient overflows
 
 

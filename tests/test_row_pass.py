@@ -564,13 +564,20 @@ def test_in_dual_counts_max_members_over_the_sampled_generators():
 # -- in_T / in_perp --------------------------------------------------------------
 
 
-# rationals for the x-slice pass: x over every domain kind, y over disks and
-# circles up to the pole bound, orders up to 64
+# rationals for the x-slice pass: x over every domain kind, y over disks,
+# circles and segments up to the pole bound, orders up to 64; a segment with
+# real endpoints lists real ys, whose powers the pass takes in real arithmetic
 pole_radius = st.sampled_from([0.0, 0.3, 0.9]) | st.floats(min_value=0.0, max_value=0.95)
+pole_end = st.sampled_from([0.0, -0.0, 0.5, -0.95]) | st.floats(-0.95, 0.95)
 pairing_rationals = st.builds(
     Rational,
     domain,
-    st.one_of(st.builds(Disk, pole_radius), st.builds(Circle, pole_radius)),
+    st.one_of(
+        st.builds(Disk, pole_radius),
+        st.builds(Circle, pole_radius),
+        st.builds(Segment, pole_end, pole_end),
+        st.builds(Segment, pole_end, pole),
+    ),
     st.integers(1, 6) | st.integers(7, 64),
 )
 pairing_generators = st.one_of(
@@ -626,6 +633,10 @@ slice_grids = st.builds(
 @example(
     gens=[_fixed([-1.0], Tail(0.0, math.inf)), _fixed([1e300], None)],
     slot=False, kernel=TruncSeries.polynomial([1.0, 1e300]), grid=ParamGrid(), tol=DEFAULT_TOL,
+)
+@example(  # real ys: complex powers of them differ in the last digit, and so does the margin
+    gens=[Rational(Disk(0.3), Segment(-0.9, 0.8))],
+    slot=False, kernel=_long_kernel(32, 2, Tail(0.0, math.inf)), grid=ParamGrid(), tol=DEFAULT_TOL,
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_pairing_bitwise_equal_to_per_member_loop(gens, slot, kernel, grid, tol):
