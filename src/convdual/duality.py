@@ -80,11 +80,11 @@ from .series import (
     TruncSeries,
     _modulus,
     convolve,
-    convolve_rows_at,
     dilate,
     evaluate,
     evaluate_many,
     exact_product,
+    horner_rows,
     is_normalized,
     regular_beyond_disk,
 )
@@ -394,14 +394,15 @@ def _table_products(
     """Row pass of a :func:`_sampled_table`: its products with ``g`` at ``zs``.
 
     Returns the values, one row per member, and which rows they fill: those
-    whose products are exact (``exact``) with finite coefficients, evaluated
-    by :func:`~convdual.series.convolve_rows_at` over their own product
-    columns in blocks of about ``_PAIR_BUDGET`` values, bitwise
+    whose products are exact (``exact``) with finite coefficients.  Each
+    block of about ``_PAIR_BUDGET`` values is multiplied by ``g`` over its
+    own product columns once and summed by
+    :func:`~convdual.series.horner_rows`, bitwise
     ``evaluate_many(convolve(member, g), zs)`` with bound zero.  Callers
     build the other members' series lazily, in member order, so the first
     Falsified member and the first error are those of the per-member loop.
     """
-    values = np.empty((len(table.coeffs), len(zs)), dtype=complex)
+    values = np.zeros((len(table.coeffs), len(zs)), dtype=complex)  # unfilled rows are read too
     filled = np.zeros(len(values), dtype=bool)
     step = max(1, _PAIR_BUDGET // len(zs))
     change = (orders[1:] != orders[:-1]) | (exact[1:] != exact[:-1])
@@ -412,12 +413,36 @@ def _table_products(
         cols = slice(0, int(orders[lo]) + 1)
         for i in range(lo, hi, step):
             block = slice(i, min(i + step, hi))
-            rows = table.coeffs[block, cols]
             with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.all(np.isfinite(rows * g.coeffs[cols]), axis=1)
+                products = table.coeffs[block, cols] * g.coeffs[cols]
+            finite = np.all(np.isfinite(products), axis=1)
             filled[block] = finite
-            values[block][finite] = convolve_rows_at(rows[finite], g, zs)
+            values[block][finite] = horner_rows(products[finite], zs)
     return values, filled
+
+
+def _clear_pairings(
+    values: np.ndarray, filled: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli of pairing values at ``z = 1`` with bound zero, and which
+    ``filled`` ones the per-member code would take as plain margins: finite,
+    at or above the witness bar and above the floor (NaN never is)."""
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(values.real, values.imag)  # abs() where it does not overflow
+    clear = (moduli >= tol.witness_bar) & (moduli > tol.margin_floor) & (moduli < math.inf)
+    return moduli, filled & clear
+
+
+def _feed_clear(verdict: _Verdict, margins: np.ndarray, clear: np.ndarray) -> list[int]:
+    """Feed ``verdict`` the worst of the ``clear`` margins in one step and
+    return the other rows, ascending, for the caller's per-row code.
+
+    Clear rows only lower the worst margin, which does not depend on order,
+    so visiting the rest in order gives the first Falsified row, the gray
+    reasons and the first error of a loop over every row.
+    """
+    verdict.margin(float(margins[clear].min(initial=math.inf)))
+    return (~clear).nonzero()[0].tolist()
 
 
 def _pairing_certificate(
@@ -435,10 +460,11 @@ def _pairing_certificate(
     members of the other generators (segment pencils, pencils needing
     undetermined kernel coefficients, fixed members, all dilated in a slot
     family) as one :func:`_sampled_table`, whose exact products are paired
-    in one :func:`~convdual.series.convolve_rows_at` pass at ``z = 1``; only
-    the other members build their series.  Members are judged in sample
-    order, so the first Falsified member, the gray reasons and
-    ``members_checked`` are those of a per-member loop.
+    in one :func:`_table_products` pass at ``z = 1``.  The rows and slices
+    that clear the floor feed the verdict at once (:func:`_feed_clear`);
+    the others are judged in sample order, and only the members without a
+    filled row build their series, so the first Falsified member, the gray
+    reasons and ``members_checked`` are those of a per-member loop.
     """
     grid = grid or ParamGrid()
     verdict = _Verdict()
@@ -475,10 +501,9 @@ def _pairing_certificate(
             us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
             for lo, S, tail, margin in _x_slices(gen, kernel, ys, us):
                 clear = (margin > tol.margin_floor) & (margin < math.inf)
-                verdict.margin(float(np.min(margin, where=clear, initial=math.inf)))
                 # the other slices in order: abs() as Python takes it (an
                 # infinite margin then clears), a root in the x-domain, or gray
-                for i in (~clear).nonzero()[0].tolist():
+                for i in _feed_clear(verdict, margin, clear):
                     y, u = ys[(lo + i) // len(us)], us[(lo + i) % len(us)]
                     s, m = complex(S[i]), float(margin[i])
                     _modulus(s, "x-slice sum")
@@ -510,8 +535,12 @@ def _pairing_certificate(
             ]
             table, orders, exact, ranges = _sampled_table(family, sampled, kernel, grid)
             values, filled = _table_products(table, orders, exact, kernel, _AT_ONE)
-        for i in next(ranges):
-            members_checked += 1
+            moduli, settled = _clear_pairings(values[:, 0], filled, tol)
+        rows = next(ranges)
+        members_checked += len(rows)
+        here = slice(rows.start, rows.stop)
+        for j in _feed_clear(verdict, moduli[here], settled[here]):
+            i = rows.start + j
             if filled[i]:
                 v = EvalResult(complex(values[i, 0]), 0.0)
             else:
@@ -522,10 +551,11 @@ def _pairing_certificate(
                     "pairing bound unusable (tail radius <= 1)"
                 )
                 continue
-            if abs(v.value) + v.error_bound < tol.witness_bar:
+            modulus = _modulus(v.value, "pairing value")
+            if modulus + v.error_bound < tol.witness_bar:
                 tag = table.tag(family, i)
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
-            margin = abs(v.value) - v.error_bound
+            margin = modulus - v.error_bound
             if margin <= tol.margin_floor:
                 verdict.gray(
                     lambda: f"{table.tag(family, i).label()}: "
@@ -926,17 +956,15 @@ class KernelPool:
 
     Grid sweeps reuse one pool so the transpose filter runs once per family
     rather than once per candidate.  ``coeffs[i, k]`` is ``a_k`` of kernel
-    ``i`` for ``k <= kmax``; rows are NaN where the coefficient is not
-    determined by the stored block, which routes those kernels through the
-    per-kernel pairing instead of the matrix fast path.  The pool keeps
-    only these rows with each kernel's generator index and parameters in
-    ``spec`` (``rows``); a kernel's series and tag are built only when
-    asked (:meth:`kernel`, :meth:`tag`, :attr:`members`).
+    ``i`` for ``k <= _POOL_KMAX``; rows are NaN where the coefficient is not
+    determined by the stored block, which leaves those kernels' pairings to
+    the per-kernel code.  The pool keeps only these rows with each kernel's
+    generator index and parameters in ``spec`` (``rows``); a kernel's
+    series and tag are built only when asked (:meth:`kernel`, :meth:`tag`).
     """
 
     spec: FamilySpec
     rows: LeadingRows
-    kmax: int
     skipped: int = 0
 
     @property
@@ -950,13 +978,8 @@ class KernelPool:
     def tag(self, i: int) -> MemberTag:
         return self.rows.tag(self.spec, i)
 
-    @functools.cached_property
-    def members(self) -> tuple[tuple[TruncSeries, MemberTag], ...]:
-        """Every kernel with its tag, in sample order; built on first access."""
-        return tuple((self.kernel(i), self.tag(i)) for i in range(len(self.coeffs)))
 
-
-_POOL_KMAX = 16  # leading kernel coefficients stored for the matrix fast path
+_POOL_KMAX = 16  # leading kernel coefficients a pool stores
 
 
 def _transpose_margins(V: FamilySpec, coeffs: np.ndarray) -> Optional[np.ndarray]:
@@ -1012,7 +1035,7 @@ def build_transpose_pool(
     (:func:`~convdual.family.leading_rows`), and one array pass decides
     every kernel whose transpose decision is closed form: when every
     generator of V is a pencil over disks and circles with exponents up to
-    ``kmax``, a normalized kernel regular beyond the disk is kept when all
+    ``_POOL_KMAX``, a normalized kernel regular beyond the disk is kept when all
     its annulus margins (bitwise the ones :func:`in_T` computes) exceed
     ``tol.margin_floor``, and skipped otherwise, where :func:`in_T` would be
     Falsified or Inconclusive.  Only the rest (other generators in V,
@@ -1041,9 +1064,7 @@ def build_transpose_pool(
             keep[i] = in_T(rows.member(kernels, i), V, grid, tol).verified
         except ValueError:
             pass
-    return KernelPool(
-        spec=kernels, rows=rows.take(keep), kmax=_POOL_KMAX, skipped=int(np.count_nonzero(~keep))
-    )
+    return KernelPool(spec=kernels, rows=rows.take(keep), skipped=int(np.count_nonzero(~keep)))
 
 
 def _pool_kernel_annihilates(tag: MemberTag, value: complex) -> Certificate:
@@ -1074,13 +1095,16 @@ def in_dual_hull(
     all-disk pencil families, or a pool kernel whose transpose certificate
     and vanishing pairing were both verified) exhibits an actual member of
     ``V^T`` annihilating ``h``.  Verified is relative to the supplied
-    kernel family and grid; the certificate params say so.  An exact ``h``
-    of order at most ``kmax`` is paired with the whole pool in one matrix
-    product over :attr:`KernelPool.coeffs`, which builds no kernel series;
-    other series, and kernels whose needed coefficients are not stored, are
-    paired kernel by kernel over :attr:`KernelPool.members`, built once per
-    pool.  Labels are formatted only for the certificate's kernel and the
-    gray reasons it shows.
+    kernel family and grid; the certificate params say so.  ``h`` is paired
+    with the pool in one row pass at ``z = 1`` over :attr:`KernelPool.coeffs`
+    (:func:`~convdual.series.horner_rows`, as ``in_T`` does), which builds
+    no kernel series; a kernel's row is filled where its product with ``h``
+    is exact within the stored block and finite, bitwise the per-kernel
+    pairing.  Filled rows that clear the floor feed the verdict at once;
+    the other kernels are judged in pool order, and only those without a
+    filled row build their series (:meth:`KernelPool.kernel`).  Labels are
+    formatted only for the certificate's kernel and the gray reasons it
+    shows.
     """
     if not is_normalized(h):
         raise ValueError("dual-hull membership requires a normalized series (c_0 = 1)")
@@ -1107,37 +1131,32 @@ def in_dual_hull(
             reason="no sampled kernel certified in the transpose set",
             params={"kernels_skipped": pool.skipped},
         )
+    # one width: zero-padded exact kernels leave each row's Horner sum bitwise unchanged
+    width = min(h.order, _POOL_KMAX) + 1
+    exact = np.array([
+        _exact_products(gen, h) and min(gen.order, h.order) < width for gen in pool.spec.generators
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # convolve(h, g)'s operand order; one row per coefficient index keeps the loops long
+        products = np.multiply(h.coeffs[:width, None], pool.coeffs.T[:width], order="C")
+        values = horner_rows(products.T, _AT_ONE)[:, 0]
+    filled = exact[pool.rows.gen_index] & np.isfinite(products).all(axis=0)
+    moduli, clear = _clear_pairings(values, filled, tol)
     verdict = _Verdict()
-    if h.is_exact and h.order <= pool.kmax:
-        cols = pool.coeffs[:, 1 : h.order + 1]
-        ok_rows = ~np.any(np.isnan(cols), axis=1)
-        vals = 1.0 + cols[ok_rows] @ h.coeffs[1:]
-        margins = np.abs(vals)
-        idx_ok = np.nonzero(ok_rows)[0]
-        j = int(np.argmin(margins)) if len(margins) else 0
-        if len(margins) and margins[j] < tol.witness_bar:
-            return _pool_kernel_annihilates(pool.tag(idx_ok[j]), vals[j])
-        low = margins <= tol.margin_floor
-        for i in np.nonzero(low)[0]:
-            verdict.gray(
-                lambda: f"{pool.tag(idx_ok[i]).label()}: pairing margin {margins[i]:.3e} below the floor"
-            )
-        if np.any(~low):
-            verdict.margin(float(np.min(margins[~low])))
-        slow = np.flatnonzero(~ok_rows)
-    else:
-        slow = range(n)
-    for i in slow:
-        g, tag = pool.members[i]
-        v = _pairing_value(g, h)
+    for i in _feed_clear(verdict, moduli, clear):
+        if filled[i]:
+            v = EvalResult(complex(values[i]), 0.0)
+        else:
+            v = _pairing_value(pool.kernel(i), h)
         if not math.isfinite(v.error_bound):
-            verdict.gray(lambda: f"{tag.label()}: unusable pairing bound")
+            verdict.gray(lambda: f"{pool.tag(i).label()}: unusable pairing bound")
             continue
-        if abs(v.value) + v.error_bound < tol.witness_bar:
-            return _pool_kernel_annihilates(tag, v.value)
-        margin = abs(v.value) - v.error_bound
+        modulus = _modulus(v.value, "pairing value")
+        if modulus + v.error_bound < tol.witness_bar:
+            return _pool_kernel_annihilates(pool.tag(i), v.value)
+        margin = modulus - v.error_bound
         if margin <= tol.margin_floor:
-            verdict.gray(lambda: f"{tag.label()}: pairing margin {margin:.3e} below the floor")
+            verdict.gray(lambda: f"{pool.tag(i).label()}: pairing margin {margin:.3e} below the floor")
             continue
         verdict.margin(margin)
     return verdict.certificate(
@@ -1173,10 +1192,7 @@ def is_complete_T(
     if margins is None:
         scalar = range(len(pool.coeffs))
     else:
-        ok = _clears_floor(margins, tol)
-        if np.any(ok):
-            verdict.margin(float(np.min(margins[ok])))
-        scalar = np.flatnonzero(~ok)
+        scalar = _feed_clear(verdict, margins, _clears_floor(margins, tol))
     for i in scalar:
         cert = in_T(pool.kernel(i), hull, grid, tol)
         if cert.falsified:
@@ -1860,17 +1876,21 @@ def functional_image(
 class VerifierConfig:
     """Knobs for the verifier suites; defaults keep each suite under a minute.
 
-    The family grid (default per suite), the kernel pool and its cap, the
-    border mesh depth and the tolerances.  The dilation radii, the band
-    about the unit circle and the candidate lattice are module constants.
+    The family grid (default per suite), the kernel family, the border mesh
+    depth and the tolerances.  The kernel grid and cap, the dilation radii,
+    the band about the unit circle and the candidate lattice are module
+    constants.
     """
 
     grid: Optional[ParamGrid] = None
-    kernel_grid: Optional[ParamGrid] = None
     kernels: Optional[FamilySpec] = None
-    max_kernels: int = 40
     mesh_depth: int = 8
     tol: Tolerances = DEFAULT_TOL
+
+
+# the suites' kernels: the kernel family on this grid, at most _MAX_KERNELS of them
+_KERNEL_GRID = ParamGrid(disk_radial=4, disk_angular=6, circle=12, segment=6)
+_MAX_KERNELS = 40
 
 
 # the coefficient functional a_1, f -> (f * z)(1)
@@ -1918,23 +1938,24 @@ def _report(theorem: str, checks: Sequence[CheckRecord], cfg: VerifierConfig) ->
     statuses = {c.status for c in checks}
     summary = "FAIL" if "fail" in statuses else (
         "INCONCLUSIVE" if "inconclusive" in statuses else "PASS")
-    config = {"max_kernels": cfg.max_kernels, "mesh_depth": cfg.mesh_depth, "band": _BAND,
+    config = {"max_kernels": _MAX_KERNELS, "mesh_depth": cfg.mesh_depth, "band": _BAND,
               "r_list": list(_DILATION_RADII)}
     return VerifierReport(theorem, tuple(checks), summary, config)
 
 
-def _kernel_pool(cfg: VerifierConfig) -> list[tuple[TruncSeries, MemberTag]]:
-    """The suites' kernels: the sampled kernel family, capped at
-    ``cfg.max_kernels`` by a stride within each generator's rows so every
+def _kernel_pool(
+    cfg: VerifierConfig, grid: ParamGrid = _KERNEL_GRID, cap: int = _MAX_KERNELS
+) -> list[tuple[TruncSeries, MemberTag]]:
+    """The suites' kernels: ``cfg``'s kernel family sampled on ``grid``,
+    capped at ``cap`` by a stride within each generator's rows so every
     kernel kind (and the boundary rings of each block) stays represented.
     Only the kept kernels are built, in sample order."""
     kernels = cfg.kernels or default_kernel_family()
-    kgrid = cfg.kernel_grid or ParamGrid(disk_radial=4, disk_angular=6, circle=12, segment=6)
-    rows = leading_rows(kernels, kgrid, 1)
+    rows = leading_rows(kernels, grid, 1)
     keep: Iterable[int] = range(len(rows.gen_index))
-    if len(rows.gen_index) > cfg.max_kernels:
+    if len(rows.gen_index) > cap:
         bounds = np.searchsorted(rows.gen_index, np.arange(len(kernels.generators) + 1)).tolist()
-        budget = max(1, cfg.max_kernels // len(kernels.generators))
+        budget = max(1, cap // len(kernels.generators))
         keep = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi - lo <= budget:
@@ -1952,7 +1973,7 @@ def _preimage_setup(V: FamilySpec, cfg: VerifierConfig) -> tuple[RegionCloud, fl
     cloud = functional_image(
         _A1, V, cfg.grid or ParamGrid(disk_radial=12, disk_angular=64), boundary=False
     )
-    pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
+    pool = build_transpose_pool(V, cfg.kernels, grid=cfg.grid, tol=cfg.tol)
     return cloud, 3.0 * cloud.mesh_spacing, pool
 
 
@@ -2087,11 +2108,11 @@ def _verify_T2(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
 
 def _verify_T3(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
     """Double dual equals the perp of the transpose, on a candidate grid."""
-    pool = build_transpose_pool(V, cfg.kernels, cfg.kernel_grid, cfg.grid, cfg.tol)
+    pool = build_transpose_pool(V, cfg.kernels, grid=cfg.grid, tol=cfg.tol)
     if not len(pool.coeffs):
         empty = CheckRecord("coverage", "inconclusive", detail="empty transpose sample")
         return _report("T3", [empty], cfg)
-    step = max(1, len(pool.coeffs) // cfg.max_kernels)
+    step = max(1, len(pool.coeffs) // _MAX_KERNELS)
     tfam = FamilySpec(tuple(Fixed(pool.kernel(i)) for i in range(0, len(pool.coeffs), step)))
     mismatches = gray = 0
     for c in _CANDIDATES:

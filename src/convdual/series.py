@@ -34,7 +34,6 @@ __all__ = [
     "TruncSeries",
     "convolve",
     "exact_product",
-    "convolve_rows_at",
     "horner_rows",
     "evaluate",
     "evaluate_many",
@@ -314,31 +313,6 @@ def exact_product(g: TruncSeries, order: int) -> bool:
     of the given order: ``g`` is exact, or stores every coefficient ``p`` can
     pair with."""
     return g.is_exact or g.order >= order
-
-
-def convolve_rows_at(rows: np.ndarray, g: TruncSeries, zs: np.ndarray) -> np.ndarray:
-    """``evaluate_many(convolve(p_i, g), zs)`` values for many exact polynomials at once.
-
-    Row ``i`` of ``rows`` holds the coefficients of ``p_i``; row ``i`` of the
-    result holds its product's values at the points ``zs``.  The rows are
-    multiplied by ``g``'s coefficients and summed by :func:`horner_rows`, in
-    ``np.polyval``'s operation order, so every value is bitwise equal to the
-    one-polynomial route; the error bounds are zero, as every product is an
-    exact polynomial.  Raises ValueError unless ``exact_product(g, order)``
-    holds, and, as :class:`TruncSeries` does, when a product coefficient is
-    not finite.
-    """
-    rows = np.asarray(rows, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise ValueError("rows must be a two-dimensional array with at least one column")
-    order = rows.shape[1] - 1
-    if not exact_product(g, order):
-        raise ValueError("products with a non-exact kernel shorter than the rows are not exact")
-    n = min(order, g.order)
-    products = rows[:, : n + 1] * g.coeffs[: n + 1]
-    if not np.all(np.isfinite(products.view(float))):
-        raise ValueError("coefficients must be finite")
-    return horner_rows(products, zs)
 
 
 def horner_rows(rows: np.ndarray, zs: np.ndarray) -> np.ndarray:

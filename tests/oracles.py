@@ -475,7 +475,7 @@ def per_kernel_pool(V, kernels=None, kernel_grid=None, grid=None, tol=None) -> d
     Every sampled kernel is built as a series and decided by ``in_T`` on
     its own; kernels whose decision raises ValueError or is not Verified
     are skipped.  Returns the kernel family ``spec``, the kept ``members``
-    (series, tag), their leading-coefficient rows ``coeffs``, ``kmax`` and
+    (series, tag), their leading-coefficient rows ``coeffs`` and
     ``skipped``.
     """
     from convdual.contour import DEFAULT_TOL
@@ -505,7 +505,7 @@ def per_kernel_pool(V, kernels=None, kernel_grid=None, grid=None, tol=None) -> d
             row[g.order + 1 :] = 0.0
         rows.append(row)
     coeffs = np.vstack(rows) if rows else np.zeros((0, _POOL_KMAX + 1), dtype=complex)
-    return {"spec": kernels, "members": kept, "coeffs": coeffs, "kmax": _POOL_KMAX, "skipped": skipped}
+    return {"spec": kernels, "members": kept, "coeffs": coeffs, "skipped": skipped}
 
 
 def per_kernel_hull(h, V, pool: dict, grid=None, tol=None):
@@ -517,7 +517,7 @@ def per_kernel_hull(h, V, pool: dict, grid=None, tol=None):
     from convdual.duality import _knapsack_falsifier, _pairing_value, in_T
 
     tol = tol or DEFAULT_TOL
-    members, coeffs = pool["members"], pool["coeffs"]
+    members = pool["members"]
 
     def annihilates(tag, value):
         return Certificate(
@@ -553,25 +553,7 @@ def per_kernel_hull(h, V, pool: dict, grid=None, tol=None):
         )
     worst = math.inf
     gray = []
-    if h.is_exact and h.order <= pool["kmax"]:
-        cols = coeffs[:, 1 : h.order + 1]
-        ok_rows = ~np.any(np.isnan(cols), axis=1)
-        vals = 1.0 + cols[ok_rows] @ h.coeffs[1:]
-        margins = np.abs(vals)
-        idx_ok = np.nonzero(ok_rows)[0]
-        j = int(np.argmin(margins)) if len(margins) else 0
-        if len(margins) and margins[j] < tol.witness_bar:
-            return annihilates(members[idx_ok[j]][1], vals[j])
-        low = margins <= tol.margin_floor
-        for i in np.nonzero(low)[0]:
-            gray.append(f"{members[idx_ok[i]][1].label()}: pairing margin {margins[i]:.3e} below the floor")
-        if np.any(~low):
-            worst = min(worst, float(np.min(margins[~low])))
-        slow = [i for i in range(len(members)) if not ok_rows[i]]
-    else:
-        slow = list(range(len(members)))
-    for i in slow:
-        g, tag = members[i]
+    for g, tag in members:
         v = _pairing_value(g, h)
         if not math.isfinite(v.error_bound):
             gray.append(f"{tag.label()}: unusable pairing bound")

@@ -31,7 +31,6 @@ from convdual.family import (
 from convdual.series import (
     TruncSeries,
     convolve,
-    convolve_rows_at,
     evaluate_many,
     exact_product,
     from_rational,
@@ -231,14 +230,8 @@ def test_member_rows_follow_sample_order():
 
 
 def test_convolve_rows_rejects_non_exact_products():
-    rows = np.array([[1.0, 0.5, 0.25]], dtype=complex)
-    one = np.ones(1, dtype=complex)
     assert exact_product(from_rational(0.5, 0.2, order=2), 2)
     assert not exact_product(from_rational(0.5, 0.2, order=1), 2)
-    with pytest.raises(ValueError, match="not exact"):
-        convolve_rows_at(rows, from_rational(0.5, 0.2, order=1), one)
-    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-        convolve_rows_at(np.array([[1.0, 1e200]]), TruncSeries.polynomial([1.0, 1e200]), one)
 
 
 @pytest.mark.parametrize(
@@ -469,9 +462,9 @@ def test_border_rows_are_evaluated_in_bounded_blocks():
     V = counterexample_family()
     lam = Functional(TruncSeries.polynomial([0.0, 1.0, 0.5]))
     kw = dict(via_border=True, mesh_depth=3, mesh_angles=8, mesh_spacing=1.0)
-    rows_at = duality.convolve_rows_at
+    rows_at = duality.horner_rows
     with mock.patch.object(duality, "_PAIR_BUDGET", 8), \
-         mock.patch.object(duality, "convolve_rows_at", autospec=True,
+         mock.patch.object(duality, "horner_rows", autospec=True,
                            side_effect=rows_at) as passes:
         cloud = functional_image(lam, V, ParamGrid(circle=6), **kw)
     assert {len(call.args[0]) for call in passes.call_args_list} == {1}

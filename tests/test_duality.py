@@ -307,6 +307,7 @@ BIG = P([1.0, 1.5e308 + 1.5e308j])  # abs() of its coefficient overflows
     (in_dual_hull, V1, "series coefficient"),
     (in_T, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
     (in_perp, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
+    (in_dual_hull, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "pairing value"),
 ])
 def test_moduli_past_the_float_range_raise_value_error(decide, V, what):
     with pytest.raises(ValueError, match=f"{what} has a modulus beyond the float range"):

@@ -143,10 +143,16 @@ def test_parse_family_raises_only_spec_errors(text):
 
 
 grids = st.sampled_from([None, "1x30000000", "2000x2000", "30000000x1", "3x5", "1x1"])
+# hull-check's kernel family: three fixed kernels keep the pool build to three in_T calls
+HULL_KERNELS = json.dumps({"generators": [
+    {"kind": "fixed", "coeffs": [1, 0.5]},
+    {"kind": "fixed", "coeffs": [1, [0, -0.3], 0.2]},
+    {"kind": "fixed", "coeffs": [1, 0.25, [0.1, 0.1]], "tail": {"M": 0.05, "rho": 2}},
+]})
 
 
 @settings(FUZZ, max_examples=80)
-@given(st.sampled_from(["dual-check", "t-check", "perp-check", "border", "image"]),
+@given(st.sampled_from(["dual-check", "t-check", "perp-check", "hull-check", "border", "image"]),
        specs.map(json.dumps) | st.text(max_size=40), expressions, grids)
 @example("dual-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "circle",'
          ' "radius": 0.5}, "y_domain": {"shape": "circle", "radius": 0.5}}]}', "rat(0.5, 0.3)",
@@ -159,12 +165,19 @@ grids = st.sampled_from([None, "1x30000000", "2000x2000", "30000000x1", "3x5", "
 @example("dual-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "segment",'
          ' "from": 0, "to": [1.5e308, 1.5e308]}, "y_domain": {"shape": "disk", "radius": 5e-324},'
          ' "order": 4}]}', "1+0.5z", "1x1")  # a segment past the float range: refused when parsed
+@example("hull-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "circle",'
+         ' "radius": 0.5}, "y_domain": {"shape": "disk", "radius": 0.3}}]}',
+         "[1, [1.5e308, 1.5e308]]", None)  # a pairing modulus past the float range
 def test_membership_commands_survive_any_spec(tmp_path_factory, command, text, kernel, grid):
-    path = tmp_path_factory.mktemp("spec") / "family.json"
+    folder = tmp_path_factory.mktemp("spec")
+    path = folder / "family.json"
     path.write_text(text)
     argv = [command, "--family", str(path)]
     if command != "border":
         argv += ["--kernel", kernel]
+    if command == "hull-check":
+        (folder / "kernels.json").write_text(HULL_KERNELS)
+        argv += ["--kernels", str(folder / "kernels.json")]
     if grid is not None:
         argv += ["--grid", grid]
     _run(argv)

@@ -122,16 +122,13 @@ def _assert_pool_matches(V, kernels=None, kernel_grid=None, hs=(), grid=V_GRID):
         return
     pool = build_transpose_pool(V, kernels, kernel_grid, grid)
     assert pool.skipped == want["skipped"]
-    assert pool.kmax == want["kmax"]
     assert pool.coeffs.shape == want["coeffs"].shape
     assert pool.coeffs.tobytes() == want["coeffs"].tobytes()
     tags = [pool.tag(i) for i in range(len(pool.coeffs))]
     assert tags == [tag for _, tag in want["members"]]
     assert [t.label() for t in tags] == [tag.label() for _, tag in want["members"]]
-    assert len(pool.members) == len(want["members"])
-    for (g, tag), (wg, wtag) in zip(pool.members, want["members"]):
-        assert tag == wtag
-        assert _series_bytes(g) == _series_bytes(wg)
+    for i, (wg, _) in enumerate(want["members"]):
+        assert _series_bytes(pool.kernel(i)) == _series_bytes(wg)
     for h in hs:
         assert _cert(in_dual_hull(h, V, grid=grid, pool=pool)) == _cert(
             per_kernel_hull(h, V, want, grid)
@@ -160,14 +157,18 @@ def test_pool_matches_per_kernel_loop(pens, others, slot, kernels, grid, hs):
 
 @settings(SET, max_examples=20)
 @given(st.lists(pencils(), min_size=1, max_size=2), st.booleans(), st.lists(series, max_size=2))
+@example(  # operand order: h * g gives the per-kernel margin 0.24148714259575504, g * h one
+    # ulp above it on the kernel g4:pencil(-1.102182119e-16-0.6j,3.673940397e-17+0.6j)
+    [Pencil((1,), (Disk(0.0),))], False, [from_rational(0j, 0.5 + 0.6875j, 10)],
+)
 def test_stock_kernels_on_a_small_grid_match_per_kernel_loop(pens, slot, hs):
     V = FamilySpec(tuple(pens), dilation_slot=slot)
     _assert_pool_matches(V, default_kernel_family(), ParamGrid(2, 4, 4, 2), hs)
 
 
 HS = (
-    TruncSeries.polynomial([1.0, 0.3, 0.2]),  # exact: matrix path
-    TruncSeries.polynomial([1.0] + [0.05] * (KMAX + 2)),  # exact above kmax: per kernel
+    TruncSeries.polynomial([1.0, 0.3, 0.2]),  # exact: the row pass
+    TruncSeries.polynomial([1.0] + [0.05] * (KMAX + 2)),  # exact above kmax: row pass and per kernel
     TruncSeries([1.0, 0.1], None),  # not exact, tail-less: per kernel, bounds unusable
 )
 
@@ -258,7 +259,7 @@ def test_empty_pool_is_inconclusive_as_per_kernel():
     want = per_kernel_pool(V, only_bad)
     assert not want["members"]
     pool = build_transpose_pool(V, only_bad)
-    assert len(pool.coeffs) == 0 and pool.members == ()
+    assert len(pool.coeffs) == 0
     h = TruncSeries.polynomial([1.0, 0.5])
     assert _cert(in_dual_hull(h, V, pool=pool)) == _cert(per_kernel_hull(h, V, want))
     assert in_dual_hull(h, V, pool=pool).params == {"kernels_skipped": 1}
@@ -277,10 +278,9 @@ def test_pencil_pool_is_decided_without_building_kernels():
         pool = build_transpose_pool(pencil_family())
     assert built.call_count == 0 and in_t.call_count == 0
     assert len(pool.coeffs) == 1990 and pool.skipped == 320
-    assert "members" not in vars(pool)  # nothing materialised yet
 
 
-def test_matrix_path_builds_no_kernel_series():
+def test_row_pass_builds_no_kernel_series():
     V = FamilySpec((Pencil((1,), (Circle(0.5),)),))
     pool = build_transpose_pool(V)
     h = TruncSeries.polynomial([1.0, 2.0])

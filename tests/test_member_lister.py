@@ -189,8 +189,7 @@ def test_kernel_pool_builds_only_the_kept_kernels():
 
 def test_small_kernel_family_is_kept_whole():
     kernels = FamilySpec((Pencil((1,), (Circle(0.5),)), Fixed(TruncSeries.polynomial([1.0, 0.2]))))
-    cfg = VerifierConfig(kernels=kernels, kernel_grid=ParamGrid(circle=5), max_kernels=6)
-    pool = _kernel_pool(cfg)
+    pool = _kernel_pool(VerifierConfig(kernels=kernels), grid=ParamGrid(circle=5), cap=6)
     want = reference_sample(kernels, ParamGrid(circle=5))
     assert [tag for _, tag in pool] == [tag for _, tag in want]
     assert [_series_bytes(f) for f, _ in pool] == [_series_bytes(f) for f, _ in want]

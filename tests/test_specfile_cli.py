@@ -474,10 +474,12 @@ def test_cli_missing_spec_exits_three(capsys, tmp_path):
 @pytest.mark.parametrize("command, kind", [
     ("t-check", "pencil"), ("perp-check", "pencil"), ("dual-check", "pencil"),
     ("hull-check", "pencil"), ("t-check", "rational"), ("perp-check", "rational"),
+    ("hull-check", "rational"),
 ])
 def test_cli_moduli_past_the_float_range_exit_three(capsys, tmp_path, command, kind):
-    # abs() of the kernel's coefficient overflows: the closed forms, the
-    # knapsack and the x-slices answer with an error message
+    # abs() of the kernel's coefficient, or of a pairing with it, overflows:
+    # the closed forms, the knapsack, the x-slices and the pool's pairing
+    # answer with an error message
     gen = {"kind": "pencil", "exponents": [1], "domains": [DISK]}
     if kind == "rational":
         gen = {"kind": "rational", "x_domain": {"shape": "circle", "radius": 0.5},
@@ -486,7 +488,8 @@ def test_cli_moduli_past_the_float_range_exit_three(capsys, tmp_path, command, k
     spec.write_text(json.dumps({"generators": [gen]}))
     argv = [command, "--family", str(spec), "--kernel", "[1, [1.5e308, 1.5e308]]"]
     assert main(argv) == 3
-    assert "has a modulus beyond the float range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has a modulus beyond the float range" in err
 
 
 def test_cli_usage_errors_exit_three(capsys, pencil_path):
@@ -569,10 +572,10 @@ CIRCLE_DOC = json.dumps(
 @pytest.mark.parametrize(
     "doc, kernel, code",
     [
-        (PENCIL_DOC, "1+0.5z", 0),  # Verified against the pool matrix
+        (PENCIL_DOC, "1+0.5z", 0),  # Verified by the pool's row pass
         (CIRCLE_DOC, "1+2z", 1),  # a pool kernel annihilates it
         (PENCIL_DOC, "[1, 0.1, 0.2, 0.1, 0.05, 0.02, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, "
-                     "0.01, 0.01, 0.01, 0.01, 0.01]", 0),  # order above kmax: kernel by kernel
+                     "0.01, 0.01, 0.01, 0.01, 0.01]", 0),  # order above kmax: rationals one by one
     ],
     ids=["verified", "pool-kernel", "per-kernel"],
 )
