@@ -143,11 +143,12 @@ def test_parse_family_raises_only_spec_errors(text):
 
 
 grids = st.sampled_from([None, "1x30000000", "2000x2000", "30000000x1", "3x5", "1x1"])
-# hull-check's kernel family: three fixed kernels keep the pool build to three in_T calls
+# hull-check's kernel family: three exact fixed kernels keep the pool build to
+# three in_T calls whose products with exact members are all paired in one pass
 HULL_KERNELS = json.dumps({"generators": [
     {"kind": "fixed", "coeffs": [1, 0.5]},
     {"kind": "fixed", "coeffs": [1, [0, -0.3], 0.2]},
-    {"kind": "fixed", "coeffs": [1, 0.25, [0.1, 0.1]], "tail": {"M": 0.05, "rho": 2}},
+    {"kind": "fixed", "coeffs": [1, 0.25, [0.1, 0.1]]},
 ]})
 
 
