@@ -45,6 +45,7 @@ __all__ = [
     "nonvanishing_in_disk",
     "row_margins",
     "row_bounds",
+    "ring_bounds",
 ]
 
 
@@ -541,9 +542,19 @@ def row_margins(
     samples, non-zero windings, thin margins (inner radii) and rows with a
     non-finite coefficient yield NaN.
 
-    Rows are taken in blocks of at most 32 (the first blocks smaller), and
-    a run of rows is refined only when the first of them is asked for, so a
-    caller that stops at a NaN row pays for little past it.
+    Each distinct pair of row (its bytes) and order is certified once, in
+    the order of first occurrence, and a repeat yields the same margin.
+    Distinct rows are taken in blocks of at most 32 (the first blocks
+    smaller), and a run of them is refined only when the first of them is
+    asked for, so a caller that stops at a NaN row pays for little past it.
+
+    Each yielded margin is at least :func:`row_bounds`' coefficient bound
+    of its row, where given, and at most the least modulus ``m`` of its
+    first 512-point ring, since the mesh keeps those points.  It is also at
+    least the ring bound ``0.995 (m - E - L pi r / 512)`` of
+    :func:`ring_bounds`, where given: a point of a finer mesh lies within
+    ``pi r / 512`` of a ring point, and the mesh ends within 0.005 of its
+    least modulus, or at ``2**17`` points where that bound requires it.
     """
     rows = np.asarray(rows, dtype=complex)
     orders = np.asarray(orders, dtype=int)
@@ -551,6 +562,25 @@ def row_margins(
     if r is None:
         yield from itertools.repeat(math.nan, len(rows))
         return
+    pairs = np.empty((len(rows), rows.shape[1] + 1), dtype=complex)
+    pairs[:, :-1], pairs[:, -1] = rows, orders
+    keys = pairs.view(f"V{pairs.itemsize * pairs.shape[1]}").ravel().tolist()
+    if len(set(keys)) == len(keys):  # no repeats: the common case, without the bookkeeping
+        yield from _distinct_margins(rows, orders, r, tol)
+        return
+    first: dict[bytes, int] = {}  # each distinct pair's first row, in order
+    firsts = [first.setdefault(key, i) for i, key in enumerate(keys)]
+    distinct = list(first.values())
+    margins = _distinct_margins(rows[distinct], orders[distinct], r, tol)
+    known: dict[int, float] = {}
+    for i in firsts:  # a row not known yet is the next distinct one
+        if i not in known:
+            known[i] = next(margins)
+        yield known[i]
+
+
+def _distinct_margins(rows: np.ndarray, orders: np.ndarray, r: float, tol: Tolerances) -> Iterator[float]:
+    """:func:`row_margins` of rows on the circle ``|z| = r``, block by block."""
     start, size = 0, _FIRST_BLOCK
     while start < len(rows):
         block, order = rows[start : start + size], orders[start : start + size]
@@ -586,6 +616,36 @@ _ANGLE_SLACK = 2.0**-40  # radians kept clear of the phase step, far above the p
 _NORMAL = (2.0**-900, 2.0**1000)  # every value and partial sum stays normal and finite
 
 
+def _horner_terms(rows: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
+    """The coefficient sums the row bounds rest on, for rows on ``|z| = r``.
+
+    Returns ``|c_k|``; ``spread``, above ``sum_{k>=1} |c_k| |z|^k``, and
+    ``L``, above the derivative bound ``sum_{k>=1} k |c_k| |z|^(k-1)``, at
+    every computed point ``z`` of a mesh (``|z| <= R``, just above ``r``);
+    and ``error``, at least twice Horner's running error bound for a value
+    at such a point (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, §5.1).
+    """
+    width = rows.shape[1]
+    R = r * (1.0 + 4.0 * _EPS)  # above |z| of every computed point r * _unit_ring(n)
+    # Horner's rule errs by at most gamma_(4 width + 1) sum_k |c_k| |z|^k: a
+    # complex product by sqrt(2) gamma_2 <= gamma_3, a sum by u; gamma_n <=
+    # n eps.  The widening doubles that to cover the rounding of the sums below.
+    gamma = (8.0 * width + 16.0) * _EPS
+    ks = np.arange(1.0, width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = R**ks
+        mods = np.abs(rows)
+        # sum |c_k| R^k, and above the scalar derivative bound sum k |c_k| r^(k-1)
+        sums = mods[:, 1:] @ np.stack([powers, ks * R ** (ks - 1.0)], axis=1)
+        spread, L = sums.T * (1.0 + gamma)
+        # a product that underflows errs by up to 2**-1072 more, carried on
+        # by |z|^j; 2**-1070 leaves a factor of four
+        under = 2.0**-1070 * (1.0 + powers.sum())
+        error = gamma * (mods[:, 0] + spread) + under
+    return mods, spread, L, gamma, under, error
+
+
 def row_bounds(
     rows: np.ndarray,
     r_max: Optional[float] = None,
@@ -603,9 +663,9 @@ def row_bounds(
     bound, which :func:`row_margins` yields bitwise.  No value is evaluated:
     ``rho`` bounds ``|p(z) - c_0|`` as computed by Horner's rule at every
     mesh point, ``sum_{k>=1} |c_k| |z|^k`` widened by the running error
-    analysis of Horner's rule (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, §5.1), so every sample lies in the disk of
-    radius ``rho`` about ``c_0``.  A row is proven when that disk
+    analysis of Horner's rule (:func:`_horner_terms`), so every sample lies
+    in the disk of radius ``rho`` about ``c_0``.  A row is proven when that
+    disk
 
     * keeps the argument within ``min(phase_step / 2, pi / 2)`` of ``c_0``'s,
       so the winding pass takes every phase step below ``phase_step`` and
@@ -616,30 +676,19 @@ def row_bounds(
       at least ``0.995 (|c_0| - rho)``, which must clear the margin floor.
 
     Each comparison keeps a relative slack far above the roundings it
-    omits, and values must stay normal and far from overflow.
+    omits, and values must stay normal and far from overflow.  The bound
+    ignores the phases of the terms, so it can lie well below the margin;
+    :func:`ring_bounds` gives a closer one from evaluated values.
     """
     rows = np.asarray(rows, dtype=complex)
     lower = np.full(len(rows), math.nan)
     r = _row_circle(r_max, schedule, tol)
     if r is None or not rows.size:
         return lower
-    width = rows.shape[1]
-    R = r * (1.0 + 4.0 * _EPS)  # above |z| of every computed point r * _unit_ring(n)
-    # Horner's rule errs by at most gamma_(4 width + 1) sum_k |c_k| |z|^k: a
-    # complex product by sqrt(2) gamma_2 <= gamma_3, a sum by u; gamma_n <=
-    # n eps.  The widening doubles that to cover the rounding of the sums below.
-    gamma = (8.0 * width + 16.0) * _EPS
-    ks = np.arange(1.0, width)
+    mods, spread, L, gamma, under, _ = _horner_terms(rows, r)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = R**ks
-        mods = np.abs(rows)
         c0 = mods[:, 0] * (1.0 - 2.0 * _EPS)  # at most |c_0|
-        # sum |c_k| R^k, and above the scalar derivative bound sum k |c_k| r^(k-1)
-        sums = mods[:, 1:] @ np.stack([powers, ks * R ** (ks - 1.0)], axis=1)
-        spread, L = sums.T * (1.0 + gamma)
-        # a product that underflows errs by up to 2**-1072 more, carried on
-        # by |z|^j; 2**-1070 leaves a factor of four
-        rho = spread + gamma * mods[:, 0] + 2.0**-1070 * (1.0 + powers.sum())
+        rho = spread + gamma * mods[:, 0] + under
         gap = (c0 - rho) * (1.0 - _SLACK)
         # bounds every partial sum of Horner's rule; finite only if every coefficient is
         reach = mods.sum(axis=1) + spread
@@ -655,3 +704,58 @@ def row_bounds(
     )
     lower[ok] = bound[ok]
     return lower
+
+
+def ring_bounds(
+    rows: np.ndarray,
+    r_max: Optional[float] = None,
+    schedule: Optional[Sequence[float]] = None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound of each row's :func:`row_margins` value from its 512
+    values on the outermost schedule circle, NaN where none is given, and
+    the least computed modulus among those values, an upper bound of the
+    margin (the mesh keeps these points and only lowers their minimum).
+
+    Rows are those of :func:`row_margins`.  The ring bound is
+    ``0.995 B`` with ``B = m - E - L pi r / 512``: ``m`` the least computed
+    modulus on the 512-point ring that the row pass evaluates first, ``E``
+    twice Horner's running error bound and ``L`` the derivative bound of
+    :func:`_horner_terms`.  Every point of a finer mesh lies within the
+    arc ``pi r / 512`` of a ring point, and the segment between them within
+    ``|z| <= R``, so the modulus computed there is at least ``B``: the
+    values at both points differ from the polynomial's by at most half of
+    ``E`` each, and the polynomial's by at most ``L pi r / 512``.  The
+    minimum-modulus mesh therefore ends with a least modulus ``low >= B``,
+    and stops where its deflation is at most ``0.005 max(low, bar)``
+    (``B`` at least the witness bar makes that ``0.005 low``) or at
+    ``2**17`` points, where the deflation ``L pi r / 2**17`` is required to
+    be at most ``0.005 B``: either way the margin is at least ``0.995 B``.
+    A row whose margin :func:`row_margins` does not give (NaN) has no
+    claim to check.  As in :func:`row_bounds`, each comparison keeps a
+    relative slack and values must stay normal and far from overflow.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    lower, least = np.full(len(rows), math.nan), np.full(len(rows), math.nan)
+    r = _row_circle(r_max, schedule, tol)
+    if r is None or not rows.size:
+        return lower, least
+    mods, spread, L, _, _, error = _horner_terms(rows, r)
+    zs, step = _circle_points(r, _FIRST_MESH), _ROW_BUDGET // _FIRST_MESH
+    with _quiet():
+        for s in range(0, len(rows), step):
+            part = slice(s, s + step)
+            least[part] = np.abs(horner_rows(rows[part], zs)).min(axis=1)
+        # the rounding of each term is taken against the bound
+        drift = L * (math.pi * r / _FIRST_MESH)
+        low = least * (1.0 - 8.0 * _EPS) - (error + drift) * (1.0 + 8.0 * _EPS)
+        reach = mods.sum(axis=1) + spread
+    bound = 0.995 * low * (1.0 - _SLACK)
+    ok = (
+        (low * (1.0 - _SLACK) >= tol.witness_bar)
+        & (L * (math.pi * r / _MAX_MESH) <= 0.005 * low * (1.0 - _SLACK))
+        & (low > _NORMAL[0])
+        & (reach <= _NORMAL[1])
+    )
+    lower[ok] = bound[ok]
+    return lower, least

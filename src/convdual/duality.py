@@ -45,6 +45,7 @@ from .contour import (
     Tolerances,
     nonvanishing_in_disk,
     radius_schedule,
+    ring_bounds,
     row_bounds,
     row_margins,
 )
@@ -145,6 +146,17 @@ def apply(lam: Functional, f: TruncSeries) -> EvalResult:
 
 def _pairing_value(kernel: TruncSeries, f: TruncSeries) -> EvalResult:
     return evaluate(convolve(f, kernel), 1.0)
+
+
+def _pairing_modulus(value: complex) -> float:
+    """``abs`` of a pairing value that may become a margin.  A value that is
+    not finite came from an overflow (the products are finite), so its
+    modulus says nothing of the exact pairing: ValueError, as where ``abs``
+    of a finite value overflows."""
+    modulus = _modulus(value, "pairing value")
+    if not math.isfinite(modulus):
+        raise ValueError("pairing value has a modulus beyond the float range")
+    return modulus
 
 
 # the point z = 1 of row passes: Horner multiplies by it, as np.polyval
@@ -344,9 +356,9 @@ def _x_slices(
         lo, budget = lo + len(iy), _PAIR_BUDGET
 
 
-def _exact_products(gen: Generator, g: TruncSeries) -> bool:
-    """Whether :func:`convolve` makes every (dilated) member of ``gen`` with
-    ``g`` an exact polynomial.
+def _exact_products(gens: Sequence[Generator], g: TruncSeries) -> np.ndarray:
+    """Whether :func:`convolve` makes every (dilated) member of each of
+    ``gens`` with ``g`` an exact polynomial, decided for all at once.
 
     It does when ``g`` is exact with no coefficient beyond the product
     order, or when the member is an exact polynomial whose coefficients
@@ -354,11 +366,14 @@ def _exact_products(gen: Generator, g: TruncSeries) -> bool:
     members are counted as non-exact, so their products with a non-exact
     kernel are left to the per-member path.
     """
-    order = gen.order
-    member_exact = isinstance(gen, Pencil) or (isinstance(gen, Fixed) and gen.series.is_exact)
-    if member_exact and exact_product(g, order):
-        return True
-    return g.is_exact and not np.any(g.coeffs[min(order, g.order) + 1 :])
+    orders = np.array([gen.order for gen in gens], dtype=int)
+    member_exact = np.array(
+        [isinstance(gen, Pencil) or (isinstance(gen, Fixed) and gen.series.is_exact) for gen in gens],
+        dtype=bool,
+    )
+    nonzero = np.flatnonzero(g.coeffs)  # NaN counts, as np.any counts it
+    last = nonzero[-1] if nonzero.size else -1
+    return (member_exact & exact_product(g, orders)) | (g.is_exact & (last <= orders))
 
 
 def _sampled_table(
@@ -378,8 +393,8 @@ def _sampled_table(
     together.
     """
     sampled = FamilySpec(tuple(V.generators[i] for i in gens), V.dilation_slot)
-    gen_orders = np.array([min(gen.order, g.order) for gen in sampled.generators])
-    gen_exact = np.array([_exact_products(gen, g) for gen in sampled.generators])
+    gen_orders = np.minimum([gen.order for gen in sampled.generators], g.order)
+    gen_exact = _exact_products(sampled.generators, g)
     table = leading_rows(sampled, grid, int(gen_orders[gen_exact].max(initial=0)) + 1)
     orders = gen_orders[table.gen_index]
     exact = gen_exact[table.gen_index]
@@ -413,11 +428,11 @@ def _table_products(
         cols = slice(0, int(orders[lo]) + 1)
         for i in range(lo, hi, step):
             block = slice(i, min(i + step, hi))
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # judged where the rows are read
                 products = table.coeffs[block, cols] * g.coeffs[cols]
-            finite = np.all(np.isfinite(products), axis=1)
-            filled[block] = finite
-            values[block][finite] = horner_rows(products[finite], zs)
+                finite = np.all(np.isfinite(products), axis=1)
+                filled[block] = finite
+                values[block][finite] = horner_rows(products[finite], zs)
     return values, filled
 
 
@@ -551,7 +566,7 @@ def _pairing_certificate(
                     "pairing bound unusable (tail radius <= 1)"
                 )
                 continue
-            modulus = _modulus(v.value, "pairing value")
+            modulus = _pairing_modulus(v.value)
             if modulus + v.error_bound < tol.witness_bar:
                 tag = table.tag(family, i)
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
@@ -856,16 +871,35 @@ def _settle_clear_rows(
     """Feed ``verdict`` the margins of the rows :func:`row_bounds` proved
     Verified (a bound, not NaN), evaluating only those that can be the worst.
 
-    A row's margin is at least its bound, so rows are taken by ascending
-    bound and the first whose bound lies above the worst margin known ends
-    the pass: neither it nor a later row can lower that margin.  Every
-    margin fed comes from :func:`row_margins`, so the worst one is bitwise
-    the one the row pass gives with every row evaluated.
+    A row's margin is at least its coefficient bound and its ring bound,
+    and at most its least modulus on the ring
+    (:func:`~convdual.contour.ring_bounds`).  The worst margin known, or
+    else the least ring modulus of the row of least coefficient bound,
+    caps the worst margin.  Ring bounds are taken only for the rows whose
+    coefficient bound does not exceed that cap, and only for products of
+    order two or more (a binomial's coefficient bound is as close), and the
+    cap falls to their least ring modulus.  The rows whose larger bound is
+    within the cap are meshed by ascending larger bound until that bound
+    passes the worst margin: a row whose bound lies above it cannot lower
+    it.  Every margin fed comes from :func:`row_margins`, so the worst one
+    is bitwise the one the row pass gives with every row evaluated.
     """
-    by_bound = np.argsort(lower, kind="stable")  # unproven (NaN) rows last
-    margins = row_margins(products[by_bound], orders[by_bound], **opts)
-    for bound in lower[by_bound].tolist():
-        if not bound <= verdict.worst:  # past the worst, or at the unproven rows
+    proven = np.argsort(lower, kind="stable")[: np.count_nonzero(~np.isnan(lower))]
+    larger, cap = lower[proven], verdict.worst
+    ringed = orders[proven] >= 2
+    if ringed.any():
+        if cap == math.inf:
+            cap = ring_bounds(products[proven[:1]], **opts)[1][0]
+        ringed &= larger <= cap
+        ring, least = ring_bounds(products[proven[ringed]], **opts)
+        larger[ringed] = np.fmax(larger[ringed], ring)  # where the ring gives no bound, the other
+        cap = least.min(initial=cap)
+    keep = larger <= cap
+    by_bound = np.argsort(larger[keep], kind="stable")
+    proven, larger = proven[keep][by_bound], larger[keep][by_bound]
+    margins = row_margins(products[proven], orders[proven], **opts)
+    for bound in larger.tolist():
+        if not bound <= verdict.worst:
             return
         verdict.margin(next(margins))
 
@@ -1133,9 +1167,8 @@ def in_dual_hull(
         )
     # one width: zero-padded exact kernels leave each row's Horner sum bitwise unchanged
     width = min(h.order, _POOL_KMAX) + 1
-    exact = np.array([
-        _exact_products(gen, h) and min(gen.order, h.order) < width for gen in pool.spec.generators
-    ])
+    gens = pool.spec.generators
+    exact = _exact_products(gens, h) & (np.minimum([gen.order for gen in gens], h.order) < width)
     with np.errstate(over="ignore", invalid="ignore"):
         # convolve(h, g)'s operand order; one row per coefficient index keeps the loops long
         products = np.multiply(h.coeffs[:width, None], pool.coeffs.T[:width], order="C")
@@ -1151,7 +1184,7 @@ def in_dual_hull(
         if not math.isfinite(v.error_bound):
             verdict.gray(lambda: f"{pool.tag(i).label()}: unusable pairing bound")
             continue
-        modulus = _modulus(v.value, "pairing value")
+        modulus = _pairing_modulus(v.value)
         if modulus + v.error_bound < tol.witness_bar:
             return _pool_kernel_annihilates(pool.tag(i), v.value)
         margin = modulus - v.error_bound

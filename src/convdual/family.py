@@ -38,7 +38,6 @@ from .series import (
     dilate,
     from_rational,
     is_normalized,
-    leading_block,
     rational_leading_rows,
     series_distance,
 )
@@ -261,7 +260,8 @@ class Pencil:
     def base_rows(self, params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The members with these parameter rows, at once: each one's
         :func:`~convdual.series.leading_block` ``width`` wide and its tail
-        radius.  :class:`Rational` and :class:`Fixed` have the same method."""
+        radius.  :class:`Rational` has the same method; a run of
+        :class:`Fixed` generators is listed by :func:`_fixed_rows`."""
         if not np.all(np.isfinite(params)):
             raise ValueError("coefficients must be finite")
         rows = np.zeros((len(params), width), dtype=complex)
@@ -324,9 +324,17 @@ class Fixed:
     def param_lists(self, grid: ParamGrid) -> list[list[complex]]:
         return []
 
-    def base_rows(self, params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`Pencil.base_rows` for the one stored member."""
-        return leading_block(self.series, width)[None, :], np.array([self.series.tail_radius])
+
+def _fixed_rows(gens: Sequence[Fixed], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Pencil.base_rows` for a run of fixed generators, one member
+    each: every row bitwise :func:`~convdual.series.leading_block` of the
+    stored series, filled in one pass."""
+    series = [gen.series for gen in gens]
+    rows = np.full((len(series), width), np.nan, dtype=complex)
+    rows[[s.is_exact for s in series]] = 0.0
+    sizes = np.array([s.coeffs.size for s in series])
+    rows[np.arange(width) < sizes[:, None]] = np.concatenate([s.coeffs[:width] for s in series])
+    return rows, np.array([s.tail_radius for s in series])
 
 
 Generator = Union[Pencil, Rational, Fixed]
@@ -402,9 +410,10 @@ def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncS
     """
     grid = grid or ParamGrid()
     out: list[tuple[TruncSeries, MemberTag]] = []
-    for gi, (gen, (params, dil)) in enumerate(zip(V.generators, _param_blocks(V, grid, 1))):
+    for gen_index, params, dil in _param_blocks(V, grid, 1):
         dil = None if dil is None else dil.tolist()
-        for p in params.tolist():
+        for gi, p in zip(gen_index.tolist(), params.tolist()):
+            gen = V.generators[gi]
             member, p = gen.instantiate(p), tuple(p)
             if dil is None:
                 out.append((member, MemberTag(gi, gen.kind, p)))
@@ -469,26 +478,33 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
 
     The one lister of a family's members: generators in order, parameter
     combinations with the last domain varying fastest, each base member
-    followed by its dilations.  Each generator gives its members' rows at
-    once (``base_rows``), and a dilation slot scales them by ``w ** k``
-    (:func:`_dilated_rows`); no series is built.  Raises the budget errors
-    of :func:`_param_blocks`.
+    followed by its dilations.  Each generator, or run of fixed generators,
+    gives its members' rows at once (``base_rows``, :func:`_fixed_rows`),
+    and a dilation slot scales them by ``w ** k`` (:func:`_dilated_rows`);
+    no series is built.  Raises the budget errors of :func:`_param_blocks`.
     """
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (params, coeffs, regular)
-    for gen, (params, dil) in zip(V.generators, _param_blocks(V, grid, width)):
-        rows, radius = gen.base_rows(params, width)
+    blocks: list[tuple[np.ndarray, ...]] = []  # (params, coeffs, regular, gen_index)
+    for gen_index, params, dil in _param_blocks(V, grid, width):
+        gen = V.generators[gen_index[0]]
+        if isinstance(gen, Fixed):
+            run = [V.generators[i] for i in gen_index.tolist()]
+            rows, radius = _fixed_rows(run, width)
+            stored = np.minimum([g.order + 1 for g in run], width)
+        else:
+            rows, radius = gen.base_rows(params, width)
+            stored = min(width, gen.order + 1)
         if dil is not None:
-            params = np.repeat(params, len(dil), axis=0)
-            rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
-        blocks.append((params, rows, radius > 1.0))
-    counts = [len(p) for p, _, _ in blocks]
-    params = np.full((sum(counts), max(p.shape[1] for p, _, _ in blocks)), np.nan, dtype=complex)
-    for (p, _, _), end in zip(blocks, itertools.accumulate(counts)):
+            gen_index, params = np.repeat(gen_index, len(dil)), np.repeat(params, len(dil), axis=0)
+            rows, radius = _dilated_rows(rows, radius, dil, stored)
+        blocks.append((params, rows, radius > 1.0, gen_index))
+    counts = [len(b[0]) for b in blocks]
+    params = np.full((sum(counts), max(b[0].shape[1] for b in blocks)), np.nan, dtype=complex)
+    for (p, _, _, _), end in zip(blocks, itertools.accumulate(counts)):
         params[end - len(p) : end, : p.shape[1]] = p
     return LeadingRows(
-        np.concatenate([c for _, c, _ in blocks]),
-        np.concatenate([r for _, _, r in blocks]),
-        np.repeat(np.arange(len(blocks)), counts),
+        np.concatenate([b[1] for b in blocks]),
+        np.concatenate([b[2] for b in blocks]),
+        np.concatenate([b[3] for b in blocks]),
         params,
         None if dil is None else np.tile(dil, len(params) // len(dil)),
     )
@@ -496,45 +512,63 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
 
 def _param_blocks(
     V: FamilySpec, grid: ParamGrid, width: int
-) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Each generator's parameter combinations, one row each (the last
-    domain varying fastest), with the dilation parameters of a slot family.
-    The members so far are counted against ``grid.max_members`` and, as rows
-    ``width`` wide, the table limit before a generator's rows (and, the first
-    time, the dilations) are listed.
+) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """V's members in blocks: one generator's parameter combinations, one
+    row each (the last domain varying fastest), or a run of consecutive
+    fixed generators, one empty row each; with the generator index of each
+    row and the dilation parameters of a slot family.
+
+    The members so far are counted against ``grid.max_members`` and, as
+    rows ``width`` wide, the table limit, generator by generator: a run
+    ends before the generator that breaks a budget, which raises once the
+    members before it are listed.
     """
-    total = 0
-    dil = None
-    for gen in V.generators:
-        total += _member_count(V, gen, grid)
-        _check_member_budget(total, grid)
-        _check_table_budget(total, width)
-        if V.dilation_slot and dil is None:
-            dil = np.asarray(dilation_points(grid), dtype=complex)
-        lists = gen.param_lists(grid)
-        shape = [len(ps) for ps in lists]
-        params = np.empty((math.prod(shape), len(lists)), dtype=complex)
-        for j, ps in enumerate(lists):
-            column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
-            params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
-        yield params, dil
+    gens, total, dil, start = V.generators, 0, None, 0
+    cap = min(grid.max_members, _MAX_TABLE_ENTRIES // width)
+    while start < len(gens):
+        gen, stop = gens[start], start + 1
+        if isinstance(gen, Fixed):
+            while stop < len(gens) and isinstance(gens[stop], Fixed):
+                stop += 1
+        count = _member_count(V, gen, grid)  # each, in a run of fixed generators
+        listed = start + min(stop - start, max(0, (cap - total) // count))
+        total += count * (listed - start)
+        if listed > start:
+            if V.dilation_slot and dil is None:
+                dil = np.asarray(dilation_points(grid), dtype=complex)
+            if isinstance(gen, Fixed):
+                yield np.arange(start, listed), np.empty((listed - start, 0), dtype=complex), dil
+            else:
+                lists = gen.param_lists(grid)
+                shape = [len(ps) for ps in lists]
+                params = np.empty((math.prod(shape), len(lists)), dtype=complex)
+                for j, ps in enumerate(lists):
+                    column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
+                    params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
+                yield np.full(len(params), start), params, dil
+        if listed < stop:
+            total += count
+            _check_member_budget(total, grid)
+            _check_table_budget(total, width)
+        start = stop
 
 
 def _dilated_rows(
-    rows: np.ndarray, radius: np.ndarray, w: np.ndarray, block: int
+    rows: np.ndarray, radius: np.ndarray, w: np.ndarray, block
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every member dilated by every ``w`` (member-major), and its tail radius.
 
-    Entries before ``block`` (the stored block) are bitwise ``dilate``'s
-    ``rows[:, k] * w ** k``, later ones keep their ``leading_block``
-    markers, and ``w = 0`` gives the exact constant; raises as ``dilate``
-    does on a product that is not finite."""
+    Entries before ``block`` (the stored block: one size, or one per
+    member) are bitwise ``dilate``'s ``rows[:, k] * w ** k``, later ones
+    keep their ``leading_block`` markers, and ``w = 0`` gives the exact
+    constant; raises as ``dilate`` does on a product that is not finite."""
     m, width = rows.shape
     with np.errstate(over="ignore", invalid="ignore"):
         out = rows[:, None, :] * w[:, None] ** np.arange(width)
-    if not np.all(np.isfinite(out[:, :, :block])):
+    stored = (np.arange(width) < np.reshape(block, (-1, 1)))[:, None, :]
+    if not np.all(np.isfinite(out) | ~stored):
         raise ValueError("coefficients must be finite")
-    out[:, :, block:] = rows[:, None, block:]
+    out = np.where(stored, out, rows[:, None, :])
     zero = w == 0
     out[:, zero] = 0.0
     out[:, zero, 0] = rows[:, None, 0]

@@ -15,6 +15,11 @@ A rational ``order`` and a pencil exponent may not exceed :data:`MAX_ORDER`,
 the largest truncation order the command line accepts, so a short spec
 cannot ask for multi-GiB coefficient blocks.
 
+A coefficient list is read in one typed pass (:func:`_coeff_array`): its
+numbers and ``[re, im]`` pairs go into one float array viewed as complex,
+and a field path is formatted only for a list that fails, which is then
+read element by element so its error names the first bad element.
+
 Command-line series expressions accept polynomial literals such as
 ``1+0.5z-0.25z^2`` (complex coefficients in parentheses, ``(0.3+0.4j)z``),
 the rational kernel form ``rat(x, y)``, and JSON coefficient lists like
@@ -95,6 +100,26 @@ def _complex(v: Any, path: str) -> complex:
     raise SpecFileError("expected a number or a [re, im] pair", path)
 
 
+def _coeff_array(coeffs: list, path: str) -> np.ndarray:
+    """The coefficients of a nonempty JSON list as a complex array, each
+    element bitwise :func:`_complex`'s reading of it.
+
+    One typed pass: numbers and ``[re, im]`` pairs go into one float array
+    (a number with imaginary part ``0.0``), viewed as complex.  A list that
+    holds anything but ints and floats there, or a number that does not
+    convert to a finite float, is read again element by element, which
+    raises the error of its first bad element with its field path.
+    """
+    flat = [x for c in coeffs for x in (c if type(c) is list and len(c) == 2 else (c, 0.0))]
+    try:
+        # ints and floats only (no bool, str or list); an inf or NaN makes the sum non-finite
+        if set(map(type, flat)) <= {int, float} and math.isfinite(sum(flat)):
+            return np.array(flat, dtype=float).view(complex)
+    except OverflowError:  # an int past the float range
+        pass
+    return np.array([_complex(c, f"{path}[{i}]") for i, c in enumerate(coeffs)], dtype=complex)
+
+
 def _domain(obj: Any, path: str):
     d = _expect_dict(obj, path)
     shape = _get(d, "shape", path)
@@ -157,10 +182,9 @@ def _generator(obj: Any, path: str):
             coeffs = _expect_list(_get(d, "coeffs", path), path + ".coeffs")
             if not coeffs:
                 raise SpecFileError("coefficient list must be nonempty", path + ".coeffs")
-            cs = [_complex(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]
+            cs = _coeff_array(coeffs, path + ".coeffs")
             tail = _tail(d.get("tail", "exact"), path + ".tail")
-            series = TruncSeries(np.asarray(cs, dtype=complex), tail=tail)
-            return Fixed(series)
+            return Fixed(TruncSeries(cs, tail=tail))
     except SpecFileError:
         raise
     except (ValueError, TypeError) as exc:
@@ -342,8 +366,7 @@ def parse_series(expr: str, order: int = DEFAULT_ORDER) -> TruncSeries:
             raise SpecFileError(f"bad coefficient list {original!r}: {exc.msg}") from exc
         if not isinstance(data, list) or not data:
             raise SpecFileError(f"coefficient list must be a nonempty list: {original!r}")
-        cs = [_complex(c, f"coeffs[{i}]") for i, c in enumerate(data)]
-        return TruncSeries.polynomial(cs)
+        return TruncSeries.polynomial(_coeff_array(data, "coeffs"))
     if expr.startswith("rat(") and expr.endswith(")"):
         args = _split_args(expr[4:-1], original)
         if len(args) != 2:

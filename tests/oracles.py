@@ -465,6 +465,17 @@ def _oracle_verdict(worst: float, gray: list, params: dict):
     )
 
 
+def _oracle_modulus(value) -> float:
+    """``abs`` of a pairing value that may become a margin; a value that is
+    not finite (an overflow) raises ValueError, as the decisions do."""
+    import math
+
+    modulus = abs(value)
+    if not math.isfinite(modulus):
+        raise ValueError("pairing value has a modulus beyond the float range")
+    return modulus
+
+
 def _oracle_clist(zs) -> list:
     return [[complex(z).real, complex(z).imag] for z in zs]
 
@@ -558,9 +569,10 @@ def per_kernel_hull(h, V, pool: dict, grid=None, tol=None):
         if not math.isfinite(v.error_bound):
             gray.append(f"{tag.label()}: unusable pairing bound")
             continue
-        if abs(v.value) + v.error_bound < tol.witness_bar:
+        modulus = _oracle_modulus(v.value)
+        if modulus + v.error_bound < tol.witness_bar:
             return annihilates(tag, v.value)
-        margin = abs(v.value) - v.error_bound
+        margin = modulus - v.error_bound
         if margin <= tol.margin_floor:
             gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
             continue
@@ -786,9 +798,10 @@ def per_member_pairing(kernel, family, grid=None, tol=None):
             if not math.isfinite(v.error_bound):
                 gray.append(f"{tag.label()}: pairing bound unusable (tail radius <= 1)")
                 continue
-            if abs(v.value) + v.error_bound < tol.witness_bar:
+            modulus = _oracle_modulus(v.value)
+            if modulus + v.error_bound < tol.witness_bar:
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
-            margin = abs(v.value) - v.error_bound
+            margin = modulus - v.error_bound
             if margin <= tol.margin_floor:
                 gray.append(f"{tag.label()}: pairing margin {margin:.3e} below the floor")
                 continue

@@ -298,6 +298,14 @@ def test_tail_less_series_pairs_exactly_with_the_constant_dilation():
 
 
 BIG = P([1.0, 1.5e308 + 1.5e308j])  # abs() of its coefficient overflows
+# pairs with 1 + z + ... + z^5 to exactly 0, but Horner's sum at z = 1 overflows
+HUGE_SUM = P([1.0, 1.7e308, 1.7e308, -1.7e308, -1.7e308, -1.0])
+ONES = FamilySpec((Fixed(P([1.0] * 6)),))
+
+
+def _deciding(h, decide, **kwargs):
+    """``decide`` of ``h`` in place of the series the test passes."""
+    return lambda _, V: decide(h, V, **kwargs)
 
 
 @pytest.mark.parametrize("decide, V, what", [
@@ -308,6 +316,14 @@ BIG = P([1.0, 1.5e308 + 1.5e308j])  # abs() of its coefficient overflows
     (in_T, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
     (in_perp, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
     (in_dual_hull, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "pairing value"),
+    # finite products whose pairing value is not finite
+    pytest.param(_deciding(HUGE_SUM, in_T), ONES, "pairing value", id="in_T-sum-overflow"),
+    pytest.param(_deciding(HUGE_SUM, in_perp), ONES, "pairing value", id="in_perp-sum-overflow"),
+    pytest.param(
+        _deciding(P([1.0, 1.7e308, 1.7e308]), in_dual_hull,
+                  kernels=FamilySpec((Fixed(P([1.0, 1.0, 1.0])),))),
+        FamilySpec((Pencil((1,), (Disk(0.5),)),)), "pairing value", id="in_dual_hull-sum-overflow",
+    ),
 ])
 def test_moduli_past_the_float_range_raise_value_error(decide, V, what):
     with pytest.raises(ValueError, match=f"{what} has a modulus beyond the float range"):

@@ -169,6 +169,9 @@ HULL_KERNELS = json.dumps({"generators": [
 @example("hull-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "circle",'
          ' "radius": 0.5}, "y_domain": {"shape": "disk", "radius": 0.3}}]}',
          "[1, [1.5e308, 1.5e308]]", None)  # a pairing modulus past the float range
+@example("dual-check", '{"generators": [{"kind": "rational", "x_domain": {"shape": "circle",'
+         ' "radius": 1}, "y_domain": {"shape": "disk", "radius": 0}}]}', "rat(-1, 0.0)",
+         None)  # 4128 members, 32 distinct products, each meshed to 2**17 points once
 def test_membership_commands_survive_any_spec(tmp_path_factory, command, text, kernel, grid):
     folder = tmp_path_factory.mktemp("spec")
     path = folder / "family.json"

@@ -121,6 +121,17 @@ def _tag_bytes(tag):
     FamilySpec((Pencil((1, 3), (Segment(-0.0, 1.0), Circle(0.5))), Rational(Disk(0.5), Circle(5e-324)))),
     ParamGrid(2, 3, 2, 2), 0,
 )
+@example(  # a run of fixed generators: the second passes max_members, the first is listed
+    FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.5])), Fixed(TruncSeries([1.0, 0.2j], None)),
+                Fixed(TruncSeries([1.0, -0.3], Tail(1.0, 2.0))), Pencil((1,), (Disk(0.5),))),
+               dilation_slot=True),
+    ParamGrid(1, 2), 18 - 5,
+)
+@example(  # runs of fixed generators around a rational one
+    FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.5, 0.25])), Fixed(TruncSeries([1.0], None)),
+                Rational(Disk(0.5), Circle(0.25), 3), Fixed(TruncSeries([1.0, -0.3], Tail(1.0, 0.5))))),
+    ParamGrid(1, 2, 2), None,
+)
 def test_sample_is_the_reference_lister(V, grid, short):
     """``short`` sets ``max_members`` to the member count minus ``short``."""
     if short is not None:

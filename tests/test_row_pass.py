@@ -24,6 +24,7 @@ from convdual.contour import (
     _circle_points,
     nonvanishing_in_disk,
     radius_schedule,
+    ring_bounds,
     row_bounds,
     row_margins,
 )
@@ -232,7 +233,8 @@ def test_row_margins_cases_outside_the_pass():
 
 def test_rows_after_an_undecided_row_are_refined_only_when_asked():
     on_circle = 1.0 / (1.0 - 2.0**-12)
-    rows = np.array([[1.0, 0.5], [1.0, on_circle], [1.0, 0.5], [1.0, 0.25]], dtype=complex)
+    # distinct rows: a repeat of the first would reuse its margin, refining nothing
+    rows = np.array([[1.0, 0.5], [1.0, on_circle], [1.0, 0.4], [1.0, 0.25]], dtype=complex)
     lower = contour._CirclePass.lower
     with mock.patch.object(contour._CirclePass, "lower", autospec=True, side_effect=lower) as spy:
         margins = row_margins(rows, [1, 1, 1, 1])
@@ -250,8 +252,22 @@ def _first_rings(spy):
     return [len(c.args[0]) for c in calls if len(c.args[1]) == 512 and c.args[1][0].imag == 0]
 
 
+def test_row_margins_certify_each_distinct_row_once():
+    # signed zeros differ in bytes, and a row's order is part of the pair
+    base = np.array([[1.0, 0.5, 0.1], [1.0, -0.0, 0.3], [1.0, 0.0, 0.3], [1.0, 0.25j, 0.0]])
+    rows, orders = base[[0, 1, 0, 2, 3, 3, 0, 1]], np.array([2, 2, 2, 2, 2, 1, 2, 2])
+    with mock.patch.object(contour, "horner_rows", wraps=contour.horner_rows) as spy:
+        margins = list(row_margins(rows, orders))
+    assert sum(_first_rings(spy)) == 5
+    for row, n, m in zip(rows, orders, margins):
+        alone = next(row_margins(row[None], [n]))
+        assert np.float64(alone).tobytes() == np.float64(m).tobytes()
+    assert _scalar_agrees(rows, orders, margins) == len(rows)
+
+
 def test_row_blocks_stay_within_the_budget():
     rows = np.tile(np.array([[1.0, 0.5, 0.1]], dtype=complex), (200, 1))
+    rows[:, 2] += 1e-4 * np.arange(200)  # distinct rows: each is certified once
     with mock.patch.object(contour, "horner_rows", wraps=contour.horner_rows) as spy:
         assert not any(math.isnan(m) for m in row_margins(rows, np.full(200, 2)))
     sizes = _first_rings(spy)
@@ -440,6 +456,116 @@ def test_row_bounds_cases_outside_the_pass():
     assert row_bounds(np.zeros((0, 2), dtype=complex)).shape == (0,)
 
 
+# -- contour.ring_bounds ------------------------------------------------------
+
+
+def _binomial(n, s, r, phase=0.0):
+    """``1 + c z^n`` with ``|c| r^n = s``: least modulus ``1 - s`` on ``|z| = r``,
+    derivative bound ``n s / r``, so the mesh needs about ``200 pi n s / (1 - s)``
+    points for its stop rule."""
+    row = np.zeros(n + 1, dtype=complex)
+    row[0], row[n] = 1.0, s / r**n * np.exp(1j * phase)
+    return row
+
+
+@st.composite
+def ring_rows(draw):
+    """Exact rows of order 1 to 16: random ones, rows whose mesh stops at the
+    stop rule's edge or runs to the 2**17 cap, zeros just outside the circle,
+    and conjugates and repeats of earlier rows (tied margins)."""
+    sched = draw(schedules)
+    r = max(sched.get("schedule") or radius_schedule(12, sched.get("r_max")))
+    out = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random", "random", "edge", "cap", "outside", "tie", "repeat"]))
+        n = draw(st.integers(1, 16))
+        phase = draw(st.floats(0.0, 2 * math.pi))
+        if kind == "random" or (kind in ("tie", "repeat") and not out):
+            c = np.array([draw(cpoint) for _ in range(n)])
+            weight = np.sum(np.abs(c) * r ** np.arange(1, n + 1))
+            spread = draw(st.floats(0.05, 1.2))  # past one the terms may still miss each other
+            # a weight near underflow would blow the scale up: such rows are constants
+            row = np.concatenate([[1.0], c * (spread / weight if weight > 1e-100 else 0.0)])
+        elif kind in ("edge", "cap"):
+            # 200 pi n s / (1 - s) points: next to a power of two, or past 2**17
+            points = 2.0 ** draw(st.integers(9, 17) if kind == "edge" else st.floats(17.0, 19.0))
+            points *= draw(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9, 0.9, 1.1]))
+            s = points / (points + 200 * math.pi * n)
+            row = _binomial(n, s, r, phase)
+        elif kind == "outside":
+            near = r * draw(st.sampled_from([1 + 1e-6, 1 + 1e-4, 1 + 1e-3, 1.01, 1.1]))
+            roots = [near * np.exp(1j * phase)] + [3.0 + draw(cpoint)] * (n - 1)
+            row = planted_polynomial(roots)
+            row = row / row[0]
+        elif kind == "tie":
+            row = np.conj(out[draw(st.integers(0, len(out) - 1))])
+        else:
+            row = out[draw(st.integers(0, len(out) - 1))]
+        out.append(np.asarray(row, dtype=complex))
+    orders = np.array([len(row) - 1 for row in out])
+    rows = np.zeros((len(out), orders.max() + 1), dtype=complex)
+    for i, row in enumerate(out):
+        rows[i, : len(row)] = row
+    return rows, orders, sched
+
+
+def _ring_bound_holds(rows, orders, tol=DEFAULT_TOL, **sched):
+    """Every ring bound lies at or below the row's margin, which lies at or
+    below its least ring modulus; returns how many rows have a ring bound."""
+    bounds, least = ring_bounds(rows, tol=tol, **sched)
+    margins = np.array(list(row_margins(rows, orders, tol=tol, **sched)))
+    given = ~np.isnan(margins)
+    assert not np.any(bounds[given] > margins[given])
+    assert np.all(margins[given] <= least[given])
+    return int(np.sum(~np.isnan(bounds[given])))
+
+
+@settings(SET, max_examples=100)
+@given(ring_rows(), tols)
+def test_ring_bounds_never_exceed_the_row_margins(case, tol):
+    rows, orders, sched = case
+    _ring_bound_holds(rows, orders, tol, **sched)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_ring_bounds_at_the_stop_rule_edge_and_the_cap(n):
+    r = radius_schedule(12)[-1]
+    rows, orders = [], []
+    for j in range(9, 20):  # meshes of 2**9 points up to the cap and past it
+        for nudge in (1 - 1e-9, 1 + 1e-9):
+            points = 2.0**j * nudge
+            rows.append(_binomial(n, points / (points + 200 * math.pi * n), r, 0.3 * j))
+            orders.append(n)
+    rows, orders = np.array(rows), np.array(orders)
+    assert _ring_bound_holds(rows, orders) >= 4
+
+
+def test_ring_bounds_lie_close_below_the_margins_of_clear_rows():
+    # cubics like the products of a rational member with a cubic kernel:
+    # terms that never align in phase leave the coefficient bound far below
+    rng = np.random.default_rng(5)
+    rows = np.zeros((200, 4), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[:, 1:] = rng.uniform(0.1, 0.25, (200, 3)) * np.exp(2j * np.pi * rng.random((200, 3)))
+    bounds, least = ring_bounds(rows)
+    coefficient = row_bounds(rows)
+    margins = np.array(list(row_margins(rows, np.full(200, 3))))
+    assert np.all(bounds <= margins) and np.all(margins <= least)
+    assert np.all(bounds > 0.97 * margins)
+    assert np.mean(bounds > coefficient) > 0.9
+
+
+def test_ring_bounds_cases_outside_the_pass():
+    rows = np.array([[1.0, 0.5], [1.0, np.inf], [np.nan, 0.0], [1.0, 1.0 / (1.0 - 2.0**-12)]])
+    bounds, least = ring_bounds(rows)
+    assert np.isnan(bounds).tolist() == [False, True, True, True]
+    for kw in ({"tol": Tolerances(initial_samples=512)}, {"schedule": [-0.5, 0.0]}):
+        assert np.all(np.isnan(ring_bounds(rows, **kw)[0]))
+    assert ring_bounds(np.zeros((0, 2), dtype=complex))[0].shape == (0,)
+    # a margin below the witness bar gives no ring bound
+    assert math.isnan(ring_bounds(rows[:1], tol=DEFAULT_TOL.with_bar(0.6))[0][0])
+
+
 # -- in_dual ------------------------------------------------------------------
 
 
@@ -551,6 +677,38 @@ def test_in_dual_evaluates_only_the_proven_rows_that_can_be_worst():
     assert cert.verified and cert.params["members_checked"] == 17**2
     assert sum(_first_rings(spy)) < 17**2 // 4
     assert _text(cert) == _text(per_member_dual(g, V, grid))
+
+
+def test_settle_meshes_few_rows_of_a_circled_rational_family():
+    # a cubic kernel: the coefficient bounds of the products lie 10% or more
+    # below their margins, the ring bounds within a few percent
+    V = FamilySpec((Rational(Circle(0.45), Circle(0.3)),))
+    g = TruncSeries.polynomial([1.0, 0.5 + 0.2j, -0.3j, 0.2])
+    grid = ParamGrid(1, 12, 32, 16)
+    meshed, inside, bounds = [0], [False], []
+    lower, settle = contour._CirclePass.lower, duality._settle_clear_rows
+
+    def spy_lower(circle, rows, L, max_samples):
+        meshed[0] += len(rows) if inside[0] else 0
+        return lower(circle, rows, L, max_samples)
+
+    def spy_settle(verdict, products, orders, proven, opts):
+        inside[0] = True
+        bounds.append(proven)
+        try:
+            settle(verdict, products, orders, proven, opts)
+        finally:
+            inside[0] = False
+
+    with mock.patch.object(contour._CirclePass, "lower", spy_lower), \
+         mock.patch.object(duality, "_settle_clear_rows", spy_settle):
+        cert = in_dual(g, V, grid)
+    assert cert.verified and cert.params["members_checked"] == 1024
+    assert cert.min_modulus == 0.5394791203577837
+    # a pass by ascending coefficient bound meshes every proven row whose
+    # bound is at most the worst margin: 224 of them here
+    by_coefficients = int(np.sum(bounds[0] <= cert.min_modulus))
+    assert by_coefficients == 224 and meshed[0] < by_coefficients // 2
 
 
 def test_in_dual_counts_max_members_over_the_sampled_generators():

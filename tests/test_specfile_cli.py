@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from convdual import cli
 from convdual.cli import build_parser, main
@@ -32,6 +33,8 @@ from convdual.series import TruncSeries, convolve, from_rational, series_distanc
 from convdual.specfile import (
     MAX_ORDER,
     SpecFileError,
+    _coeff_array,
+    _complex,
     dump_family,
     family_to_dict,
     load_family,
@@ -266,6 +269,53 @@ def test_cli_oversized_rational_slices_exit_three_before_listing_points(capsys, 
     )
 
 
+# numbers as JSON gives them, and what else a coefficient list may hold
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.sampled_from([0.0, -0.0, 2**53 + 1, -(2**53) - 1, 2**64 + 3, 10**308 * 2, 10**400, -(10**400)]),
+)
+# JSON has no inf or NaN, but the pass is checked on any list
+numbers_or_non_finite = json_numbers | st.sampled_from([math.inf, -math.inf, math.nan])
+coefficient = st.one_of(
+    numbers_or_non_finite,
+    st.lists(numbers_or_non_finite, min_size=2, max_size=2),
+    st.recursive(
+        st.booleans() | st.none() | st.text(max_size=2) | json_numbers,
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=5,
+    ),
+)
+
+
+def _per_element(coeffs, path):
+    return np.array([_complex(c, f"{path}[{i}]") for i, c in enumerate(coeffs)], dtype=complex)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(coefficient, min_size=1, max_size=6))
+@example([1.0, [-0.0, 0.5], 2**53 + 1, [True, 1.0]])
+@example([1, [1.0]])
+@example([1, [1.0, 2.0, 3.0]])
+@example([1, [[1.0, 2.0], 3.0]])
+@example([1, "2"])
+@example([1, 10**400])
+@example([1, [10**400, -(10**400)]])
+@example([1, 1e308, 1e308])
+def test_typed_coefficient_pass_reads_each_element_alike(coeffs):
+    # bitwise the per-element reading, or its exception with the same text
+    try:
+        want = _per_element(coeffs, "g.coeffs")
+    except (SpecFileError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _coeff_array(coeffs, "g.coeffs")
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = _coeff_array(coeffs, "g.coeffs")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_json_syntax_error_reports_line_and_column():
     with pytest.raises(SpecFileError) as exc:
         parse_family('{"generators": [}', source="bad.spec")
@@ -474,19 +524,30 @@ def test_cli_missing_spec_exits_three(capsys, tmp_path):
 @pytest.mark.parametrize("command, kind", [
     ("t-check", "pencil"), ("perp-check", "pencil"), ("dual-check", "pencil"),
     ("hull-check", "pencil"), ("t-check", "rational"), ("perp-check", "rational"),
-    ("hull-check", "rational"),
+    ("hull-check", "rational"), ("t-check", "fixed"), ("perp-check", "fixed"),
+    ("hull-check", "fixed"),
 ])
 def test_cli_moduli_past_the_float_range_exit_three(capsys, tmp_path, command, kind):
     # abs() of the kernel's coefficient, or of a pairing with it, overflows:
     # the closed forms, the knapsack, the x-slices and the pool's pairing
-    # answer with an error message
+    # answer with an error message; with fixed members (or a fixed pool
+    # kernel) the products are finite and their sum at z = 1 overflows
     gen = {"kind": "pencil", "exponents": [1], "domains": [DISK]}
+    kernel = "[1, [1.5e308, 1.5e308]]"
     if kind == "rational":
         gen = {"kind": "rational", "x_domain": {"shape": "circle", "radius": 0.5},
                "y_domain": DISK}
+    argv = []
+    if kind == "fixed" and command == "hull-check":
+        kernels = tmp_path / "kernels.spec"
+        kernels.write_text(json.dumps({"generators": [{"kind": "fixed", "coeffs": [1, 1, 1]}]}))
+        argv, kernel = ["--kernels", str(kernels)], "[1, 1.7e308, 1.7e308]"
+    elif kind == "fixed":
+        gen = {"kind": "fixed", "coeffs": [1] * 6}
+        kernel = "[1, 1.7e308, 1.7e308, -1.7e308, -1.7e308, -1]"
     spec = tmp_path / "family.spec"
     spec.write_text(json.dumps({"generators": [gen]}))
-    argv = [command, "--family", str(spec), "--kernel", "[1, [1.5e308, 1.5e308]]"]
+    argv = [command, "--family", str(spec), "--kernel", kernel] + argv
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "has a modulus beyond the float range" in err
