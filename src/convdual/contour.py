@@ -543,10 +543,11 @@ def row_margins(
     non-finite coefficient yield NaN.
 
     Each distinct pair of row (its bytes) and order is certified once, in
-    the order of first occurrence, and a repeat yields the same margin.
-    Distinct rows are taken in blocks of at most 32 (the first blocks
-    smaller), and a run of them is refined only when the first of them is
-    asked for, so a caller that stops at a NaN row pays for little past it.
+    the order of first occurrence, and a repeat yields the same margin;
+    the distinct rows are found as the blocks need them.  They are taken
+    in blocks of at most 32 (the first blocks smaller), and a run of them
+    is refined only when the first of them is asked for, so a caller that
+    stops at a NaN row pays for little past it.
 
     Each yielded margin is at least :func:`row_bounds`' coefficient bound
     of its row, where given, and at most the least modulus ``m`` of its
@@ -565,25 +566,32 @@ def row_margins(
     pairs = np.empty((len(rows), rows.shape[1] + 1), dtype=complex)
     pairs[:, :-1], pairs[:, -1] = rows, orders
     keys = pairs.view(f"V{pairs.itemsize * pairs.shape[1]}").ravel().tolist()
-    if len(set(keys)) == len(keys):  # no repeats: the common case, without the bookkeeping
-        yield from _distinct_margins(rows, orders, r, tol)
-        return
-    first: dict[bytes, int] = {}  # each distinct pair's first row, in order
-    firsts = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    distinct = list(first.values())
-    margins = _distinct_margins(rows[distinct], orders[distinct], r, tol)
-    known: dict[int, float] = {}
-    for i in firsts:  # a row not known yet is the next distinct one
-        if i not in known:
-            known[i] = next(margins)
-        yield known[i]
+    margins = _distinct_margins(rows, orders, _first_occurrences(keys), r, tol)
+    known: dict[bytes, float] = {}
+    for key in keys:  # a key not known yet is the next distinct row's
+        if key not in known:
+            known[key] = next(margins)
+        yield known[key]
 
 
-def _distinct_margins(rows: np.ndarray, orders: np.ndarray, r: float, tol: Tolerances) -> Iterator[float]:
-    """:func:`row_margins` of rows on the circle ``|z| = r``, block by block."""
-    start, size = 0, _FIRST_BLOCK
-    while start < len(rows):
-        block, order = rows[start : start + size], orders[start : start + size]
+def _first_occurrences(keys: list) -> Iterator[int]:
+    """The index of each key's first occurrence, in order, found lazily."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            yield i
+
+
+def _distinct_margins(
+    rows: np.ndarray, orders: np.ndarray, picks: Iterator[int], r: float, tol: Tolerances
+) -> Iterator[float]:
+    """:func:`row_margins` of the rows ``picks`` names, in its order, on the
+    circle ``|z| = r``, block by block; a block's rows are picked only when
+    its first margin is asked for."""
+    size = _FIRST_BLOCK
+    while (idx := np.fromiter(itertools.islice(picks, size), dtype=int)).size:
+        block, order = rows[idx], orders[idx]
         circle = _CirclePass(
             lambda idx, zs, b=block: (horner_rows(b[idx], zs), None), r, _FIRST_MESH, tol
         )
@@ -606,7 +614,6 @@ def _distinct_margins(rows: np.ndarray, orders: np.ndarray, r: float, tol: Toler
             else:
                 yield from itertools.repeat(math.nan, j - i)
             i = j
-        start += size
         size = min(2 * size, _ROW_BUDGET // _FIRST_MESH)
 
 
@@ -622,9 +629,10 @@ def _horner_terms(rows: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
     Returns ``|c_k|``; ``spread``, above ``sum_{k>=1} |c_k| |z|^k``, and
     ``L``, above the derivative bound ``sum_{k>=1} k |c_k| |z|^(k-1)``, at
     every computed point ``z`` of a mesh (``|z| <= R``, just above ``r``);
-    and ``error``, at least twice Horner's running error bound for a value
-    at such a point (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, §5.1).
+    and ``gamma`` and ``under``, with which ``gamma (|c_0| + spread) +
+    under`` is at least twice Horner's running error bound for a value at
+    such a point (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 2002, §5.1).  Callers run it with overflow ignored.
     """
     width = rows.shape[1]
     R = r * (1.0 + 4.0 * _EPS)  # above |z| of every computed point r * _unit_ring(n)
@@ -633,17 +641,15 @@ def _horner_terms(rows: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
     # n eps.  The widening doubles that to cover the rounding of the sums below.
     gamma = (8.0 * width + 16.0) * _EPS
     ks = np.arange(1.0, width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = R**ks
-        mods = np.abs(rows)
-        # sum |c_k| R^k, and above the scalar derivative bound sum k |c_k| r^(k-1)
-        sums = mods[:, 1:] @ np.stack([powers, ks * R ** (ks - 1.0)], axis=1)
-        spread, L = sums.T * (1.0 + gamma)
-        # a product that underflows errs by up to 2**-1072 more, carried on
-        # by |z|^j; 2**-1070 leaves a factor of four
-        under = 2.0**-1070 * (1.0 + powers.sum())
-        error = gamma * (mods[:, 0] + spread) + under
-    return mods, spread, L, gamma, under, error
+    powers = R**ks
+    mods = np.abs(rows)
+    # sum |c_k| R^k, and above the scalar derivative bound sum k |c_k| r^(k-1)
+    sums = mods[:, 1:] @ np.stack([powers, ks * R ** (ks - 1.0)], axis=1)
+    spread, L = sums.T * (1.0 + gamma)
+    # a product that underflows errs by up to 2**-1072 more, carried on
+    # by |z|^j; 2**-1070 leaves a factor of four
+    under = 2.0**-1070 * (1.0 + powers.sum())
+    return mods, spread, L, gamma, under
 
 
 def row_bounds(
@@ -685,8 +691,8 @@ def row_bounds(
     r = _row_circle(r_max, schedule, tol)
     if r is None or not rows.size:
         return lower
-    mods, spread, L, gamma, under, _ = _horner_terms(rows, r)
     with np.errstate(over="ignore", invalid="ignore"):
+        mods, spread, L, gamma, under = _horner_terms(rows, r)
         c0 = mods[:, 0] * (1.0 - 2.0 * _EPS)  # at most |c_0|
         rho = spread + gamma * mods[:, 0] + under
         gap = (c0 - rho) * (1.0 - _SLACK)
@@ -740,9 +746,10 @@ def ring_bounds(
     r = _row_circle(r_max, schedule, tol)
     if r is None or not rows.size:
         return lower, least
-    mods, spread, L, _, _, error = _horner_terms(rows, r)
     zs, step = _circle_points(r, _FIRST_MESH), _ROW_BUDGET // _FIRST_MESH
     with _quiet():
+        mods, spread, L, gamma, under = _horner_terms(rows, r)
+        error = gamma * (mods[:, 0] + spread) + under
         for s in range(0, len(rows), step):
             part = slice(s, s + step)
             least[part] = np.abs(horner_rows(rows[part], zs)).min(axis=1)

@@ -30,6 +30,7 @@ to finite suites of certificate checks with per-check PASS/FAIL records.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -150,13 +151,12 @@ def _pairing_value(kernel: TruncSeries, f: TruncSeries) -> EvalResult:
 
 def _pairing_modulus(value: complex) -> float:
     """``abs`` of a pairing value that may become a margin.  A value that is
-    not finite came from an overflow (the products are finite), so its
-    modulus says nothing of the exact pairing: ValueError, as where ``abs``
-    of a finite value overflows."""
-    modulus = _modulus(value, "pairing value")
-    if not math.isfinite(modulus):
-        raise ValueError("pairing value has a modulus beyond the float range")
-    return modulus
+    not finite came from an overflow in the sum (the products are finite),
+    so it says nothing of the exact pairing: ValueError, as where ``abs``
+    of a finite value overflows, each with its own text."""
+    if not cmath.isfinite(value):
+        raise ValueError("pairing value is not finite (overflow in the sum)")
+    return _modulus(value, "pairing value")
 
 
 # the point z = 1 of row passes: Horner multiplies by it, as np.polyval
@@ -875,11 +875,11 @@ def _settle_clear_rows(
     and at most its least modulus on the ring
     (:func:`~convdual.contour.ring_bounds`).  The worst margin known, or
     else the least ring modulus of the row of least coefficient bound,
-    caps the worst margin.  Ring bounds are taken only for the rows whose
-    coefficient bound does not exceed that cap, and only for products of
-    order two or more (a binomial's coefficient bound is as close), and the
-    cap falls to their least ring modulus.  The rows whose larger bound is
-    within the cap are meshed by ascending larger bound until that bound
+    caps the worst margin.  Ring bounds are taken only for the other rows
+    whose coefficient bound does not exceed that cap, and only for products
+    of order two or more (a binomial's coefficient bound is as close), and
+    the cap falls to their least ring modulus.  The rows whose larger bound
+    is within the cap are meshed by ascending larger bound until that bound
     passes the worst margin: a row whose bound lies above it cannot lower
     it.  Every margin fed comes from :func:`row_margins`, so the worst one
     is bitwise the one the row pass gives with every row evaluated.
@@ -887,10 +887,11 @@ def _settle_clear_rows(
     proven = np.argsort(lower, kind="stable")[: np.count_nonzero(~np.isnan(lower))]
     larger, cap = lower[proven], verdict.worst
     ringed = orders[proven] >= 2
+    if ringed.any() and cap == math.inf:
+        ring, least = ring_bounds(products[proven[:1]], **opts)
+        larger[0], cap, ringed[0] = np.fmax(larger[0], ring[0]), least[0], False
+    ringed &= larger <= cap
     if ringed.any():
-        if cap == math.inf:
-            cap = ring_bounds(products[proven[:1]], **opts)[1][0]
-        ringed &= larger <= cap
         ring, least = ring_bounds(products[proven[ringed]], **opts)
         larger[ringed] = np.fmax(larger[ringed], ring)  # where the ring gives no bound, the other
         cap = least.min(initial=cap)

@@ -487,15 +487,12 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
     for gen_index, params, dil in _param_blocks(V, grid, width):
         gen = V.generators[gen_index[0]]
         if isinstance(gen, Fixed):
-            run = [V.generators[i] for i in gen_index.tolist()]
-            rows, radius = _fixed_rows(run, width)
-            stored = np.minimum([g.order + 1 for g in run], width)
+            rows, radius = _fixed_rows([V.generators[i] for i in gen_index.tolist()], width)
         else:
             rows, radius = gen.base_rows(params, width)
-            stored = min(width, gen.order + 1)
-        if dil is not None:
+        if dil is not None:  # one generator per block
             gen_index, params = np.repeat(gen_index, len(dil)), np.repeat(params, len(dil), axis=0)
-            rows, radius = _dilated_rows(rows, radius, dil, stored)
+            rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
         blocks.append((params, rows, radius > 1.0, gen_index))
     counts = [len(b[0]) for b in blocks]
     params = np.full((sum(counts), max(b[0].shape[1] for b in blocks)), np.nan, dtype=complex)
@@ -513,62 +510,63 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
 def _param_blocks(
     V: FamilySpec, grid: ParamGrid, width: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-    """V's members in blocks: one generator's parameter combinations, one
-    row each (the last domain varying fastest), or a run of consecutive
-    fixed generators, one empty row each; with the generator index of each
-    row and the dilation parameters of a slot family.
+    """V's members in blocks, with the generator index of each row and the
+    dilation parameters of a slot family: one generator's parameter
+    combinations, one row each (the last domain varying fastest), or, in a
+    family without a dilation slot, a run of consecutive fixed generators,
+    one empty row each.
 
     The members so far are counted against ``grid.max_members`` and, as
-    rows ``width`` wide, the table limit, generator by generator: a run
-    ends before the generator that breaks a budget, which raises once the
-    members before it are listed.
+    rows ``width`` wide, the table limit before a block's rows (and, the
+    first time, the dilations) are listed.  A run of fixed generators ends
+    at the first one that breaks a budget, so the error and its member
+    count are those of a count generator by generator.
     """
-    gens, total, dil, start = V.generators, 0, None, 0
-    cap = min(grid.max_members, _MAX_TABLE_ENTRIES // width)
+    total = 0
+    dil = None
+    gens = V.generators
+    start = 0
     while start < len(gens):
         gen, stop = gens[start], start + 1
-        if isinstance(gen, Fixed):
-            while stop < len(gens) and isinstance(gens[stop], Fixed):
+        if isinstance(gen, Fixed) and not V.dilation_slot:  # one member each
+            room = min(grid.max_members, _MAX_TABLE_ENTRIES // width) - total
+            while stop < len(gens) and stop - start <= room and isinstance(gens[stop], Fixed):
                 stop += 1
-        count = _member_count(V, gen, grid)  # each, in a run of fixed generators
-        listed = start + min(stop - start, max(0, (cap - total) // count))
-        total += count * (listed - start)
-        if listed > start:
-            if V.dilation_slot and dil is None:
-                dil = np.asarray(dilation_points(grid), dtype=complex)
-            if isinstance(gen, Fixed):
-                yield np.arange(start, listed), np.empty((listed - start, 0), dtype=complex), dil
-            else:
-                lists = gen.param_lists(grid)
-                shape = [len(ps) for ps in lists]
-                params = np.empty((math.prod(shape), len(lists)), dtype=complex)
-                for j, ps in enumerate(lists):
-                    column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
-                    params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
-                yield np.full(len(params), start), params, dil
-        if listed < stop:
-            total += count
-            _check_member_budget(total, grid)
-            _check_table_budget(total, width)
+            total += stop - start
+        else:
+            total += _member_count(V, gen, grid)
+        _check_member_budget(total, grid)
+        _check_table_budget(total, width)
+        if V.dilation_slot and dil is None:
+            dil = np.asarray(dilation_points(grid), dtype=complex)
+        if isinstance(gen, Fixed):
+            yield np.arange(start, stop), np.empty((stop - start, 0), dtype=complex), dil
+        else:
+            lists = gen.param_lists(grid)
+            shape = [len(ps) for ps in lists]
+            params = np.empty((math.prod(shape), len(lists)), dtype=complex)
+            for j, ps in enumerate(lists):
+                column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
+                params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
+            yield np.full(len(params), start), params, dil
         start = stop
 
 
 def _dilated_rows(
-    rows: np.ndarray, radius: np.ndarray, w: np.ndarray, block
+    rows: np.ndarray, radius: np.ndarray, w: np.ndarray, block: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every member dilated by every ``w`` (member-major), and its tail radius.
 
-    Entries before ``block`` (the stored block: one size, or one per
-    member) are bitwise ``dilate``'s ``rows[:, k] * w ** k``, later ones
-    keep their ``leading_block`` markers, and ``w = 0`` gives the exact
-    constant; raises as ``dilate`` does on a product that is not finite."""
+    Entries before ``block`` (the stored block) are bitwise ``dilate``'s
+    ``rows[:, k] * w ** k``, later ones keep their ``leading_block``
+    markers, and ``w = 0`` gives the exact constant; raises as ``dilate``
+    does on a product that is not finite."""
     m, width = rows.shape
     with np.errstate(over="ignore", invalid="ignore"):
         out = rows[:, None, :] * w[:, None] ** np.arange(width)
-    stored = (np.arange(width) < np.reshape(block, (-1, 1)))[:, None, :]
-    if not np.all(np.isfinite(out) | ~stored):
+    if not np.all(np.isfinite(out[:, :, :block])):
         raise ValueError("coefficients must be finite")
-    out = np.where(stored, out, rows[:, None, :])
+    out[:, :, block:] = rows[:, None, block:]
     zero = w == 0
     out[:, zero] = 0.0
     out[:, zero, 0] = rows[:, None, 0]

@@ -467,13 +467,13 @@ def _oracle_verdict(worst: float, gray: list, params: dict):
 
 def _oracle_modulus(value) -> float:
     """``abs`` of a pairing value that may become a margin; a value that is
-    not finite (an overflow) raises ValueError, as the decisions do."""
-    import math
+    not finite (an overflow in the sum) raises ValueError, as the decisions
+    do."""
+    import cmath
 
-    modulus = abs(value)
-    if not math.isfinite(modulus):
-        raise ValueError("pairing value has a modulus beyond the float range")
-    return modulus
+    if not cmath.isfinite(value):
+        raise ValueError("pairing value is not finite (overflow in the sum)")
+    return abs(value)
 
 
 def _oracle_clist(zs) -> list:

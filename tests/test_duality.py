@@ -303,11 +303,6 @@ HUGE_SUM = P([1.0, 1.7e308, 1.7e308, -1.7e308, -1.7e308, -1.0])
 ONES = FamilySpec((Fixed(P([1.0] * 6)),))
 
 
-def _deciding(h, decide, **kwargs):
-    """``decide`` of ``h`` in place of the series the test passes."""
-    return lambda _, V: decide(h, V, **kwargs)
-
-
 @pytest.mark.parametrize("decide, V, what", [
     (in_T, V1, "kernel coefficient"),
     (in_perp, V1, "kernel coefficient"),
@@ -316,18 +311,25 @@ def _deciding(h, decide, **kwargs):
     (in_T, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
     (in_perp, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "x-slice sum"),
     (in_dual_hull, FamilySpec((Rational(Circle(0.5), Disk(0.3)),)), "pairing value"),
-    # finite products whose pairing value is not finite
-    pytest.param(_deciding(HUGE_SUM, in_T), ONES, "pairing value", id="in_T-sum-overflow"),
-    pytest.param(_deciding(HUGE_SUM, in_perp), ONES, "pairing value", id="in_perp-sum-overflow"),
-    pytest.param(
-        _deciding(P([1.0, 1.7e308, 1.7e308]), in_dual_hull,
-                  kernels=FamilySpec((Fixed(P([1.0, 1.0, 1.0])),))),
-        FamilySpec((Pencil((1,), (Disk(0.5),)),)), "pairing value", id="in_dual_hull-sum-overflow",
-    ),
 ])
 def test_moduli_past_the_float_range_raise_value_error(decide, V, what):
     with pytest.raises(ValueError, match=f"{what} has a modulus beyond the float range"):
         decide(BIG, V)
+
+
+@pytest.mark.parametrize("decide, h, V, kwargs", [
+    pytest.param(in_T, HUGE_SUM, ONES, {}, id="in_T"),
+    pytest.param(in_perp, HUGE_SUM, ONES, {}, id="in_perp"),
+    pytest.param(
+        in_dual_hull, P([1.0, 1.7e308, 1.7e308]), FamilySpec((Pencil((1,), (Disk(0.5),)),)),
+        {"kernels": FamilySpec((Fixed(P([1.0, 1.0, 1.0])),))}, id="in_dual_hull",
+    ),
+])
+def test_pairing_values_that_overflow_in_the_sum_raise_value_error(decide, h, V, kwargs):
+    # finite products whose pairing value is not finite: the value is
+    # undefined, not out of range, and says so
+    with pytest.raises(ValueError, match=r"pairing value is not finite \(overflow in the sum\)"):
+        decide(h, V, **kwargs)
 
 
 def test_x_slices_before_an_overflowing_one_still_decide():

@@ -123,6 +123,11 @@ def _tag_bytes(tag):
 )
 @example(  # a run of fixed generators: the second passes max_members, the first is listed
     FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.5])), Fixed(TruncSeries([1.0, 0.2j], None)),
+                Fixed(TruncSeries([1.0, -0.3], Tail(1.0, 2.0))), Pencil((1,), (Disk(0.5),)))),
+    ParamGrid(1, 2), 6 - 1,
+)
+@example(  # fixed generators in a slot family are listed one by one, each with its dilations
+    FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.5])), Fixed(TruncSeries([1.0, 0.2j], None)),
                 Fixed(TruncSeries([1.0, -0.3], Tail(1.0, 2.0))), Pencil((1,), (Disk(0.5),))),
                dilation_slot=True),
     ParamGrid(1, 2), 18 - 5,
@@ -148,6 +153,19 @@ def test_sample_is_the_reference_lister(V, grid, short):
         assert _tag_bytes(tag) == _tag_bytes(tag0)  # a parameter may be NaN: compared as bytes
     with np.errstate(over="ignore", invalid="ignore"):
         assert leading_rows(V, grid, 1).labels(V) == [tag.label() for _, tag in want]
+
+
+def test_a_run_of_fixed_generators_breaks_a_budget_where_a_count_one_by_one_does():
+    # four fixed generators listed 3 wide under a limit of 6 entries: the
+    # third breaks the table limit, with the member count a generator-by-
+    # generator count reaches there; a member budget of 2 breaks first
+    V = FamilySpec((Fixed(TruncSeries.polynomial([1.0, 0.5])),) * 4)
+    with mock.patch.object(family, "_MAX_TABLE_ENTRIES", 6):
+        assert len(leading_rows(replace(V, generators=V.generators[:2]), ParamGrid(), 3).coeffs) == 2
+        with pytest.raises(ValueError, match="member table of 3 members x 3 coefficients"):
+            leading_rows(V, ParamGrid(), 3)
+        with pytest.raises(ValueError, match="more than 2 members"):
+            leading_rows(V, ParamGrid(max_members=2), 3)
 
 
 def test_table_labels_tell_signed_zeros_apart():

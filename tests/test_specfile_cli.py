@@ -531,7 +531,7 @@ def test_cli_moduli_past_the_float_range_exit_three(capsys, tmp_path, command, k
     # abs() of the kernel's coefficient, or of a pairing with it, overflows:
     # the closed forms, the knapsack, the x-slices and the pool's pairing
     # answer with an error message; with fixed members (or a fixed pool
-    # kernel) the products are finite and their sum at z = 1 overflows
+    # kernel) the products are finite and their sum at z = 1 is not
     gen = {"kind": "pencil", "exponents": [1], "domains": [DISK]}
     kernel = "[1, [1.5e308, 1.5e308]]"
     if kind == "rational":
@@ -550,7 +550,10 @@ def test_cli_moduli_past_the_float_range_exit_three(capsys, tmp_path, command, k
     argv = [command, "--family", str(spec), "--kernel", kernel] + argv
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "has a modulus beyond the float range" in err
+    expected = "has a modulus beyond the float range"
+    if kind == "fixed":
+        expected = "pairing value is not finite (overflow in the sum)"
+    assert err.startswith("error: ") and expected in err
 
 
 def test_cli_usage_errors_exit_three(capsys, pencil_path):
