@@ -410,9 +410,9 @@ def sample(V: FamilySpec, grid: Optional[ParamGrid] = None) -> list[tuple[TruncS
     """
     grid = grid or ParamGrid()
     out: list[tuple[TruncSeries, MemberTag]] = []
-    for gen_index, params, dil in _param_blocks(V, grid, 1):
+    for run, params, dil in _param_blocks(V, grid, 1):
         dil = None if dil is None else dil.tolist()
-        for gi, p in zip(gen_index.tolist(), params.tolist()):
+        for gi, p in zip(np.repeat(run, len(params) // len(run)).tolist(), params.tolist()):
             gen = V.generators[gi]
             member, p = gen.instantiate(p), tuple(p)
             if dil is None:
@@ -483,25 +483,29 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
     and a dilation slot scales them by ``w ** k`` (:func:`_dilated_rows`);
     no series is built.  Raises the budget errors of :func:`_param_blocks`.
     """
-    blocks: list[tuple[np.ndarray, ...]] = []  # (params, coeffs, regular, gen_index)
-    for gen_index, params, dil in _param_blocks(V, grid, width):
-        gen = V.generators[gen_index[0]]
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (params, coeffs, regular)
+    gens: list[int] = []  # each block's generators, in order, and the members each lists
+    per_gen: list[int] = []
+    for run, params, dil in _param_blocks(V, grid, width):
+        gen = V.generators[run.start]
         if isinstance(gen, Fixed):
-            rows, radius = _fixed_rows([V.generators[i] for i in gen_index.tolist()], width)
+            rows, radius = _fixed_rows(V.generators[run.start : run.stop], width)
         else:
             rows, radius = gen.base_rows(params, width)
         if dil is not None:  # one generator per block
-            gen_index, params = np.repeat(gen_index, len(dil)), np.repeat(params, len(dil), axis=0)
+            params = np.repeat(params, len(dil), axis=0)
             rows, radius = _dilated_rows(rows, radius, dil, min(width, gen.order + 1))
-        blocks.append((params, rows, radius > 1.0, gen_index))
-    counts = [len(b[0]) for b in blocks]
-    params = np.full((sum(counts), max(b[0].shape[1] for b in blocks)), np.nan, dtype=complex)
-    for (p, _, _, _), end in zip(blocks, itertools.accumulate(counts)):
+        blocks.append((params, rows, radius > 1.0))
+        gens.extend(run)
+        per_gen.extend([len(rows) // len(run)] * len(run))
+    counts = [len(p) for p, _, _ in blocks]
+    params = np.full((sum(counts), max(p.shape[1] for p, _, _ in blocks)), np.nan, dtype=complex)
+    for (p, _, _), end in zip(blocks, itertools.accumulate(counts)):
         params[end - len(p) : end, : p.shape[1]] = p
     return LeadingRows(
-        np.concatenate([b[1] for b in blocks]),
-        np.concatenate([b[2] for b in blocks]),
-        np.concatenate([b[3] for b in blocks]),
+        np.concatenate([c for _, c, _ in blocks]),
+        np.concatenate([r for _, _, r in blocks]),
+        np.repeat(gens, per_gen),
         params,
         None if dil is None else np.tile(dil, len(params) // len(dil)),
     )
@@ -509,9 +513,9 @@ def leading_rows(V: FamilySpec, grid: ParamGrid, width: int) -> LeadingRows:
 
 def _param_blocks(
     V: FamilySpec, grid: ParamGrid, width: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-    """V's members in blocks, with the generator index of each row and the
-    dilation parameters of a slot family: one generator's parameter
+) -> Iterator[tuple[range, np.ndarray, Optional[np.ndarray]]]:
+    """V's members in blocks, with the indices of the block's generators
+    and the dilation parameters of a slot family: one generator's parameter
     combinations, one row each (the last domain varying fastest), or, in a
     family without a dilation slot, a run of consecutive fixed generators,
     one empty row each.
@@ -540,7 +544,7 @@ def _param_blocks(
         if V.dilation_slot and dil is None:
             dil = np.asarray(dilation_points(grid), dtype=complex)
         if isinstance(gen, Fixed):
-            yield np.arange(start, stop), np.empty((stop - start, 0), dtype=complex), dil
+            yield range(start, stop), np.empty((stop - start, 0), dtype=complex), dil
         else:
             lists = gen.param_lists(grid)
             shape = [len(ps) for ps in lists]
@@ -548,7 +552,7 @@ def _param_blocks(
             for j, ps in enumerate(lists):
                 column = np.tile(np.asarray(ps, dtype=complex), math.prod(shape[:j]))
                 params[:, j] = np.repeat(column, math.prod(shape[j + 1 :]))
-            yield np.full(len(params), start), params, dil
+            yield range(start, stop), params, dil
         start = stop
 
 
