@@ -590,8 +590,8 @@ def _distinct_margins(
     circle ``|z| = r``, block by block; a block's rows are picked only when
     its first margin is asked for."""
     size = _FIRST_BLOCK
-    while (idx := np.fromiter(itertools.islice(picks, size), dtype=int)).size:
-        block, order = rows[idx], orders[idx]
+    while (picked := np.fromiter(itertools.islice(picks, size), dtype=int)).size:
+        block, order = rows[picked], orders[picked]
         circle = _CirclePass(
             lambda idx, zs, b=block: (horner_rows(b[idx], zs), None), r, _FIRST_MESH, tol
         )
