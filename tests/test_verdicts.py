@@ -21,6 +21,7 @@ import sys
 
 import pytest
 
+from convdual.contour import DEFAULT_TOL
 from convdual.duality import in_dual, in_dual_hull, in_perp, in_T, is_complete_T
 from convdual.family import Circle, Disk, FamilySpec, Fixed, Pencil, Rational, pencil_family
 from convdual.series import TruncSeries, from_rational
@@ -62,6 +63,13 @@ CASES = {
     "in_T/inconclusive-tailless-second-member": lambda: in_T(
         from_rational(0.5, 0.2), fixed_family(P([1.0, 0.3]), notail([1.0, 0.3]))
     ),
+    "in_T/inconclusive-exact-margin": lambda: in_T(P([1.0, 1.0 - 5e-8]), V1),
+    # a bar below the rounding of the constructed member's pairing value
+    "in_T/inconclusive-witness-residual": lambda: in_T(
+        P([1.0, 0.3 + 0.7j]),
+        FamilySpec((Pencil((1,), (Disk(2.0),)),)),
+        tol=DEFAULT_TOL.with_bar(1e-20),
+    ),
     "in_perp/exact-verified": lambda: in_perp(P([1.0, 0.5]), V1),
     "in_perp/falsified-sampled-member": lambda: in_perp(
         P([1.0, 2.0]), fixed_family(P([1.0, 0.1]), P([1.0, -0.5]))
@@ -78,6 +86,12 @@ CASES = {
     "in_dual/inconclusive-tailless-member": lambda: in_dual(
         from_rational(0.5, 0.2), fixed_family(P([1.0, 0.3]), notail([1.0, 0.3]))
     ),
+    "in_dual/inconclusive-witness-verification": lambda: in_dual(
+        P([1.0, 1e7, 1.0000001e7]), FamilySpec((Pencil((1, 2), (Circle(1.0), Circle(1.0))),))
+    ),
+    "in_dual/inconclusive-dual-margin": lambda: in_dual(
+        P([1.0, 1.0]), V1, tol=DEFAULT_TOL.with_bar(1e-5)
+    ),
     # dual hull
     "in_dual_hull/falsified-knapsack": lambda: in_dual_hull(P([1.0, 2.0]), V1),
     "in_dual_hull/falsified-matrix": lambda: in_dual_hull(P([1.0, 2.0]), CIRCLE_HALF),
@@ -89,6 +103,9 @@ CASES = {
     # completeness of the transpose
     "is_complete_T/verified": lambda: is_complete_T(V1),
     "is_complete_T/falsified": lambda: is_complete_T(fixed_family(P([1.0, 1.0]))),
+    "is_complete_T/inconclusive-kernel-margin": lambda: is_complete_T(
+        fixed_family(P([1.0, 0.5])), kernels=fixed_family(P([1.0, -4.0 * (1.0 - 5e-8)]))
+    ),
 }
 
 
@@ -135,6 +152,19 @@ def test_every_status_and_branch_is_reached():
     assert "kernel_coeffs" in golden["in_dual_hull/falsified-knapsack"]["params"]
     for name in ("in_dual_hull/falsified-matrix", "in_dual_hull/falsified-per-kernel"):
         assert golden[name]["reason"] == "pool transpose kernel annihilates the series"
+    gray = {
+        "in_T/inconclusive-exact-margin":
+            "generator 0: exact pairing margin 5.000e-08 below the decision floor",
+        "in_T/inconclusive-witness-residual":
+            "generator 0: constructed witness residual 2.289e-16 exceeds the witness bar",
+        "in_dual/inconclusive-witness-verification":
+            "zero indicated inside the disk but witness verification failed",
+        "in_dual/inconclusive-dual-margin": "generator 0: dual margin 2.441e-04 below the floor",
+        "is_complete_T/inconclusive-kernel-margin":
+            "g0:fixed(): g0:fixed()@P[0.5+0j]: pairing margin 5.000e-08 below the floor",
+    }
+    for name, reason in gray.items():
+        assert golden[name]["reason"] == reason, name
 
 
 if __name__ == "__main__":
