@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -77,14 +77,7 @@ class Tolerances:
     newton_iterations: int = 60
 
     def with_bar(self, bar: float) -> "Tolerances":
-        return Tolerances(
-            witness_bar=bar,
-            margin_floor=max(100.0 * bar, bar),
-            initial_samples=self.initial_samples,
-            sample_budget=self.sample_budget,
-            phase_step=self.phase_step,
-            newton_iterations=self.newton_iterations,
-        )
+        return replace(self, witness_bar=bar, margin_floor=max(100.0 * bar, bar))
 
 
 DEFAULT_TOL = Tolerances()

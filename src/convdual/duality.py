@@ -17,9 +17,13 @@ sampled family; Verified certificates carry that scope in their params so
 reports never over-claim, while Falsified certificates are always conclusive
 (the witness is an actual member, kernel, or point, and its pairing value is
 re-checked against the witness bar before the certificate is emitted).
-The procedures, and ``is_complete_T``, collect their margins and undecidable
-cases in one accumulator, so the Verified and Inconclusive forms are the
-same everywhere; sampled members are tagged with their own generator index.
+The procedures, and ``is_complete_T``, judge every member, slice or kernel
+an array pass does not clear by one judge, ``_Verdict``, under one rule: a
+value under ``tol.witness_bar`` is a witness, a margin at or under
+``tol.margin_floor`` is gray, anything else is a margin.  The judge keeps
+the worst margin, the gray reasons and the scope, so the Verified and
+Inconclusive forms are the same everywhere; sampled members are tagged
+with their own generator index.
 ``sigma_search`` bisects a transpose member's dilation margin with ``in_T``.
 
 ``verify_theorem`` reduces the structural identities between these sets
@@ -149,16 +153,6 @@ def _pairing_value(kernel: TruncSeries, f: TruncSeries) -> EvalResult:
     return evaluate(convolve(f, kernel), 1.0)
 
 
-def _pairing_modulus(value: complex) -> float:
-    """``abs`` of a pairing value that may become a margin.  A value that is
-    not finite came from an overflow in the sum (the products are finite),
-    so it says nothing of the exact pairing: ValueError, as where ``abs``
-    of a finite value overflows, each with its own text."""
-    if not cmath.isfinite(value):
-        raise ValueError("pairing value is not finite (overflow in the sum)")
-    return _modulus(value, "pairing value")
-
-
 # the point z = 1 of row passes: Horner multiplies by it, as np.polyval
 # does, which keeps polyval's inf/nan results
 _AT_ONE = np.ones(1, dtype=complex)
@@ -166,23 +160,34 @@ _AT_ONE.flags.writeable = False
 
 
 class _Verdict:
-    """Worst certified margin and gray entries of one decision.
+    """The judge of one decision: its worst margin, gray entries and scope.
 
-    Every decision procedure feeds its conclusive margins and its
-    undecidable cases here and returns :meth:`certificate`: Inconclusive
-    when anything was gray (the first three reasons, then a count), else
-    Verified with the worst margin (1.0 when nothing had a finite one) and
-    the caller's scope params.  Falsified certificates are returned by the
-    callers directly, since they end the decision.  Reasons come as
-    callables and only the shown ones are formatted.
+    Each per-item judgement of a decision is one call under the rule of
+    ``tol``: a value under the witness bar is a witness, a margin at or
+    under the margin floor is gray, any other margin counts toward the
+    worst.  :meth:`certified` judges a certified margin (a closed form's),
+    :meth:`pairing` a pairing value with its error bound, and :meth:`item`
+    an item by its own certificate (a member's contour certificate, a
+    kernel's :func:`in_T`); the last two return True on a witness, and the
+    caller returns its own Falsified certificate.  Margins an array pass
+    clears in bulk come in through :meth:`feed_clear`, and members decided
+    over the sampled family through :meth:`sampled`.  :meth:`certificate`
+    is Inconclusive when anything was gray (the first three reasons, then a
+    count), else Verified with the worst margin (1.0 when nothing had a
+    finite one) and the caller's params, by default the scope and
+    ``members_checked``.  Reasons are callables; only the shown ones are
+    formatted.
     """
 
     SHOWN = 3  # gray reasons a certificate prints
 
-    def __init__(self) -> None:
+    def __init__(self, tol: Tolerances) -> None:
+        self.tol = tol
         self.worst = math.inf
         self.gray_count = 0
         self.reasons: list[str] = []
+        self.scope = "exact"
+        self.members_checked = 0
 
     def margin(self, m: float) -> None:
         self.worst = min(self.worst, m)
@@ -192,7 +197,50 @@ class _Verdict:
         if len(self.reasons) < self.SHOWN:
             self.reasons.append(reason())
 
-    def certificate(self, params: dict) -> Certificate:
+    def sampled(self, members: int) -> None:
+        self.scope = "sampled"
+        self.members_checked += members
+
+    def feed_clear(self, margins: np.ndarray, clear: np.ndarray) -> list[int]:
+        """Take the worst of the ``clear`` margins at once and return the other
+        rows, ascending.  Clear rows only lower the worst margin, so judging
+        the rest in order gives the first Falsified row, the gray reasons and
+        the first error of a loop over every row."""
+        self.margin(float(margins[clear].min(initial=math.inf)))
+        return (~clear).nonzero()[0].tolist()
+
+    def certified(self, m: float, reason: Callable[[], str]) -> None:
+        if m > self.tol.margin_floor:
+            self.margin(m)
+        else:
+            self.gray(reason)
+
+    def pairing(self, v: EvalResult, label: Callable[[], str], unusable: str) -> bool:
+        """An infinite bound is gray (``unusable``).  A value that is not
+        finite came from an overflow in the sum of finite products, so it says
+        nothing of the exact pairing: ValueError, as where ``abs`` overflows."""
+        if not math.isfinite(v.error_bound):
+            self.gray(lambda: f"{label()}: {unusable}")
+            return False
+        if not cmath.isfinite(v.value):
+            raise ValueError("pairing value is not finite (overflow in the sum)")
+        modulus = _modulus(v.value, "pairing value")
+        if modulus + v.error_bound < self.tol.witness_bar:
+            return True
+        margin = modulus - v.error_bound
+        self.certified(margin, lambda: f"{label()}: pairing margin {margin:.3e} below the floor")
+        return False
+
+    def item(self, cert: Certificate, label: Callable[[], str]) -> bool:
+        if cert.falsified:
+            return True
+        if cert.status is CertStatus.INCONCLUSIVE:
+            self.gray(lambda: f"{label()}: {cert.reason}")
+        else:
+            self.margin(cert.min_modulus)
+        return False
+
+    def certificate(self, params: Optional[dict] = None) -> Certificate:
         if self.gray_count:
             hidden = self.gray_count - len(self.reasons)
             more = f" (+{hidden} more)" if hidden else ""
@@ -201,6 +249,8 @@ class _Verdict:
                 reason="; ".join(self.reasons) + more,
                 params={"gray_members": self.gray_count},
             )
+        if params is None:
+            params = {"scope": self.scope, "members_checked": self.members_checked}
         worst = self.worst
         return Certificate(
             status=CertStatus.VERIFIED,
@@ -448,18 +498,6 @@ def _clear_pairings(
     return moduli, filled & clear
 
 
-def _feed_clear(verdict: _Verdict, margins: np.ndarray, clear: np.ndarray) -> list[int]:
-    """Feed ``verdict`` the worst of the ``clear`` margins in one step and
-    return the other rows, ascending, for the caller's per-row code.
-
-    Clear rows only lower the worst margin, which does not depend on order,
-    so visiting the rest in order gives the first Falsified row, the gray
-    reasons and the first error of a loop over every row.
-    """
-    verdict.margin(float(margins[clear].min(initial=math.inf)))
-    return (~clear).nonzero()[0].tolist()
-
-
 def _pairing_certificate(
     kernel: TruncSeries,
     family: FamilySpec,
@@ -476,55 +514,49 @@ def _pairing_certificate(
     undetermined kernel coefficients, fixed members, all dilated in a slot
     family) as one :func:`_sampled_table`, whose exact products are paired
     in one :func:`_table_products` pass at ``z = 1``.  The rows and slices
-    that clear the floor feed the verdict at once (:func:`_feed_clear`);
+    that clear the floor feed the verdict at once (:meth:`_Verdict.feed_clear`);
     the others are judged in sample order, and only the members without a
     filled row build their series, so the first Falsified member, the gray
     reasons and ``members_checked`` are those of a per-member loop.
     """
     grid = grid or ParamGrid()
-    verdict = _Verdict()
-    all_exact = True
-    members_checked = 0
+    verdict = _Verdict(tol)
     table = None
     for gi, gen in enumerate(family.generators):
         if isinstance(gen, Pencil):
             outcome = _pencil_pairing_at_one(gen, kernel, family.dilation_slot)
             if outcome is not None:
-                if outcome.params is not None:
-                    if abs(outcome.value) < tol.witness_bar:
-                        return _falsified_pairing(
-                            gi, gen, outcome.params, outcome.value, outcome.dilation
-                        )
+                if outcome.params is None:
+                    verdict.certified(
+                        outcome.margin,
+                        lambda: f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
+                        "below the decision floor",
+                    )
+                elif abs(outcome.value) < tol.witness_bar:
+                    return _falsified_pairing(
+                        gi, gen, outcome.params, outcome.value, outcome.dilation
+                    )
+                else:
                     verdict.gray(
                         lambda: f"generator {gi}: constructed witness residual "
                         f"{abs(outcome.value):.3e} exceeds the witness bar"
                     )
-                    continue
-                if outcome.margin > tol.margin_floor:
-                    verdict.margin(outcome.margin)
-                    continue
-                verdict.gray(
-                    lambda: f"generator {gi}: exact pairing margin {outcome.margin:.3e} "
-                    "below the decision floor"
-                )
                 continue
-        all_exact = False
         if isinstance(gen, Rational):
             dilations = Disk(1.0).point_count(grid) if family.dilation_slot else 1
             _check_member_budget(gen.y_domain.point_count(grid) * dilations, grid)
             ys = gen.y_domain.points(grid)
             us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
+            verdict.sampled(len(ys) * len(us))
             for lo, S, tail, margin in _x_slices(gen, kernel, ys, us):
                 clear = (margin > tol.margin_floor) & (margin < math.inf)
                 # the other slices in order: abs() as Python takes it (an
                 # infinite margin then clears), a root in the x-domain, or gray
-                for i in _feed_clear(verdict, margin, clear):
+                for i in verdict.feed_clear(margin, clear):
                     y, u = ys[(lo + i) // len(us)], us[(lo + i) % len(us)]
                     s, m = complex(S[i]), float(margin[i])
                     _modulus(s, "x-slice sum")
                     _modulus(1.0 - y * s, "x-slice pairing")
-                    if m == math.inf:
-                        continue
                     if not m > 0.0 and s != 0:
                         xstar = y - 1.0 / s
                         if gen.x_domain.contains(xstar, 1e-12):
@@ -534,11 +566,10 @@ def _pairing_certificate(
                                     gi, gen, (xstar, y), value,
                                     u if family.dilation_slot else None,
                                 )
-                    verdict.gray(
-                        lambda: f"generator {gi} at y = {y:.6g}: x-slice margin "
+                    verdict.certified(
+                        m, lambda: f"generator {gi} at y = {y:.6g}: x-slice margin "
                         f"{m:.3e} not decidable"
                     )
-            members_checked += len(ys) * len(us)
             continue
         if table is None:
             # this generator and every later one the closed forms leave to sampling
@@ -552,35 +583,20 @@ def _pairing_certificate(
             values, filled = _table_products(table, orders, exact, kernel, _AT_ONE)
             moduli, settled = _clear_pairings(values[:, 0], filled, tol)
         rows = next(ranges)
-        members_checked += len(rows)
+        verdict.sampled(len(rows))
         here = slice(rows.start, rows.stop)
-        for j in _feed_clear(verdict, moduli[here], settled[here]):
+        for j in verdict.feed_clear(moduli[here], settled[here]):
             i = rows.start + j
             if filled[i]:
                 v = EvalResult(complex(values[i, 0]), 0.0)
             else:
                 v = _pairing_value(kernel, table.member(family, i))
-            if not math.isfinite(v.error_bound):
-                verdict.gray(
-                    lambda: f"{table.tag(family, i).label()}: "
-                    "pairing bound unusable (tail radius <= 1)"
-                )
-                continue
-            modulus = _pairing_modulus(v.value)
-            if modulus + v.error_bound < tol.witness_bar:
+            if verdict.pairing(
+                v, lambda: table.tag(family, i).label(), "pairing bound unusable (tail radius <= 1)"
+            ):
                 tag = table.tag(family, i)
                 return _falsified_pairing(gi, gen, tag.params, v.value, tag.dilation)
-            margin = modulus - v.error_bound
-            if margin <= tol.margin_floor:
-                verdict.gray(
-                    lambda: f"{table.tag(family, i).label()}: "
-                    f"pairing margin {margin:.3e} below the floor"
-                )
-                continue
-            verdict.margin(margin)
-    return verdict.certificate(
-        {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
-    )
+    return verdict.certificate()
 
 
 # -- transpose / perp ------------------------------------------------------------
@@ -794,9 +810,7 @@ def in_dual(
     # open-disk decision on the base member covers every |u| <= 1; sampling
     # the base family keeps certificates identical for V and its hull
     base = replace(V, dilation_slot=False) if V.dilation_slot else V
-    verdict = _Verdict()
-    all_exact = True
-    members_checked = 0
+    verdict = _Verdict(tol)
     table = None
     for gi, gen in enumerate(V.generators):
         if isinstance(gen, Pencil):
@@ -804,17 +818,15 @@ def in_dual(
             if cert is not None:
                 if cert.falsified:
                     return cert
-                if cert.status is CertStatus.INCONCLUSIVE:
-                    verdict.gray(lambda: cert.reason or f"generator {gi} inconclusive")
-                    continue
-                if cert.min_modulus <= tol.margin_floor:
-                    verdict.gray(
-                        lambda: f"generator {gi}: dual margin {cert.min_modulus:.3e} below the floor"
+                if cert.verified:
+                    verdict.certified(
+                        cert.min_modulus,
+                        lambda: f"generator {gi}: dual margin {cert.min_modulus:.3e} "
+                        "below the floor",
                     )
-                    continue
-                verdict.margin(cert.min_modulus)
+                else:
+                    verdict.gray(lambda: cert.reason)
                 continue
-        all_exact = False
         if table is None:
             # this generator and every later one the closed form leaves to sampling
             sampled = [gi] + [
@@ -831,17 +843,19 @@ def in_dual(
             lower = row_bounds(products, **opts)
             clear = ~np.isnan(lower)
             margins = row_margins(products[~clear], orders[~clear], **opts)
-        for i in next(ranges):
-            members_checked += 1
+        rows = next(ranges)
+        verdict.sampled(len(rows))
+        for i in rows:
             if clear[i]:
                 continue
             margin = next(margins)
             if not math.isnan(margin):
                 verdict.margin(margin)
                 continue
-            f = table.member(base, i)
-            inner = nonvanishing_in_disk(convolve(f, g), r_max=r_max, schedule=schedule, tol=tol)
-            if inner.falsified:
+            inner = nonvanishing_in_disk(
+                convolve(table.member(base, i), g), r_max=r_max, schedule=schedule, tol=tol
+            )
+            if verdict.item(inner, lambda: table.tag(base, i).label()):
                 tag = table.tag(base, i)
                 return Certificate(
                     status=CertStatus.FALSIFIED,
@@ -854,15 +868,9 @@ def in_dual(
                         "member": tag.label(),
                     },
                 )
-            if inner.status is CertStatus.INCONCLUSIVE:
-                verdict.gray(lambda: f"{table.tag(base, i).label()}: {inner.reason}")
-                continue
-            verdict.margin(inner.min_modulus)
     if table is not None and not verdict.gray_count:
         _settle_clear_rows(verdict, products, orders, lower, opts)
-    return verdict.certificate(
-        {"scope": "exact" if all_exact else "sampled", "members_checked": members_checked}
-    )
+    return verdict.certificate()
 
 
 def _settle_clear_rows(
@@ -1176,23 +1184,14 @@ def in_dual_hull(
         values = horner_rows(products.T, _AT_ONE)[:, 0]
     filled = exact[pool.rows.gen_index] & np.isfinite(products).all(axis=0)
     moduli, clear = _clear_pairings(values, filled, tol)
-    verdict = _Verdict()
-    for i in _feed_clear(verdict, moduli, clear):
+    verdict = _Verdict(tol)
+    for i in verdict.feed_clear(moduli, clear):
         if filled[i]:
             v = EvalResult(complex(values[i]), 0.0)
         else:
             v = _pairing_value(pool.kernel(i), h)
-        if not math.isfinite(v.error_bound):
-            verdict.gray(lambda: f"{pool.tag(i).label()}: unusable pairing bound")
-            continue
-        modulus = _pairing_modulus(v.value)
-        if modulus + v.error_bound < tol.witness_bar:
+        if verdict.pairing(v, lambda: pool.tag(i).label(), "unusable pairing bound"):
             return _pool_kernel_annihilates(pool.tag(i), v.value)
-        margin = modulus - v.error_bound
-        if margin <= tol.margin_floor:
-            verdict.gray(lambda: f"{pool.tag(i).label()}: pairing margin {margin:.3e} below the floor")
-            continue
-        verdict.margin(margin)
     return verdict.certificate(
         {
             "scope": "relative to the sampled kernel family",
@@ -1221,15 +1220,15 @@ def is_complete_T(
     """
     pool = build_transpose_pool(V, kernels, kernel_grid, grid, tol)
     hull = complete_hull(V)
-    verdict = _Verdict()
+    verdict = _Verdict(tol)
     margins = _transpose_margins(hull, pool.coeffs)
     if margins is None:
         scalar = range(len(pool.coeffs))
     else:
-        scalar = _feed_clear(verdict, margins, _clears_floor(margins, tol))
+        scalar = verdict.feed_clear(margins, _clears_floor(margins, tol))
     for i in scalar:
         cert = in_T(pool.kernel(i), hull, grid, tol)
-        if cert.falsified:
+        if verdict.item(cert, lambda: pool.tag(i).label()):
             tag = pool.tag(i)
             params = dict(cert.params)
             params["kernel"] = tag.label()
@@ -1240,10 +1239,6 @@ def is_complete_T(
                 reason="transpose kernel fails against a dilated member",
                 params=params,
             )
-        if cert.status is CertStatus.INCONCLUSIVE:
-            verdict.gray(lambda: f"{pool.tag(i).label()}: {cert.reason}")
-            continue
-        verdict.margin(cert.min_modulus)
     return verdict.certificate({"kernels_in_transpose": len(pool.coeffs)})
 
 
@@ -1698,13 +1693,13 @@ def _nearest_in_set(queries: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def _exact_reference(points) -> np.ndarray:
     """The distinct finite ``points``, unrounded, then every non-finite one.
 
-    ``np.unique`` alone would merge all values holding a NaN into one, and
+    A dedupe would merge all values holding a NaN into one, and
     ``inf + nan j`` is ``inf`` away from a finite query where ``0.5 + nan j``
     is ``nan``; keeping them all keeps the all-pairs minimum.
     """
     points = np.asarray(points, dtype=complex)
     finite = np.isfinite(points)
-    return np.concatenate([np.unique(points[finite]), points[~finite]])
+    return np.concatenate([_distinct(points[finite]), points[~finite]])
 
 
 def _coverage_boundary_flags(
@@ -1977,19 +1972,17 @@ def _report(theorem: str, checks: Sequence[CheckRecord], cfg: VerifierConfig) ->
     return VerifierReport(theorem, tuple(checks), summary, config)
 
 
-def _kernel_pool(
-    cfg: VerifierConfig, grid: ParamGrid = _KERNEL_GRID, cap: int = _MAX_KERNELS
-) -> list[tuple[TruncSeries, MemberTag]]:
-    """The suites' kernels: ``cfg``'s kernel family sampled on ``grid``,
-    capped at ``cap`` by a stride within each generator's rows so every
-    kernel kind (and the boundary rings of each block) stays represented.
-    Only the kept kernels are built, in sample order."""
+def _kernel_pool(cfg: VerifierConfig) -> list[tuple[TruncSeries, MemberTag]]:
+    """The suites' kernels: ``cfg``'s kernel family sampled on ``_KERNEL_GRID``,
+    capped at ``_MAX_KERNELS`` by a stride within each generator's rows so
+    every kernel kind (and the boundary rings of each block) stays
+    represented.  Only the kept kernels are built, in sample order."""
     kernels = cfg.kernels or default_kernel_family()
-    rows = leading_rows(kernels, grid, 1)
+    rows = leading_rows(kernels, _KERNEL_GRID, 1)
     keep: Iterable[int] = range(len(rows.gen_index))
-    if len(rows.gen_index) > cap:
+    if len(rows.gen_index) > _MAX_KERNELS:
         bounds = np.searchsorted(rows.gen_index, np.arange(len(kernels.generators) + 1)).tolist()
-        budget = max(1, cap // len(kernels.generators))
+        budget = max(1, _MAX_KERNELS // len(kernels.generators))
         keep = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi - lo <= budget:

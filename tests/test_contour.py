@@ -32,6 +32,11 @@ from oracles import count_roots_inside, dense_min_modulus, planted_polynomial
 RNG = np.random.default_rng(42)
 
 
+def test_with_bar_keeps_every_other_field():
+    tol = Tolerances(initial_samples=512, sample_budget=4096, phase_step=0.3, newton_iterations=5)
+    assert tol.with_bar(0.25) == Tolerances(0.25, 25.0, 512, 4096, 0.3, 5)
+
+
 # -- winding_number -----------------------------------------------------------
 
 
