@@ -169,14 +169,15 @@ class _Verdict:
     :meth:`pairing` a pairing value with its error bound, and :meth:`item`
     an item by its own certificate (a member's contour certificate, a
     kernel's :func:`in_T`); the last two return True on a witness, and the
-    caller returns its own Falsified certificate.  Margins an array pass
-    clears in bulk come in through :meth:`feed_clear`, and members decided
-    over the sampled family through :meth:`sampled`.  :meth:`certificate`
-    is Inconclusive when anything was gray (the first three reasons, then a
-    count), else Verified with the worst margin (1.0 when nothing had a
-    finite one) and the caller's params, by default the scope and
-    ``members_checked``.  Reasons are callables; only the shown ones are
-    formatted.
+    caller returns its own Falsified certificate.  :meth:`clears` is the
+    floor rule itself, which the array passes build their masks from; the
+    margins they clear in bulk come in through :meth:`feed_clear`, and
+    members decided over the sampled family through :meth:`sampled`.
+    :meth:`certificate` is Inconclusive when anything was gray (the first
+    three reasons, then a count), else Verified with the worst margin (1.0
+    when nothing had a finite one) and the caller's params, by default the
+    scope and ``members_checked``.  Reasons are callables; only the shown
+    ones are formatted.
     """
 
     SHOWN = 3  # gray reasons a certificate prints
@@ -209,8 +210,14 @@ class _Verdict:
         self.margin(float(margins[clear].min(initial=math.inf)))
         return (~clear).nonzero()[0].tolist()
 
+    @staticmethod
+    def clears(margins, tol: Tolerances):
+        """The floor rule, for a margin or an array of them: above the floor
+        (NaN never is).  Array passes add their own terms to the mask."""
+        return margins > tol.margin_floor
+
     def certified(self, m: float, reason: Callable[[], str]) -> None:
-        if m > self.tol.margin_floor:
+        if self.clears(m, self.tol):
             self.margin(m)
         else:
             self.gray(reason)
@@ -494,7 +501,7 @@ def _clear_pairings(
     at or above the witness bar and above the floor (NaN never is)."""
     with np.errstate(over="ignore"):
         moduli = np.hypot(values.real, values.imag)  # abs() where it does not overflow
-    clear = (moduli >= tol.witness_bar) & (moduli > tol.margin_floor) & (moduli < math.inf)
+    clear = (moduli >= tol.witness_bar) & _Verdict.clears(moduli, tol) & (moduli < math.inf)
     return moduli, filled & clear
 
 
@@ -549,7 +556,7 @@ def _pairing_certificate(
             us = dilation_points(grid) if family.dilation_slot else [1.0 + 0.0j]
             verdict.sampled(len(ys) * len(us))
             for lo, S, tail, margin in _x_slices(gen, kernel, ys, us):
-                clear = (margin > tol.margin_floor) & (margin < math.inf)
+                clear = _Verdict.clears(margin, tol) & (margin < math.inf)
                 # the other slices in order: abs() as Python takes it (an
                 # infinite margin then clears), a root in the x-domain, or gray
                 for i in verdict.feed_clear(margin, clear):
@@ -1047,7 +1054,7 @@ def _transpose_margins(V: FamilySpec, coeffs: np.ndarray) -> Optional[np.ndarray
 
 def _clears_floor(margins: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Margins :func:`in_T` turns into Verified (NaN never does)."""
-    return (margins > tol.margin_floor) & (margins > 0.0)
+    return _Verdict.clears(margins, tol) & (margins > 0.0)
 
 
 @functools.cache
@@ -2261,7 +2268,7 @@ def _verify_T6(V: FamilySpec, cfg: VerifierConfig) -> VerifierReport:
             checks.append(
                 CheckRecord(
                     f"interior-member-has-margin[{tag.label()}]",
-                    "pass" if tcert.min_modulus > cfg.tol.margin_floor else "inconclusive",
+                    "pass" if _Verdict.clears(tcert.min_modulus, cfg.tol) else "inconclusive",
                     detail=f"transpose margin {tcert.min_modulus:.3e}",
                 )
             )

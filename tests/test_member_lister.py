@@ -218,7 +218,9 @@ def test_kernel_pool_builds_only_the_kept_kernels():
 
 def test_small_kernel_family_is_kept_whole():
     kernels = FamilySpec((Pencil((1,), (Circle(0.5),)), Fixed(TruncSeries.polynomial([1.0, 0.2]))))
-    with mock.patch.object(duality, "_KERNEL_GRID", ParamGrid(circle=5)):
+    # 5 pencil members and the fixed kernel: 6 rows, exactly the cap
+    with mock.patch.object(duality, "_KERNEL_GRID", ParamGrid(circle=5)), \
+         mock.patch.object(duality, "_MAX_KERNELS", 6):
         pool = _kernel_pool(VerifierConfig(kernels=kernels))
     want = reference_sample(kernels, ParamGrid(circle=5))
     assert [tag for _, tag in pool] == [tag for _, tag in want]
