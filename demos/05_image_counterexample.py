@@ -28,12 +28,14 @@ lam = Functional(TruncSeries.polynomial([0.0, 1.0]), label="a1")
 # Direct route: instantiate members on a parameter grid and evaluate.
 direct = functional_image(lam, V, grid=ParamGrid(disk_radial=12, disk_angular=48))
 cand = direct.boundary_candidates()
-print("direct route:", len(direct.points), "points,", len(cand), "boundary candidates")
+print("direct route:", len(direct.points), "points,", len(cand), "boundary candidates;",
+      "median nearest-point spacing", round(direct.mesh_spacing, 4))
 print("boundary moduli range:", abs(cand).min().round(4), "to", abs(cand).max().round(4))
 
 # Border route: dilate border elements through a radius mesh instead.
 border = functional_image(lam, V, via_border=True, mesh_depth=8)
-print("border route:", len(border.points), "points, mesh spacing", round(border.mesh_spacing, 4))
+print("border route:", len(border.points), "points; median distance between neighbouring",
+      "mesh images", round(border.mesh_spacing, 4))
 print("distance from 0 to the border-image union:", border.nearest_distance(0.0))
 
 # The point clouds export as CSV for external plotting.

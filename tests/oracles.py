@@ -327,6 +327,42 @@ def brute_median_spacing(points) -> float:
     return float(np.median(nn))
 
 
+def brute_mesh_spacing(rows, angles: int) -> float:
+    """Median over every border-mesh point of its smallest positive, finite
+    distance to the images of its mesh neighbours within its member; 1.0
+    when no point has one.
+
+    Each row is one member's images: the mesh center, then ``angles``
+    points per ring, innermost ring first.  A ring point's neighbours are
+    the previous and next angle on its ring (wrapping round) and the same
+    angle on the next inner ring (the center, for the innermost) and the
+    next outer one; the center's are the whole innermost ring.
+    """
+    scales = []
+
+    def measure(p, neighbours):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = [np.abs(p - q) for q in neighbours]
+        ds = [d for d in ds if 0.0 < d < math.inf]
+        if ds:
+            scales.append(min(ds))
+
+    for row in rows:
+        rings = (len(row) - 1) // angles if angles else 0
+
+        def at(i, j):
+            return row[1 + i * angles + j % angles]
+
+        measure(row[0], [at(0, j) for j in range(angles)] if rings else [])
+        for i in range(rings):
+            for j in range(angles):
+                neighbours = [at(i, j - 1), at(i, j + 1), row[0] if i == 0 else at(i - 1, j)]
+                if i + 1 < rings:
+                    neighbours.append(at(i + 1, j))
+                measure(at(i, j), neighbours)
+    return float(np.median(scales)) if scales else 1.0
+
+
 def brute_coverage_flags(points, spacing: float, directions: int = 16,
                          probe: float = 2.0, cover: float = 1.3) -> np.ndarray:
     """A finite point is flagged when some probe at ``probe * spacing`` in one
@@ -409,8 +445,8 @@ def per_member_border_image(lam, V, grid, mesh_depth: int = 8, mesh_angles: int 
     Every sampled border element is built as a series, convolved with the
     kernel and evaluated on the whole mesh on its own (``sample`` +
     ``convolve`` + ``evaluate_many``), the route the batched pencil pass
-    replaces; the spacing comes from the all-pairs oracle above.  Raises
-    ValueError where that loop does, with its message.
+    replaces; the spacing comes from the mesh-neighbour oracle above.
+    Raises ValueError where that loop does, with its message.
     """
     from convdual.contour import radius_schedule
     from convdual.family import border_elements
@@ -439,7 +475,8 @@ def per_member_border_image(lam, V, grid, mesh_depth: int = 8, mesh_angles: int 
         "labels": tuple(labels),
         "eval_points": np.tile(mesh, len(members)),
         "boundary_flags": np.tile(mesh_flags, len(members)),
-        "mesh_spacing": brute_median_spacing(points) if mesh_spacing is None else mesh_spacing,
+        "mesh_spacing": mesh_spacing if mesh_spacing is not None else brute_mesh_spacing(
+            pts, len(angles)),
         "route": "border",
     }
 

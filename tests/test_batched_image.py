@@ -1,5 +1,6 @@
 """Batched pencil evaluation of both image routes against the per-member loops: bitwise equality."""
 
+import contextlib
 import gc
 import json
 import math
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
 from convdual import cli, duality, family
 from convdual.duality import Functional, RegionCloud, functional_image, in_dual
@@ -38,7 +39,7 @@ from convdual.series import (
 
 from convdual.specfile import dump_family, load_family, parse_series
 
-from oracles import per_member_border_image, per_member_dual, per_member_image
+from oracles import brute_mesh_spacing, per_member_border_image, per_member_dual, per_member_image
 from oracles import sample as reference_sample
 
 SET = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -472,6 +473,78 @@ def test_border_rows_are_evaluated_in_bounded_blocks():
     expected = per_member_border_image(lam, V, ParamGrid(circle=6), 3, 8, mesh_spacing=1.0)
     for field, want in expected.items():
         _assert_bitwise(getattr(cloud, field), want, field)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+Z = TruncSeries.polynomial([0.0, 1.0])
+
+
+@settings(SET, max_examples=40)
+@given(
+    st.lists(st.builds(lambda k, d: Pencil((k,), (d,)), st.sampled_from([1, 2]), border_domain),
+             min_size=1, max_size=2),
+    st.lists(border_others, max_size=1),
+    kernels,
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.sampled_from([1, 2]) | st.integers(1, 80),
+    st.integers(0, 3),
+)
+# z maps the exponent-2 pencil's members to zero: a constant image, spacing 1.0
+@example([Pencil((2,), (Disk(0.5),))], [], Z, 4, 8, 64, 1)
+# images about 1e308 apart: the differences across the outer rings overflow
+@example([Pencil((1,), (Circle(1.5e308),))], [], Z, 3, 2, 2, 3)
+# a Horner sum past the float range: inf and nan images give no scale
+@example([Pencil((1, 2), (Circle(1e308), Circle(1e308)))], [],
+         TruncSeries.polynomial([1.0, 1.0, 1.0]), 2, 2, 3, 1)
+# no member at all: the empty border
+@example([Pencil((1,), (Disk(0.5),))], [], Z, 3, 2, 8, 0)
+def test_border_spacing_is_the_median_scale_of_mesh_neighbours(
+    pens, others, kernel, circle, depth, angles, keep
+):
+    V = FamilySpec(tuple(pens) + tuple(others))
+    try:
+        cloud = functional_image(Functional(kernel), V, ParamGrid(circle=circle), via_border=True,
+                                 mesh_depth=depth, mesh_angles=angles)
+    except ValueError:  # a product with an unusable tail bound, as the per-member loop raises
+        reject()
+    rows = cloud.points.reshape(-1, 1 + (depth + 1) * angles)
+    assert _bits(cloud.mesh_spacing) == _bits(brute_mesh_spacing(rows, angles))
+    # the first members only, or none: each member is measured on its own mesh
+    got = duality._mesh_spacing(rows[:keep], depth + 1, angles)
+    assert _bits(got) == _bits(brute_mesh_spacing(rows[:keep], angles))
+
+
+def test_border_spacing_of_a_constant_image_is_one():
+    cloud = functional_image(Functional(Z), FamilySpec((Pencil((2,), (Disk(0.5),)),)),
+                             ParamGrid(circle=4), via_border=True)
+    assert not np.any(cloud.points) and cloud.mesh_spacing == 1.0
+    assert duality._mesh_spacing(np.empty((0, 1 + 9 * 64), dtype=complex), 9, 64) == 1.0
+
+
+def test_border_spacing_leaves_out_only_the_non_finite_distances():
+    # a center and two rings of four, the outer one holding a nan image: its
+    # finite neighbours keep their other distances (dropping them reads 2.0)
+    row = np.array([1 - 4j, -4 - 4j, 4 - 4j, 2 - 1j, 2 - 4j,
+                    4 - 1j, complex(math.nan, 0.0), 4 - 1j, 1 - 1j])
+    got = duality._mesh_spacing(row[None], 2, 4)
+    assert _bits(got) == _bits(brute_mesh_spacing([row], 4)) == _bits(2.5)
+
+
+def test_border_route_measures_no_nearest_points():
+    names = ("_reference_set", "_distinct", "_grid_nearest")
+    lam = Functional(from_rational(0.5, 0.2))
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(
+            duality, name, autospec=True, side_effect=getattr(duality, name))) for name in names]
+        functional_image(lam, counterexample_family(), ParamGrid(circle=12), via_border=True)
+        assert [spy.call_count for spy in spies] == [0, 0, 0]
+        # the direct route still measures through all three
+        functional_image(lam, counterexample_family(), ParamGrid(4, 24))
+        assert all(spy.call_count for spy in spies)
 
 
 @pytest.mark.parametrize("first", [False, True])

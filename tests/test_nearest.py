@@ -32,6 +32,7 @@ from convdual.series import TruncSeries
 from oracles import (
     brute_coverage_flags,
     brute_median_spacing,
+    brute_mesh_spacing,
     brute_nearest_distance,
     cloud_nearest_distance,
     deep_interior,
@@ -135,12 +136,15 @@ def test_direct_route_geometry_matches_brute_force(V, lam, grid):
     )
 
 
-def test_border_route_spacing_matches_brute_force_on_subsample():
-    # 67 mesh angles against 12 border members: the rotated meshes do not overlap
+def test_border_route_spacing_matches_brute_force_on_mesh_neighbours():
+    # 67 mesh angles against 12 border members: the rotated meshes do not
+    # overlap, and each member is measured on its own mesh only
     cloud = functional_image(A1, pencil_family(), ParamGrid(circle=12), via_border=True,
                              mesh_angles=67)
     assert len(np.unique(np.round(cloud.points, 12))) > 4096
-    assert cloud.mesh_spacing == brute_median_spacing(cloud.points)
+    rows = cloud.points.reshape(12, 1 + 9 * 67)
+    assert cloud.mesh_spacing == brute_mesh_spacing(rows, 67)
+    assert cloud.mesh_spacing != brute_median_spacing(cloud.points)
 
 
 # -- distinct-point probing, cell representatives, non-finite points ---------------
@@ -465,6 +469,17 @@ def _block_oracle(index, ref, queries, positive=False):
     return d.min(axis=1, initial=np.inf)
 
 
+def _representative_oracle(index, queries, radius):
+    """Whether the first sorted point at or past one of the nine cell keys of
+    the query's block is within ``radius``, one query and one cell at a time."""
+    near = []
+    for q, key in zip(queries, index._keys(queries)):
+        reps = [index.ref[np.searchsorted(index.keys, key + dx * index.width + dy)]
+                for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        near.append(any(np.abs(q - r) <= radius for r in reps))
+    return np.array(near, dtype=bool)
+
+
 edge_queries = st.sampled_from([
     complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, -math.inf),
     complex(-math.inf, 1.0), complex(1e308, -1e308), complex(-1.7e308, 2.0), 1e300 + 0j,
@@ -489,9 +504,10 @@ def indexed_clouds(draw):
 
 
 @SET
-@given(indexed_clouds(), st.sampled_from([0, duality._DENSE_TABLE_FLOOR]))
+@given(indexed_clouds(), st.sampled_from([0, duality._DENSE_TABLE_FLOOR]),
+       st.sampled_from([1, 3, duality._REPRESENTATIVE_CHUNK]))
 @np.errstate(over="ignore")  # huge queries overflow their cell offsets to inf
-def test_cells_block_minima_and_representatives_match_the_references(case, floor):
+def test_cells_block_minima_and_representatives_match_the_references(case, floor, chunk):
     ref, cell, queries = case
     with mock.patch.object(duality, "_DENSE_TABLE_FLOOR", floor):
         index = duality._CellIndex(ref, cell)
@@ -503,7 +519,9 @@ def test_cells_block_minima_and_representatives_match_the_references(case, floor
                                       _block_oracle(index, ref, queries, positive))
     nearest = brute_nearest_distance(queries, ref)
     for radius in (0.5 * cell, cell, 2.0 * math.sqrt(2.0) * cell):
-        near = index.near_representative(queries, radius)
+        with mock.patch.object(duality, "_REPRESENTATIVE_CHUNK", chunk):
+            near = index.near_representative(queries, radius)
+        np.testing.assert_array_equal(near, _representative_oracle(index, queries, radius))
         assert np.all(nearest[near] <= radius)  # a True is a proof
         if radius >= 2.0 * math.sqrt(2.0) * cell:  # every block point is within the radius
             assert near[np.isfinite(_block_oracle(index, ref, queries))].all()
