@@ -475,10 +475,6 @@ def test_border_rows_are_evaluated_in_bounded_blocks():
         _assert_bitwise(getattr(cloud, field), want, field)
 
 
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
 Z = TruncSeries.polynomial([0.0, 1.0])
 
 
@@ -512,10 +508,10 @@ def test_border_spacing_is_the_median_scale_of_mesh_neighbours(
     except ValueError:  # a product with an unusable tail bound, as the per-member loop raises
         reject()
     rows = cloud.points.reshape(-1, 1 + (depth + 1) * angles)
-    assert _bits(cloud.mesh_spacing) == _bits(brute_mesh_spacing(rows, angles))
+    _assert_bitwise(cloud.mesh_spacing, brute_mesh_spacing(rows, angles), "mesh_spacing")
     # the first members only, or none: each member is measured on its own mesh
     got = duality._mesh_spacing(rows[:keep], depth + 1, angles)
-    assert _bits(got) == _bits(brute_mesh_spacing(rows[:keep], angles))
+    _assert_bitwise(got, brute_mesh_spacing(rows[:keep], angles), "first members")
 
 
 def test_border_spacing_of_a_constant_image_is_one():
@@ -530,8 +526,7 @@ def test_border_spacing_leaves_out_only_the_non_finite_distances():
     # finite neighbours keep their other distances (dropping them reads 2.0)
     row = np.array([1 - 4j, -4 - 4j, 4 - 4j, 2 - 1j, 2 - 4j,
                     4 - 1j, complex(math.nan, 0.0), 4 - 1j, 1 - 1j])
-    got = duality._mesh_spacing(row[None], 2, 4)
-    assert _bits(got) == _bits(brute_mesh_spacing([row], 4)) == _bits(2.5)
+    assert duality._mesh_spacing(row[None], 2, 4) == brute_mesh_spacing([row], 4) == 2.5
 
 
 def test_border_route_measures_no_nearest_points():

@@ -144,7 +144,6 @@ def test_border_route_spacing_matches_brute_force_on_mesh_neighbours():
     assert len(np.unique(np.round(cloud.points, 12))) > 4096
     rows = cloud.points.reshape(12, 1 + 9 * 67)
     assert cloud.mesh_spacing == brute_mesh_spacing(rows, 67)
-    assert cloud.mesh_spacing != brute_median_spacing(cloud.points)
 
 
 # -- distinct-point probing, cell representatives, non-finite points ---------------
